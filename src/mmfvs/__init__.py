@@ -11,6 +11,7 @@ against.
 
 from mmfvs.graph import Graph
 from mmfvs.verify import (
+    VerificationError,
     greedy_minimal_fvs,
     is_fvs,
     is_minimal_fvs,
@@ -26,6 +27,7 @@ from mmfvs.reduction import check_ppt_equivalence, ppt_mmvc_to_mmfvs
 
 __all__ = [
     "Graph",
+    "VerificationError",
     "approx_solve",
     "check_ppt_equivalence",
     "find_connectors",

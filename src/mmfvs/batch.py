@@ -19,7 +19,7 @@ from mmfvs.graph import Graph
 from mmfvs.ksolver import solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.reduction import check_ppt_equivalence
-from mmfvs.verify import is_minimal_fvs
+from mmfvs.verify import VerificationError, is_minimal_fvs
 from mmfvs.vcsolver import solve_vc
 
 ALGORITHMS = ("bruteforce", "ksolver", "vcsolver", "approx", "ppt-check")
@@ -95,7 +95,8 @@ def run_one(
                 "guesses_tried": report.extras.get("guesses_tried", 0),
             }
             if report.is_yes:
-                assert report.solution is not None
+                if report.solution is None:
+                    raise VerificationError("ksolver said yes without a witness")
                 record.size = len(report.solution.vertices)
                 record.verified = is_minimal_fvs(g, report.solution.vertices) is not None
                 record.stats["solution"] = sorted(report.solution.vertices)
@@ -120,7 +121,8 @@ def run_one(
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
         # a yes with an unverifiable solution must never leave the runner
-        assert record.verified is not False or algorithm == "ppt-check"
+        if record.verified is False and algorithm != "ppt-check":
+            raise VerificationError(f"{algorithm} emitted a solution that fails verification")
     except _Timeout:
         record.outcome = "error"
         record.error = "timeout"

@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int)
     solve.add_argument("--epsilon", type=float)
     solve.add_argument("--timeout", type=float)
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--output", help="write the solution (one id per line) here")
     solve.set_defaults(func=_cmd_solve)
 

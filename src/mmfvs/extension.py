@@ -26,9 +26,16 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Graph, is_acyclic_without, prune_to_minimal
 from mmfvs.report import Solution, SolveReport
-from mmfvs.verify import has_private_cycle, is_fvs, is_minimal_fvs, private_cycle
+from mmfvs.verify import (
+    VerificationError,
+    has_private_cycle,
+    is_fvs,
+    is_minimal_fvs,
+    members_have_private_cycles,
+    private_cycle,
+)
 
 RULE_STRIP = "strip_acyclic_fringe"
 RULE_FORCE = "force_cycle_closers"
@@ -250,7 +257,9 @@ def _partial_minimality(ctx: _Context, inst: ExtensionInstance) -> bool:
     still complete.  This keeps the prune a necessary condition.
     """
     solid = frozenset(v for v in inst.required if v not in inst.expansions)
-    for w in sorted(inst.required):
+    if not members_have_private_cycles(ctx.pristine, solid, solid):
+        return False
+    for w in sorted(inst.required - solid):
         reps = inst.originals_of(w)
         if not any(has_private_cycle(ctx.pristine, r, solid - {r}) for r in reps):
             return False
@@ -301,11 +310,7 @@ def _complete_witness(ctx: _Context, inst: ExtensionInstance) -> Solution | None
         if not is_acyclic_without(ctx.pristine, start):
             continue
         for order in _prune_orders(ctx, base, start - base):
-            s = set(start)
-            for v in order:
-                if is_acyclic_without(ctx.pristine, s - {v}):
-                    s.remove(v)
-            candidate = frozenset(s)
+            candidate = prune_to_minimal(ctx.pristine, start, order)
             if not ctx.required0 <= candidate or candidate & ctx.forbidden0:
                 continue
             if len(candidate - ctx.required0) < ctx.k0:
@@ -489,9 +494,12 @@ def solve_extension(
 
     if witness is not None:
         # Re-verify the emitted witness independently of search state.
-        assert is_minimal_fvs(g, witness.vertices) is not None
-        assert required <= witness.vertices and not witness.vertices & forbidden
-        assert len(witness.vertices - required) >= k
+        if is_minimal_fvs(g, witness.vertices) is None:
+            raise VerificationError("extension witness is not a minimal fvs")
+        if not required <= witness.vertices or witness.vertices & forbidden:
+            raise VerificationError("extension witness breaks the commitments")
+        if len(witness.vertices - required) < k:
+            raise VerificationError("extension witness is too small")
     return SolveReport(
         outcome="yes" if witness is not None else "no",
         solution=witness,

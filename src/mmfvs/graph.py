@@ -174,12 +174,35 @@ class Graph:
         return None
 
 
-def is_acyclic_without(g: Graph, removed: Iterable[int]) -> bool:
-    """True iff g minus the given vertices is a forest (union-find scan)."""
-    gone = set(removed)
-    parent: dict[int, int] = {}
+class Forest:
+    """Incremental union-find over a growing vertex subset of g.
 
-    def find(x: int) -> int:
+    Tarjan's set union: the trees are those of the subgraph induced on the
+    vertices inserted so far.  `extend` inserts vertices with their edges
+    to the vertices already present, `closes_cycle` asks, without
+    inserting, whether a vertex would close a cycle, and `acyclic` tells
+    whether the subgraph is still a forest.  Union by size plus path
+    compression keeps any sequence of m operations at O(m alpha(m)).
+    """
+
+    __slots__ = ("_adj", "_parent", "_size", "acyclic")
+
+    def __init__(self, g: Graph):
+        self._adj = g._adj
+        self._parent: dict[int, int] = {}
+        self._size: dict[int, int] = {}
+        self.acyclic = True
+
+    @classmethod
+    def without(cls, g: Graph, removed: Iterable[int]) -> Forest:
+        """The union-find over g minus the given vertices."""
+        gone = set(removed)
+        forest = cls(g)
+        forest.extend([v for v in g._adj if v not in gone])
+        return forest
+
+    def _find(self, x: int) -> int:
+        parent = self._parent
         root = x
         while parent[root] != root:
             root = parent[root]
@@ -187,16 +210,72 @@ def is_acyclic_without(g: Graph, removed: Iterable[int]) -> bool:
             parent[x], x = root, parent[x]
         return root
 
-    for v in g._adj:
-        if v in gone:
-            continue
-        parent[v] = v
-    for v in parent:
-        for u in g._adj[v]:
-            if u <= v or u in gone:
-                continue
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
+    def extend(self, vertices: Iterable[int], stop_at_cycle: bool = False) -> bool:
+        """Insert vertices one at a time, joining the trees of their neighbors.
+
+        Returns False, and clears `acyclic`, when some vertex had two
+        neighbors in one tree; with `stop_at_cycle` the insertion ends at
+        that vertex.  The find is inlined: this loop runs once per edge.
+        """
+        adj, parent, size = self._adj, self._parent, self._size
+        ok = True
+        for v in vertices:
+            parent[v] = v
+            size[v] = 1
+            root = v
+            for u in adj[v]:
+                if u not in parent:
+                    continue
+                r = u
+                while parent[r] != r:
+                    r = parent[r]
+                while parent[u] != r:
+                    parent[u], u = r, parent[u]
+                if r == root:
+                    ok = False
+                    continue
+                if size[r] > size[root]:
+                    root, r = r, root
+                parent[r] = root
+                size[root] += size[r]
+            if not ok:
+                self.acyclic = False
+                if stop_at_cycle:
+                    break
+        return ok
+
+    def closes_cycle(self, v: int) -> bool:
+        """Do two neighbors of v share a tree?  v must not be present."""
+        seen: set[int] = set()
+        for u in self._adj[v]:
+            if u in self._parent:
+                r = self._find(u)
+                if r in seen:
+                    return True
+                seen.add(r)
+        return False
+
+
+def is_acyclic_without(g: Graph, removed: Iterable[int]) -> bool:
+    """True iff g minus the given vertices is a forest."""
+    gone = set(removed)
+    return Forest(g).extend([v for v in g._adj if v not in gone], stop_at_cycle=True)
+
+
+def prune_to_minimal(g: Graph, s: Iterable[int], order: Iterable[int]) -> frozenset[int]:
+    """Drop members of the fvs s, in `order`, while s stays an fvs.
+
+    Each v of `order` (members of s) leaves s exactly when g minus the rest
+    of s is still a forest, i.e. when v's neighbors outside s lie in
+    distinct trees.  One forest over g - s grows as vertices leave, so the
+    whole pass costs O(m alpha(m)).  If s is not an fvs, nothing can leave.
+    """
+    kept = set(s)
+    forest = Forest.without(g, kept)
+    if not forest.acyclic:
+        return frozenset(kept)
+    for v in order:
+        if not forest.closes_cycle(v):
+            forest.extend((v,))
+            kept.remove(v)
+    return frozenset(kept)

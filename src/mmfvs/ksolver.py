@@ -15,7 +15,7 @@ from itertools import combinations
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph
 from mmfvs.report import Solution, SolveReport
-from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
+from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
@@ -26,7 +26,8 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     w = greedy_minimal_fvs(g)
     if len(w) >= k:
         certificate = is_minimal_fvs(g, w)
-        assert certificate is not None
+        if certificate is None:
+            raise VerificationError("greedy fvs is not a minimal fvs")
         return SolveReport(
             outcome="yes",
             solution=Solution(w, certificate),
@@ -81,14 +82,16 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     is valid because yes-instances are downward closed in k.
     """
     best_report = solve_k(g, 0)
-    assert best_report.is_yes and best_report.solution is not None
+    if best_report.solution is None:
+        raise VerificationError("solve_k(g, 0) gave no witness")
     best: Solution = best_report.solution
     opt = 0
     for k in range(1, len(g) + 1):
         report = solve_k(g, k)
         if not report.is_yes:
             break
-        assert report.solution is not None
+        if report.solution is None:
+            raise VerificationError(f"solve_k(g, {k}) said yes without a witness")
         best = report.solution
         opt = k
     return opt, best

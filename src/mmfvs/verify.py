@@ -5,25 +5,41 @@ subset is: equivalently, every v in S has a private cycle, a cycle through v
 in the graph induced on (V - S) + v.  Minimality is certified here through
 private cycles; the definitional drop-one-vertex test is also provided and
 the two are asserted equal in the test suite.
+
+The forest questions all run on one kernel, the incremental union-find
+`graph.Forest`.  `greedy_minimal_fvs` grows a single forest as vertices
+leave the set, O(m alpha(m)) in all.  Private cycles of the members of a
+set S are checked from one union-find over g - S: a member has one iff two
+of its neighbors outside S share a tree, so one O(m alpha(m)) sweep serves
+the whole set.  Certificates come from a BFS per member, and only once
+that check has passed.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Forest, Graph, is_acyclic_without, prune_to_minimal
 
 # Per-vertex private cycles witnessing minimality of a solution.
 Certificate = dict[int, tuple[int, ...]]
 
 
-def is_fvs(g: Graph, s: Iterable[int]) -> bool:
-    """True iff g minus s is a forest."""
+class VerificationError(Exception):
+    """A solution about to be emitted failed re-verification on its graph."""
+
+
+def _members_of(g: Graph, s: Iterable[int]) -> frozenset[int]:
     s = frozenset(s)
     unknown = s - g.vertices
     if unknown:
         raise KeyError(f"unknown vertices: {sorted(unknown)}")
-    return is_acyclic_without(g, s)
+    return s
+
+
+def is_fvs(g: Graph, s: Iterable[int]) -> bool:
+    """True iff g minus s is a forest."""
+    return is_acyclic_without(g, _members_of(g, s))
 
 
 def private_cycle(g: Graph, v: int, banned: frozenset[int]) -> tuple[int, ...] | None:
@@ -62,33 +78,9 @@ def has_private_cycle(g: Graph, v: int, banned: frozenset[int]) -> bool:
     v lies on a cycle avoiding `banned` iff two of its non-banned neighbors
     are connected in g - banned - v; checked with one union-find sweep.
     """
-    nbrs = [u for u in g.neighbors(v) if u not in banned]
-    if len(nbrs) < 2:
+    if len([u for u in g.neighbors(v) if u not in banned]) < 2:
         return False
-    gone = set(banned)
-    gone.add(v)
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for w in g.vertices:
-        if w not in gone:
-            parent[w] = w
-    for w in parent:
-        for u in g.neighbors(w):
-            if u <= w or u in gone:
-                continue
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-    roots = {find(u) for u in nbrs}
-    return len(roots) < len(nbrs)
+    return Forest.without(g, banned | {v}).closes_cycle(v)
 
 
 def is_minimal_fvs(g: Graph, s: Iterable[int]) -> Certificate | None:
@@ -97,8 +89,9 @@ def is_minimal_fvs(g: Graph, s: Iterable[int]) -> Certificate | None:
     The certificate maps every v in s to a private cycle; an empty set on a
     forest yields the empty certificate.
     """
-    s = frozenset(s)
-    if not is_fvs(g, s):
+    s = _members_of(g, s)
+    forest = Forest.without(g, s)
+    if not forest.acyclic or not all(forest.closes_cycle(v) for v in s):
         return None
     cert: Certificate = {}
     for v in sorted(s):
@@ -124,11 +117,7 @@ def greedy_minimal_fvs(g: Graph) -> frozenset[int]:
     removal from S keeps S an fvs.  One pass suffices: once a vertex had to
     be kept, shrinking S further never makes it droppable.
     """
-    s = set(g.vertices)
-    for v in sorted(s, reverse=True):
-        if is_acyclic_without(g, s - {v}):
-            s.remove(v)
-    return frozenset(s)
+    return prune_to_minimal(g, g.vertices, g.sorted_vertices()[::-1])
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:
@@ -177,7 +166,7 @@ def partial_minimality_ok(
     out_set = frozenset(out_set)
     if in_set & out_set:
         raise ValueError(f"overlapping sets: {sorted(in_set & out_set)}")
-    return all(has_private_cycle(g, w, in_set - {w}) for w in sorted(in_set))
+    return members_have_private_cycles(g, in_set, in_set)
 
 
 def members_have_private_cycles(
@@ -187,8 +176,16 @@ def members_have_private_cycles(
 
     Same predicate as full minimality verification but restricted to a
     subset of the solution, which is what partial-solution checks need.
+    Members are answered together from one union-find over g - solution;
+    a probed vertex outside `solution` gets its own sweep.
     """
-    return all(has_private_cycle(g, w, solution - {w}) for w in sorted(probed))
+    probed = sorted(probed)
+    inside = [w for w in probed if w in solution]
+    if inside:
+        forest = Forest.without(g, solution)
+        if not all(forest.closes_cycle(w) for w in inside):
+            return False
+    return all(has_private_cycle(g, w, solution) for w in probed if w not in solution)
 
 
 def certificate_is_valid(

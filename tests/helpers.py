@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from mmfvs.graph import Graph
+from mmfvs.graph import Graph, is_acyclic_without
 
 
 def apex_pair(n: int = 6) -> Graph:
@@ -40,6 +40,20 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         range(n),
         [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p],
     )
+
+
+def prune_reference(g: Graph, s, order) -> frozenset[int]:
+    """Per-vertex pruning: one full acyclicity sweep for every vertex tried."""
+    s = set(s)
+    for v in order:
+        if is_acyclic_without(g, s - {v}):
+            s.remove(v)
+    return frozenset(s)
+
+
+def greedy_minimal_fvs_reference(g: Graph) -> frozenset[int]:
+    """The greedy minimal fvs the slow way: S = V pruned in descending order."""
+    return prune_reference(g, g.vertices, sorted(g.vertices, reverse=True))
 
 
 def brute_cycle_vertices(g: Graph) -> set[int]:

@@ -1,0 +1,117 @@
+"""Differential tests of the union-find forest kernel.
+
+The kernel answers "is G - S a forest?" incrementally and all private-cycle
+questions about a set S from one sweep; the references below ask each
+question afresh, one vertex at a time.
+"""
+
+import random
+
+import pytest
+
+from mmfvs.graph import Forest, Graph, is_acyclic_without, prune_to_minimal
+from mmfvs.verify import (
+    greedy_minimal_fvs,
+    has_private_cycle,
+    members_have_private_cycles,
+    partial_minimality_ok,
+    private_cycle,
+)
+
+from helpers import cycle, gnp, greedy_minimal_fvs_reference, prune_reference
+
+
+def random_graphs(count: int, seed: int):
+    """Seeded gnp graphs with 3-40 vertices, from near-forests to dense."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 40)
+        p = min(1.0, rng.choice((0.8, 1.5, 2.5, 4.0, 8.0)) / n)
+        yield gnp(n, p, seed=rng.randrange(2**32))
+
+
+def random_subset(g: Graph, rng: random.Random, share: float) -> frozenset[int]:
+    return frozenset(v for v in g.sorted_vertices() if rng.random() < share)
+
+
+class TestForest:
+    def test_extend_reports_the_vertex_that_closes_a_cycle(self):
+        forest = Forest(cycle(4))
+        assert [forest.extend((v,)) for v in range(4)] == [True, True, True, False]
+        assert not forest.acyclic
+
+    def test_extend_can_stop_at_the_first_cycle(self):
+        g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        forest = Forest(g)
+        assert not forest.extend(range(5), stop_at_cycle=True)
+        assert not forest.acyclic
+
+    def test_closes_cycle_does_not_insert(self):
+        forest = Forest.without(cycle(4), {0})
+        assert forest.acyclic
+        assert forest.closes_cycle(0)
+        assert forest.closes_cycle(0)
+        assert forest.acyclic
+
+    def test_is_acyclic_without_matches_edge_count(self):
+        # a graph is a forest iff |E| = |V| - number of components
+        rng = random.Random(7)
+        for g in random_graphs(300, seed=7):
+            removed = random_subset(g, rng, rng.random())
+            h = g.delete(removed)
+            expected = h.edge_count() == len(h) - len(h.components())
+            assert is_acyclic_without(g, removed) == expected
+
+
+class TestGreedy:
+    def test_matches_per_vertex_reference_on_random_graphs(self):
+        for g in random_graphs(2000, seed=2022):
+            assert greedy_minimal_fvs(g) == greedy_minimal_fvs_reference(g)
+
+    @pytest.mark.parametrize("n", [200, 1000, 2000])
+    def test_matches_per_vertex_reference_on_large_sparse_graphs(self, n):
+        g = gnp(n, 2.5 / n, seed=n)
+        assert greedy_minimal_fvs(g) == greedy_minimal_fvs_reference(g)
+
+
+class TestPruneToMinimal:
+    def test_matches_per_vertex_reference_in_any_order(self):
+        rng = random.Random(11)
+        for g in random_graphs(500, seed=11):
+            s = greedy_minimal_fvs(g) | random_subset(g, rng, 0.5)
+            order = sorted(s)
+            rng.shuffle(order)
+            assert prune_to_minimal(g, s, order) == prune_reference(g, s, order)
+
+    def test_a_set_that_is_no_fvs_is_kept_whole(self):
+        g = cycle(5)
+        assert prune_to_minimal(g, {0, 1}, [0, 1]) == prune_reference(g, {0, 1}, [0, 1])
+        assert prune_to_minimal(g, set(), []) == frozenset()
+
+
+class TestBatchedPrivateCycles:
+    def test_matches_per_vertex_checks(self):
+        rng = random.Random(5)
+        for g in random_graphs(1000, seed=5):
+            s = random_subset(g, rng, rng.random())
+            # probed vertices are usually members of s, sometimes not
+            probed = random_subset(g, rng, 0.5) & s
+            if rng.random() < 0.3:
+                probed |= random_subset(g, rng, 0.2)
+            expected = all(has_private_cycle(g, w, s - {w}) for w in probed)
+            assert expected == all(private_cycle(g, w, s - {w}) is not None for w in probed)
+            assert members_have_private_cycles(g, s, probed) == expected
+
+    def test_partial_minimality_probes_every_member(self):
+        rng = random.Random(6)
+        for g in random_graphs(500, seed=6):
+            s = random_subset(g, rng, rng.random())
+            expected = all(has_private_cycle(g, w, s - {w}) for w in s)
+            assert partial_minimality_ok(g, s) == expected
+
+    def test_outside_vertex_uses_its_own_sweep(self):
+        # 0 is outside s = {2}; without 2 the square 0-1-2-3 is broken, but
+        # the triangle 0-1-4 still runs through 0
+        g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
+        assert members_have_private_cycles(g, frozenset({2}), {0})
+        assert not members_have_private_cycles(g, frozenset({2, 4}), {0})

@@ -1,0 +1,58 @@
+"""The solution re-verification checks must hold under `python -O`."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mmfvs
+
+SCRIPT = r"""
+import sys
+
+if __debug__:
+    sys.exit("this script must run under python -O")
+
+from mmfvs import batch, extension, ksolver
+from mmfvs.graph import Graph
+from mmfvs.report import Solution
+from mmfvs.verify import VerificationError
+
+triangle = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+
+
+def no_certificate(g, s):
+    return None
+
+
+def expect_failure(call, what):
+    try:
+        call()
+    except VerificationError:
+        return
+    sys.exit(f"{what} emitted an unverified solution")
+
+
+batch.is_minimal_fvs = no_certificate
+record = batch.run_one("triangle", triangle, "vcsolver")
+if record.outcome != "error" or not record.error.startswith("VerificationError"):
+    sys.exit(f"run_one passed an unverified solution: {record}")
+
+ksolver.is_minimal_fvs = no_certificate
+expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
+
+# a search that claims the non-minimal fvs {0, 1}
+extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
+expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solve_extension")
+"""
+
+
+def test_reverification_survives_optimized_mode():
+    src = str(Path(mmfvs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
