@@ -8,24 +8,29 @@ moved and the best guess misses the optimum by at most vc.  Asking the
 solution-size solver whether the optimum reaches vc/eps first turns that
 additive loss into a (1 - eps) factor: below the threshold the exact
 optimum is computed outright.
+
+The cover-side guesses come from `vcsolver.cover_guesses` and the degree
+and cycle rules from `graph.peel` and `graph.cycle_closers`, the same ones
+the exact solvers use.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Iterable
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Graph, cycle_closers, peel
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.report import Solution, SolveReport
+from mmfvs.vcsolver import cover_guesses
 from mmfvs.verify import (
+    VerificationError,
     is_minimal_fvs,
     members_have_private_cycles,
     min_vertex_cover,
-    partial_minimality_ok,
 )
 
 
@@ -46,38 +51,21 @@ class GreedyState:
     moved: tuple[int, ...]
     removed: frozenset[int]
 
-    def live_neighbors(self, v: int) -> frozenset[int]:
-        return self.graph.neighbors(v) - self.cover_in - self.solution - self.removed
+
+def _component_ids(g: Graph, c_out: Iterable[int]) -> dict[int, int]:
+    """Each c_out vertex mapped to the minimum id of its c_out component."""
+    return {v: min(comp) for comp in g.induced(c_out).components() for v in comp}
 
 
-def _out_components(state: GreedyState) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in sorted(state.cover_out):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in state.live_neighbors(x) & state.cover_out:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+def _adjacent_ids(g: Graph, component_id: dict[int, int], u: int) -> frozenset[int]:
+    if u in component_id:
+        raise ValueError(f"{u} is itself committed outside")
+    return frozenset(component_id[w] for w in g.neighbors(u) if w in component_id)
 
 
 def neighborhood_components(g: Graph, c_out: Iterable[int], u: int) -> frozenset[int]:
     """Ids (minimum members) of the c_out components adjacent to u."""
-    c_out = frozenset(c_out)
-    if u in c_out:
-        raise ValueError(f"{u} is itself committed outside")
-    sub = g.induced(c_out)
-    return frozenset(
-        min(comp) for comp in sub.components() if g.neighbors(u) & comp
-    )
+    return _adjacent_ids(g, _component_ids(g, c_out), u)
 
 
 def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -> frozenset[int]:
@@ -86,74 +74,40 @@ def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -
     If u stays outside the solution, these vertices all close cycles with
     the tree u glues together, so they are forced inside.
     """
-    c_out = frozenset(c_out)
-    qu = neighborhood_components(g, c_out, u)
-    found = []
-    for x in sorted(frozenset(indep) - {u}):
-        if len(qu & neighborhood_components(g, c_out, x)) >= 2:
-            found.append(x)
-    return frozenset(found)
+    component_id = _component_ids(g, c_out)
+    qu = _adjacent_ids(g, component_id, u)
+    return frozenset(
+        x
+        for x in sorted(frozenset(indep) - {u})
+        if len(qu & _adjacent_ids(g, component_id, x)) >= 2
+    )
 
 
-def reduce_state(state: GreedyState, counters: dict[str, int] | None = None) -> GreedyState:
-    """Degree and cycle rules to joint fixpoint.
+def reduce_state(state: GreedyState, counters: Counter[str] | None = None) -> GreedyState:
+    """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint.
 
     Live vertices of degree <= 1 outside the committed-in side are deleted
     (this covers independents with at most one outside neighbor), and an
     independent vertex with two neighbors in one outside tree joins the
     solution.
     """
-    counters = counters if counters is not None else {}
+    counters = counters if counters is not None else Counter()
+    g = state.graph
     cover_out = set(state.cover_out)
     remaining = set(state.remaining_indep)
     solution = set(state.solution)
     removed = set(state.removed)
-
-    def live_nbrs(v: int) -> set[int]:
-        return set(state.graph.neighbors(v)) - state.cover_in - solution - removed
-
     while True:
-        changed = False
-        while True:
-            victims = [
-                v for v in sorted(cover_out | remaining) if len(live_nbrs(v)) <= 1
-            ]
-            if not victims:
-                break
-            for v in victims:
-                removed.add(v)
-                cover_out.discard(v)
-                remaining.discard(v)
-            counters["reduction_degree"] = counters.get("reduction_degree", 0) + len(victims)
-            changed = True
-        comp_of: dict[int, int] = {}
-        probe = replace(
-            state,
-            cover_out=frozenset(cover_out),
-            solution=frozenset(solution),
-            removed=frozenset(removed),
-        )
-        for i, comp in enumerate(_out_components(probe)):
-            for v in comp:
-                comp_of[v] = i
-        closers = []
-        for u in sorted(remaining):
-            touched: set[int] = set()
-            for w in live_nbrs(u):
-                i = comp_of.get(w)
-                if i is None:
-                    continue
-                if i in touched:
-                    closers.append(u)
-                    break
-                touched.add(i)
-        if closers:
-            for u in closers:
-                solution.add(u)
-                remaining.discard(u)
-            counters["reduction_force"] = counters.get("reduction_force", 0) + len(closers)
-            changed = True
-        if not changed:
+        gone = peel(g, g.vertices - state.cover_in - solution - removed)
+        removed |= gone
+        cover_out -= gone
+        remaining -= gone
+        counters["reduction_degree"] += len(gone)
+        closers = cycle_closers(g, cover_out, remaining)
+        solution.update(closers)
+        remaining.difference_update(closers)
+        counters["reduction_force"] += len(closers)
+        if not gone and not closers:
             return replace(
                 state,
                 cover_out=frozenset(cover_out),
@@ -167,17 +121,17 @@ def _live_graph(state: GreedyState) -> Graph:
     return state.graph.delete(state.cover_in | state.solution | state.removed)
 
 
-def greedy_round(state: GreedyState, counters: dict[str, int] | None = None) -> GreedyState:
+def greedy_round(state: GreedyState, counters: Counter[str] | None = None) -> GreedyState:
     """Process the smallest remaining independent vertex.
 
     Its conflict set is pulled into the solution and the vertex moved
     outside when the committed-in side keeps its private cycles under that
     hypothesis; otherwise the vertex itself joins the solution.
     """
-    counters = counters if counters is not None else {}
+    counters = counters if counters is not None else Counter()
     u = min(state.remaining_indep)
     s_u = conflict_set(_live_graph(state), state.cover_out, state.remaining_indep, u)
-    counters[f"conflict_size_{len(s_u)}"] = counters.get(f"conflict_size_{len(s_u)}", 0) + 1
+    counters[f"conflict_size_{len(s_u)}"] += 1
     hypothetical = state.cover_in | state.solution | s_u
     if members_have_private_cycles(state.graph, hypothetical, state.cover_in):
         return reduce_state(
@@ -201,8 +155,8 @@ def greedy_round(state: GreedyState, counters: dict[str, int] | None = None) -> 
 
 
 def _run_greedy(
-    g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], counters: dict[str, int]
-) -> tuple[frozenset[int], GreedyState] | None:
+    g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], counters: Counter[str]
+) -> tuple[frozenset[int], GreedyState]:
     state = GreedyState(
         graph=g,
         cover_in=cover_in,
@@ -230,7 +184,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     start = time.perf_counter()
-    counters: dict[str, int] = {}
+    counters: Counter[str] = Counter()
     cover = min_vertex_cover(g)
     vc = len(cover)
     threshold = max(1, math.ceil(vc / epsilon))
@@ -251,56 +205,45 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             ),
         )
 
-    ordered = sorted(cover)
     best: Solution | None = None
     best_state: GreedyState | None = None
-    guesses = verified = discarded = wrong = 0
+    verified = discarded = 0
     max_moved = 0
-    for size in range(vc + 1):
-        for picked in combinations(ordered, size):
-            cover_in = frozenset(picked)
-            cover_out = cover - cover_in
-            if not is_acyclic_without(g, g.vertices - cover_out):
-                continue
-            if cover_in and not partial_minimality_ok(g, cover_in):
-                # no minimal fvs meets the cover in exactly this set
-                wrong += 1
-                continue
-            guesses += 1
-            outcome = _run_greedy(g, cover_in, cover_out, counters)
-            assert outcome is not None
-            candidate, state = outcome
-            assert len(state.moved) <= vc, "each move merges outside trees"
-            max_moved = max(max_moved, len(state.moved))
-            certificate = is_minimal_fvs(g, candidate)
-            if certificate is None:
-                discarded += 1
-                continue
-            verified += 1
-            if best is None or len(candidate) > len(best.vertices):
-                best = Solution(candidate, certificate)
-                best_state = state
+    for cover_in, cover_out in cover_guesses(g, cover, counters):
+        candidate, state = _run_greedy(g, cover_in, cover_out, counters)
+        if len(state.moved) > vc:
+            raise VerificationError("a greedy move merged no outside trees")
+        max_moved = max(max_moved, len(state.moved))
+        certificate = is_minimal_fvs(g, candidate)
+        if certificate is None:
+            discarded += 1
+            continue
+        verified += 1
+        if best is None or len(candidate) > len(best.vertices):
+            best = Solution(candidate, certificate)
+            best_state = state
     mode = "greedy"
     if best is None:
         # no guess survived verification; fall back to the exact route so
         # the contract (a verified minimal fvs) always holds
         opt, best = opt_exact_solution(g)
         mode = "exact"
-        counters["greedy_fallbacks"] = counters.get("greedy_fallbacks", 0) + 1
+        counters["greedy_fallbacks"] += 1
     report = SolveReport(
         outcome="yes",
         solution=best,
         nodes_explored=0,
         reductions_fired={
-            name: counters.get(name, 0) for name in ("reduction_degree", "reduction_force")
+            name: counters[name] for name in ("reduction_degree", "reduction_force")
         },
         max_depth=0,
         wall_time=time.perf_counter() - start,
         extras={
             "vc": vc,
             "threshold": threshold,
-            "cover_guesses": guesses,
-            "wrong_cover_guesses": wrong,
+            # only the guesses that reached the greedy rounds
+            "cover_guesses": counters["viable_cover_guesses"],
+            "wrong_cover_guesses": counters["wrong_cover_guesses"],
             "verified_guesses": verified,
             "guess_rejected_at_verify": discarded,
             "max_moved": max_moved,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Graph, is_acyclic_without, prune_to_minimal
+from mmfvs.graph import Graph, cycle_closers, is_acyclic_without, peel, prune_to_minimal
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -84,26 +84,7 @@ def _forbidden_is_forest(inst: ExtensionInstance) -> bool:
 
 def _strip(inst: ExtensionInstance) -> tuple[ExtensionInstance, int]:
     """Delete, to fixpoint, vertices of degree <= 1 outside `required`."""
-    required = inst.required
-    live: dict[int, set[int]] = {
-        v: set(inst.search.neighbors(v)) for v in inst.search.vertices
-    }
-
-    def low_degree(v: int) -> bool:
-        return len(live[v] - required) <= 1
-
-    gone: set[int] = set()
-    queue = [v for v in live if v not in required and low_degree(v)]
-    while queue:
-        v = queue.pop()
-        if v in gone or not low_degree(v):
-            continue
-        gone.add(v)
-        for u in live[v]:
-            live[u].discard(v)
-            if u not in gone and u not in required and low_degree(u):
-                queue.append(u)
-        del live[v]
+    gone = peel(inst.search, inst.search.vertices - inst.required)
     if not gone:
         return inst, 0
     return (
@@ -124,22 +105,7 @@ def _force(inst: ExtensionInstance) -> tuple[ExtensionInstance, int]:
     closes a cycle no solution may leave standing, so it must be inside;
     k drops accordingly (and may go below zero, treated like zero).
     """
-    if not inst.forbidden:
-        return inst, 0
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(inst.search.induced(inst.forbidden).components()):
-        for v in comp:
-            comp_of[v] = i
-    forced: list[int] = []
-    for v in sorted(inst.free_vertices()):
-        touched: set[int] = set()
-        for u in inst.search.neighbors(v):
-            if u not in comp_of:
-                continue
-            if comp_of[u] in touched:
-                forced.append(v)
-                break
-            touched.add(comp_of[u])
+    forced = cycle_closers(inst.search, inst.forbidden, inst.free_vertices())
     if not forced:
         return inst, 0
     return (
@@ -216,24 +182,6 @@ def _reduce_to_fixpoint(inst: ExtensionInstance, fired: dict[str, int]) -> Exten
 # -- witness completion and lifting ------------------------------------------
 
 
-def _two_core_vertices(g: Graph, banned: frozenset[int]) -> set[int]:
-    """Vertices lying on a cycle of g - banned (iterated leaf stripping)."""
-    live = {v: set(g.neighbors(v)) - banned for v in g.vertices - banned}
-    queue = [v for v, nbrs in live.items() if len(nbrs) <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in live:
-            continue
-        if len(live[v]) > 1:
-            continue
-        for u in live[v]:
-            live[u].discard(v)
-            if len(live[u]) <= 1:
-                queue.append(u)
-        del live[v]
-    return set(live)
-
-
 class _Context:
     def __init__(self, pristine: Graph, required: frozenset[int], forbidden: frozenset[int], k: int):
         self.pristine = pristine
@@ -305,8 +253,9 @@ def _complete_witness(ctx: _Context, inst: ExtensionInstance) -> Solution | None
     addable = ctx.pristine.vertices - excluded
     for combo in product(*(inst.expansions[v] for v in merged)):
         base = frozenset(fixed) | frozenset(combo)
-        on_cycle = _two_core_vertices(ctx.pristine, base)
-        start = frozenset(base | (on_cycle & addable))
+        live = ctx.pristine.vertices - base
+        core = live - peel(ctx.pristine, live)
+        start = frozenset(base | (core & addable))
         if not is_acyclic_without(ctx.pristine, start):
             continue
         for order in _prune_orders(ctx, base, start - base):

@@ -5,6 +5,13 @@ graph return a new value sharing nothing mutable with the old one, so solver
 branches can hold snapshots without copying defensively.  All iteration
 orders exposed here are ascending by id, which keeps search trees and
 reports reproducible.
+
+Besides the graph itself this module holds the forest primitives every
+solver shares: `Forest`, the incremental union-find; `prune_to_minimal`;
+and the two reduction rules of the extension search, the cover-guess
+solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
+no cycle) and `cycle_closers` (a vertex with two neighbors in one tree of
+a committed-out forest must be in the solution).
 """
 
 from __future__ import annotations
@@ -142,37 +149,6 @@ class Graph:
             out.append(frozenset(comp))
         return out
 
-    def cycle_through(self, v: int) -> tuple[int, ...] | None:
-        """Some simple cycle containing v, or None if v lies on no cycle.
-
-        v lies on a cycle iff two of its neighbors are connected in G - v;
-        the cycle returned is v plus a shortest such connecting path, with
-        ties broken by ascending id, so the result is deterministic.
-        """
-        nbrs = sorted(self._adj[v])
-        if len(nbrs) < 2:
-            return None
-        # BFS from each neighbor in G - v until another neighbor is reached.
-        nbr_set = self._adj[v]
-        for u in nbrs:
-            parent: dict[int, int | None] = {u: None}
-            queue = [u]
-            while queue:
-                nxt: list[int] = []
-                for x in queue:
-                    for y in sorted(self._adj[x]):
-                        if y == v or y in parent:
-                            continue
-                        parent[y] = x
-                        if y in nbr_set:
-                            path = [y]
-                            while path[-1] != u:
-                                path.append(parent[path[-1]])  # type: ignore[arg-type]
-                            return (v, *reversed(path))
-                        nxt.append(y)
-                queue = nxt
-        return None
-
 
 class Forest:
     """Incremental union-find over a growing vertex subset of g.
@@ -279,3 +255,37 @@ def prune_to_minimal(g: Graph, s: Iterable[int], order: Iterable[int]) -> frozen
             forest.extend((v,))
             kept.remove(v)
     return frozenset(kept)
+
+
+def peel(g: Graph, live: Iterable[int]) -> set[int]:
+    """Vertices deleted when degree <= 1 vertices of g[live] go, to fixpoint.
+
+    What remains is the 2-core of g[live], which holds every cycle of
+    g[live].  The fixpoint is unique, so the order of deletion does not
+    matter; one degree count per vertex and a queue make it O(m).
+    """
+    live = frozenset(live)
+    adj = g._adj
+    degree = {v: len(adj[v] & live) for v in live}
+    queue = [v for v, d in degree.items() if d <= 1]
+    gone = set(queue)
+    while queue:
+        for u in adj[queue.pop()]:
+            if u in degree and u not in gone:
+                degree[u] -= 1
+                if degree[u] <= 1:
+                    gone.add(u)
+                    queue.append(u)
+    return gone
+
+
+def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> list[int]:
+    """Candidates, ascending, with two neighbors in one tree of g[out].
+
+    Such a vertex closes a cycle with the committed-out forest, so every
+    solution that keeps `out` outside must contain it.  Candidates must lie
+    outside `out`.
+    """
+    forest = Forest(g)
+    forest.extend(out)
+    return [v for v in sorted(candidates) if forest.closes_cycle(v)]

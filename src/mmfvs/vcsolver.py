@@ -13,19 +13,25 @@ adjacency counts.  Guesses are enumerated with fewer connectors first, so
 the first assignment that verifies is the largest solution the cover guess
 can give.  Nothing is trusted from the search state: a candidate solution
 is kept only after full minimality verification on the input graph.
+
+The cover-side guesses come from `cover_guesses`, which the approximation
+scheme shares, and the in-guess reductions are `graph.peel` and
+`graph.cycle_closers`, the rules the extension search uses too.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Graph, cycle_closers, is_acyclic_without, peel
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     Certificate,
+    VerificationError,
     is_minimal_fvs,
     members_have_private_cycles,
     min_vertex_cover,
@@ -146,7 +152,7 @@ class _CoverGuess:
         cover_in: frozenset[int],
         cover_out: frozenset[int],
         indep: frozenset[int],
-        counters: dict[str, int],
+        counters: Counter[str],
     ):
         self.g = g
         self.pristine = pristine
@@ -159,74 +165,23 @@ class _CoverGuess:
 
     # -- in-guess reductions ------------------------------------------------
 
-    def _live_neighbors(self, v: int) -> set[int]:
-        return set(self.g.neighbors(v)) - self.cover_in - self.removed - self.forced
-
-    def _out_components(self) -> list[frozenset[int]]:
-        live_out = self.cover_out - self.removed
-        seen: set[int] = set()
-        comps: list[frozenset[int]] = []
-        for start in sorted(live_out):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self._live_neighbors(x) & live_out:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
     def reduce(self) -> None:
-        """Degree and cycle rules to joint fixpoint.
+        """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint.
 
         Vertices of degree <= 1 outside the committed cover side are
         deleted (outside any solution); independent vertices closing a
         cycle with one committed-out component are forced inside.
         """
         while True:
-            changed = False
-            # degree rule over the graph minus cover_in
-            while True:
-                victims = [
-                    v
-                    for v in sorted((self.cover_out | self.indep) - self.removed - self.forced)
-                    if len(self._live_neighbors(v)) <= 1
-                ]
-                if not victims:
-                    break
-                self.removed.update(victims)
-                self.counters["reduction_degree"] = (
-                    self.counters.get("reduction_degree", 0) + len(victims)
-                )
-                changed = True
-            # cycle rule: two live neighbors in one committed-out component
-            comp_of: dict[int, int] = {}
-            for i, comp in enumerate(self._out_components()):
-                for v in comp:
-                    comp_of[v] = i
-            closers: list[int] = []
-            for u in sorted(self.indep - self.removed - self.forced):
-                touched: set[int] = set()
-                for w in self._live_neighbors(u):
-                    i = comp_of.get(w)
-                    if i is None:
-                        continue
-                    if i in touched:
-                        closers.append(u)
-                        break
-                    touched.add(i)
-            if closers:
-                self.forced.update(closers)
-                self.counters["reduction_force"] = (
-                    self.counters.get("reduction_force", 0) + len(closers)
-                )
-                changed = True
-            if not changed:
+            gone = peel(self.g, self.g.vertices - self.cover_in - self.removed - self.forced)
+            self.removed |= gone
+            self.counters["reduction_degree"] += len(gone)
+            closers = cycle_closers(
+                self.g, self.cover_out - self.removed, self.indep - self.removed - self.forced
+            )
+            self.forced.update(closers)
+            self.counters["reduction_force"] += len(closers)
+            if not gone and not closers:
                 return
 
     # -- connector structure search ------------------------------------------
@@ -249,7 +204,7 @@ class _CoverGuess:
         live_out = self.cover_out - self.removed
         found: list[int] = []
         for x in sorted(self.indep - self.removed - self.forced):
-            nb = self._live_neighbors(x) & live_out
+            nb = self.g.neighbors(x) & live_out
             if not nb <= part_union:
                 continue
             if any(len(nb & comp) != 1 for comp in blocks[block_idx]):
@@ -291,9 +246,7 @@ class _CoverGuess:
             if any(not c for c in base):
                 continue
             for targets in cross_edge_choices(len(blocks)):
-                self.counters["structure_guesses"] = (
-                    self.counters.get("structure_guesses", 0) + 1
-                )
+                self.counters["structure_guesses"] += 1
                 cands = [
                     self._candidates(blocks, block_unions, part_union, b, targets[b])
                     for b in range(len(blocks))
@@ -325,52 +278,25 @@ class _CoverGuess:
         live_out = self.cover_out - self.removed
         forest = live_out | z
         if not is_acyclic_without(self.g, self.g.vertices - forest):
-            self.counters["forest_check_failures"] = (
-                self.counters.get("forest_check_failures", 0) + 1
-            )
+            self.counters["forest_check_failures"] += 1
             return None
-        tree_sets = self.g.induced(forest).components()
-        if len(tree_sets) != len(partition):
-            self.counters["forest_check_failures"] = (
-                self.counters.get("forest_check_failures", 0) + 1
-            )
+        trees = len(self.g.induced(forest).components())
+        if trees != len(partition):
+            self.counters["forest_check_failures"] += 1
             return None
-        trees = len(tree_sets)
         # every leftover independent vertex must close a cycle with one of
         # the final trees, or it cannot be a minimal member of the solution
-        tree_of: dict[int, int] = {}
-        for i, tree in enumerate(tree_sets):
-            for v in tree:
-                tree_of[v] = i
-        for u in sorted(self.indep - self.removed - self.forced - z):
-            touched: set[int] = set()
-            private = False
-            for w in self._live_neighbors(u) & forest:
-                i = tree_of[w]
-                if i in touched:
-                    private = True
-                    break
-                touched.add(i)
-            if not private:
-                self.counters["assignments_rejected_structure"] = (
-                    self.counters.get("assignments_rejected_structure", 0) + 1
-                )
-                return None
-        solution = frozenset(
-            self.cover_in
-            | self.forced
-            | (self.indep - self.removed - self.forced - z)
-        )
+        leftover = self.indep - self.removed - self.forced - z
+        if len(cycle_closers(self.g, forest, leftover)) != len(leftover):
+            self.counters["assignments_rejected_structure"] += 1
+            return None
+        solution = frozenset(self.cover_in | self.forced | leftover)
         if not members_have_private_cycles(self.pristine, solution, self.cover_in):
-            self.counters["assignments_rejected_partial"] = (
-                self.counters.get("assignments_rejected_partial", 0) + 1
-            )
+            self.counters["assignments_rejected_partial"] += 1
             return None
         certificate = is_minimal_fvs(self.pristine, solution)
         if certificate is None:
-            self.counters["guess_rejected_at_verify"] = (
-                self.counters.get("guess_rejected_at_verify", 0) + 1
-            )
+            self.counters["guess_rejected_at_verify"] += 1
             return None
         # reconstruct the per-part view for the report
         slot = 0
@@ -403,7 +329,7 @@ class _CoverGuess:
 
     def search(self) -> ConnectorResult | None:
         self.reduce()
-        comps = self._out_components()
+        comps = self.g.induced(self.cover_out - self.removed).components()
         live_indep = self.indep - self.removed - self.forced
         if not live_indep:
             return self._try_assignment(comps, [[i] for i in range(len(comps))],
@@ -418,9 +344,7 @@ class _CoverGuess:
         # cycle in the unglued forest.
         for z_total in range(1, min(len(live_indep), len(comps)) + 1):
             for partition in set_partitions(range(len(comps))):
-                self.counters["comp_partitions"] = (
-                    self.counters.get("comp_partitions", 0) + 1
-                )
+                self.counters["comp_partitions"] += 1
                 parts = [tuple(comps[i] for i in part) for part in partition]
                 low = sum(0 if len(p) == 1 else 1 for p in parts)
                 high = sum(len(p) for p in parts)
@@ -463,9 +387,7 @@ class _CoverGuess:
     ) -> ConnectorResult | None:
         if part_idx == len(parts):
             for connectors in self._assign(slots, set(), []):
-                self.counters["assignments_tried"] = (
-                    self.counters.get("assignments_tried", 0) + 1
-                )
+                self.counters["assignments_tried"] += 1
                 result = self._try_assignment(comps, partition, plans, connectors)
                 if result is not None:
                     return result
@@ -487,7 +409,7 @@ def find_connectors(
     cover_in: frozenset[int],
     cover_out: frozenset[int],
     pristine: Graph | None = None,
-    counters: dict[str, int] | None = None,
+    counters: Counter[str] | None = None,
 ) -> ConnectorResult | None:
     """Search for connectors completing one cover-side guess.
 
@@ -503,67 +425,81 @@ def find_connectors(
         cover_in,
         cover_out,
         indep,
-        counters if counters is not None else {},
+        counters if counters is not None else Counter(),
     )
     return guess.search()
+
+
+def cover_guesses(
+    g: Graph, cover: frozenset[int], tally: Counter[str]
+) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
+    """(cover_in, cover_out) splits of a vertex cover some minimal fvs can take.
+
+    Smaller cover_in first, lexicographic within a size.  A split survives
+    when g minus cover_out is a forest and every cover_in vertex keeps a
+    private cycle.  `tally` counts every split in "cover_guesses", the
+    private-cycle rejects in "wrong_cover_guesses" and the yielded splits
+    in "viable_cover_guesses".
+    """
+    ordered = sorted(cover)
+    for size in range(len(ordered) + 1):
+        for picked in combinations(ordered, size):
+            tally["cover_guesses"] += 1
+            cover_in = frozenset(picked)
+            cover_out = cover - cover_in
+            if not is_acyclic_without(g, g.vertices - cover_out):
+                continue
+            if cover_in and not partial_minimality_ok(g, cover_in):
+                # no minimal fvs meets the cover in exactly this set
+                tally["wrong_cover_guesses"] += 1
+                continue
+            tally["viable_cover_guesses"] += 1
+            yield cover_in, cover_out
 
 
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover."""
     start = time.perf_counter()
-    counters: dict[str, int] = {}
-    # vertices of degree <= 1 sit on no cycle and join no minimal fvs
-    reduced = g
-    while True:
-        low = [v for v in reduced.sorted_vertices() if reduced.degree(v) <= 1]
-        if not low:
-            break
-        counters["outer_degree_prune"] = counters.get("outer_degree_prune", 0) + len(low)
-        reduced = reduced.delete(low)
+    counters: Counter[str] = Counter()
+    # vertices of degree <= 1 sit on no cycle and join no minimal fvs, so
+    # the private cycles that cover guesses check are the same in `reduced`
+    low = peel(g, g.vertices)
+    counters["outer_degree_prune"] += len(low)
+    reduced = g.delete(low)
 
     cover = min_vertex_cover(reduced)
-    ordered = sorted(cover)
     best: Solution | None = None
     best_state: ConnectorResult | None = None
-    cover_guesses = viable = 0
-    for size in range(len(ordered) + 1):
-        for picked in combinations(ordered, size):
-            cover_guesses += 1
-            cover_in = frozenset(picked)
-            cover_out = cover - cover_in
-            if not is_acyclic_without(reduced, reduced.vertices - cover_out):
-                continue
-            if cover_in and not partial_minimality_ok(g, cover_in):
-                continue
-            viable += 1
-            result = find_connectors(reduced, cover_in, cover_out, pristine=g, counters=counters)
-            if result is None:
-                continue
-            if best is None or len(result.solution) > len(best.vertices):
-                best = Solution(result.solution, result.certificate)
-                best_state = result
-    assert best is not None, "the empty set always extends on a forest"
+    for cover_in, cover_out in cover_guesses(reduced, cover, counters):
+        result = find_connectors(reduced, cover_in, cover_out, pristine=g, counters=counters)
+        if result is None:
+            continue
+        if best is None or len(result.solution) > len(best.vertices):
+            best = Solution(result.solution, result.certificate)
+            best_state = result
+    if best is None:
+        raise VerificationError("no cover guess extended, yet the empty one always does")
     report = SolveReport(
         outcome="yes",
         solution=best,
-        nodes_explored=counters.get("assignments_tried", 0),
+        nodes_explored=counters["assignments_tried"],
         reductions_fired={
-            name: counters.get(name, 0)
+            name: counters[name]
             for name in ("outer_degree_prune", "reduction_degree", "reduction_force")
         },
         max_depth=0,
         wall_time=time.perf_counter() - start,
         extras={
             "cover_size": len(cover),
-            "cover": tuple(ordered),
-            "cover_guesses": cover_guesses,
-            "viable_cover_guesses": viable,
-            "comp_partitions": counters.get("comp_partitions", 0),
-            "structure_guesses": counters.get("structure_guesses", 0),
-            "assignments_tried": counters.get("assignments_tried", 0),
-            "assignments_rejected_partial": counters.get("assignments_rejected_partial", 0),
-            "guess_rejected_at_verify": counters.get("guess_rejected_at_verify", 0),
-            "forest_check_failures": counters.get("forest_check_failures", 0),
+            "cover": tuple(sorted(cover)),
+            "cover_guesses": counters["cover_guesses"],
+            "viable_cover_guesses": counters["viable_cover_guesses"],
+            "comp_partitions": counters["comp_partitions"],
+            "structure_guesses": counters["structure_guesses"],
+            "assignments_tried": counters["assignments_tried"],
+            "assignments_rejected_partial": counters["assignments_rejected_partial"],
+            "guess_rejected_at_verify": counters["guess_rejected_at_verify"],
+            "forest_check_failures": counters["forest_check_failures"],
             "winning_trees": best_state.trees if best_state else 0,
             "winning_guess": best_state.guess if best_state else None,
         },

@@ -5,11 +5,22 @@ Connected graphs with at most 7 vertices come from the networkx atlas;
 subset of every connected 7-vertex graph (every connected graph has a
 non-cut vertex, so this reaches all of them) and deduping up to
 isomorphism via Weisfeiler-Lehman hash buckets plus exact checks.
+
+Building takes over a minute, so the list is stored as JSON under
+`.pytest_cache/`, keyed by the sha256 of this file, `helpers.py` and the
+networkx version.  A stored list is used only if it still has the right
+number of graphs per vertex count and every graph is connected; otherwise
+it is rebuilt.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 from mmfvs.graph import Graph
 
@@ -17,6 +28,9 @@ from helpers import connected_atlas, nx_to_graph
 
 # connected graphs up to isomorphism, by vertex count
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+_TESTS = Path(__file__).resolve().parent
+CACHE_DIR = _TESTS.parent / ".pytest_cache" / "mmfvs-corpus"
 
 
 def _to_nx(g: Graph):
@@ -28,7 +42,7 @@ def _to_nx(g: Graph):
     return nxg
 
 
-def connected_graphs_up_to_8() -> list[Graph]:
+def _build() -> list[Graph]:
     import networkx as nx
 
     graphs = connected_atlas(7)
@@ -54,3 +68,43 @@ def connected_graphs_up_to_8() -> list[Graph]:
                 eights.append(nx_to_graph(cand))
     assert len(eights) == CONNECTED_COUNTS[8], len(eights)
     return graphs + eights
+
+
+def _cache_path() -> Path:
+    import networkx as nx
+
+    digest = hashlib.sha256()
+    for name in ("corpus.py", "helpers.py"):
+        digest.update((_TESTS / name).read_bytes())
+    digest.update(nx.__version__.encode())
+    return CACHE_DIR / f"{digest.hexdigest()}.json"
+
+
+def _is_complete(graphs: list[Graph]) -> bool:
+    counts = Counter(len(g) for g in graphs)
+    return counts == CONNECTED_COUNTS and all(len(g.components()) == 1 for g in graphs)
+
+
+def _load(path: Path) -> list[Graph] | None:
+    try:
+        rows = json.loads(path.read_text())
+        graphs = [Graph(range(n), (tuple(e) for e in edges)) for n, edges in rows]
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    return graphs if _is_complete(graphs) else None
+
+
+def connected_graphs_up_to_8() -> list[Graph]:
+    """The corpus, from the cache when a checked copy is stored there."""
+    path = _cache_path()
+    graphs = _load(path)
+    if graphs is not None:
+        return graphs
+    graphs = _build()
+    CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in CACHE_DIR.glob("*.json"):
+        stale.unlink()
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps([[len(g), list(g.edges())] for g in graphs]))
+    os.replace(tmp, path)
+    return graphs

@@ -56,6 +56,37 @@ def greedy_minimal_fvs_reference(g: Graph) -> frozenset[int]:
     return prune_reference(g, g.vertices, sorted(g.vertices, reverse=True))
 
 
+def peel_reference(g: Graph, live) -> set[int]:
+    """The degree rule by sweeps: delete every degree <= 1 vertex of g[live], repeat."""
+    live = set(live)
+    removed: set[int] = set()
+    while True:
+        victims = [v for v in sorted(live) if len(g.neighbors(v) & live) <= 1]
+        if not victims:
+            return removed
+        live.difference_update(victims)
+        removed.update(victims)
+
+
+def cycle_closers_reference(g: Graph, out, candidates) -> list[int]:
+    """The cycle-closer rule by component labels: two neighbors in one g[out] tree."""
+    comp_of: dict[int, int] = {}
+    for i, comp in enumerate(g.induced(out).components()):
+        for v in comp:
+            comp_of[v] = i
+    closers: list[int] = []
+    for v in sorted(candidates):
+        touched: set[int] = set()
+        for u in g.neighbors(v):
+            if u not in comp_of:
+                continue
+            if comp_of[u] in touched:
+                closers.append(v)
+                break
+            touched.add(comp_of[u])
+    return closers
+
+
 def brute_cycle_vertices(g: Graph) -> set[int]:
     """Vertices lying on some simple cycle, by exhaustive subset checking.
 

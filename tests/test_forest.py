@@ -9,7 +9,14 @@ import random
 
 import pytest
 
-from mmfvs.graph import Forest, Graph, is_acyclic_without, prune_to_minimal
+from mmfvs.graph import (
+    Forest,
+    Graph,
+    cycle_closers,
+    is_acyclic_without,
+    peel,
+    prune_to_minimal,
+)
 from mmfvs.verify import (
     greedy_minimal_fvs,
     has_private_cycle,
@@ -18,14 +25,21 @@ from mmfvs.verify import (
     private_cycle,
 )
 
-from helpers import cycle, gnp, greedy_minimal_fvs_reference, prune_reference
+from helpers import (
+    cycle,
+    cycle_closers_reference,
+    gnp,
+    greedy_minimal_fvs_reference,
+    peel_reference,
+    prune_reference,
+)
 
 
-def random_graphs(count: int, seed: int):
-    """Seeded gnp graphs with 3-40 vertices, from near-forests to dense."""
+def random_graphs(count: int, seed: int, max_n: int = 40):
+    """Seeded gnp graphs with 3-max_n vertices, from near-forests to dense."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(3, 40)
+        n = rng.randint(3, max_n)
         p = min(1.0, rng.choice((0.8, 1.5, 2.5, 4.0, 8.0)) / n)
         yield gnp(n, p, seed=rng.randrange(2**32))
 
@@ -115,3 +129,48 @@ class TestBatchedPrivateCycles:
         g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
         assert members_have_private_cycles(g, frozenset({2}), {0})
         assert not members_have_private_cycles(g, frozenset({2, 4}), {0})
+
+
+class TestReductionRules:
+    def test_peel_matches_sweep_reference(self):
+        rng = random.Random(3)
+        for i, g in enumerate(random_graphs(1200, seed=3, max_n=30)):
+            if i % 10 == 0:
+                live = g.vertices
+            elif i % 10 == 1:
+                live = frozenset()
+            else:
+                live = random_subset(g, rng, rng.random())
+            gone = peel(g, live)
+            assert gone == peel_reference(g, live)
+            core = live - gone
+            assert all(len(g.neighbors(v) & core) >= 2 for v in core)
+
+    def test_cycle_closers_match_component_label_reference(self):
+        rng = random.Random(4)
+        for i, g in enumerate(random_graphs(1200, seed=4, max_n=30)):
+            out = frozenset() if i % 10 == 0 else random_subset(g, rng, rng.random())
+            rest = g.vertices - out
+            candidates = random_subset(g, rng, rng.random()) & rest
+            if i % 10 == 1:
+                # vertices meeting `out` in exactly one neighbor never close a cycle
+                candidates = frozenset(v for v in rest if len(g.neighbors(v) & out) == 1)
+                assert cycle_closers(g, out, candidates) == []
+            assert cycle_closers(g, out, candidates) == cycle_closers_reference(
+                g, out, candidates
+            )
+
+    def test_closers_need_two_neighbors_in_one_tree(self):
+        # 4 meets the path 0-1-2 twice and the separate vertex 3 once; 5 meets
+        # two different trees once each
+        g = Graph(range(6), [(0, 1), (1, 2), (4, 0), (4, 2), (4, 3), (5, 2), (5, 3)])
+        assert cycle_closers(g, {0, 1, 2, 3}, {4, 5}) == [4]
+        assert cycle_closers(g, set(), {4, 5}) == []
+        assert cycle_closers(g, {0, 1, 2, 3}, ()) == []
+
+    def test_peel_leaves_the_two_core(self):
+        # a triangle with a pendant path 2-3-4
+        g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert peel(g, g.vertices) == {3, 4}
+        assert peel(g, {0, 1, 3, 4}) == {0, 1, 3, 4}
+        assert peel(g, ()) == set()

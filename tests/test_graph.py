@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.verify import private_cycle
 
 from helpers import apex_pair, brute_cycle_vertices, complete, cycle, gnp, path
 
@@ -148,28 +149,28 @@ class TestForestAndComponents:
 
 class TestCycleThrough:
     def test_c4(self):
-        seq = cycle(4).cycle_through(2)
+        seq = private_cycle(cycle(4), 2, frozenset())
         assert seq is not None and set(seq) == {0, 1, 2, 3}
         assert_simple_cycle(cycle(4), 2, seq)
 
     def test_tree(self):
-        assert path(4).cycle_through(1) is None
+        assert private_cycle(path(4), 1, frozenset()) is None
 
     def test_apex_pair_restricted(self):
         h = apex_pair(6).induced({0, 1, 2})
-        seq = h.cycle_through(2)
+        seq = private_cycle(h, 2, frozenset())
         assert seq is not None and set(seq) == {0, 1, 2}
 
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
-            cycle(3).cycle_through(77)
+            private_cycle(cycle(3), 77, frozenset())
 
     def test_matches_exhaustive_enumeration(self):
         for seed in range(12):
             g = gnp(7, 0.35, seed=seed)
             expected = brute_cycle_vertices(g)
             for v in g.sorted_vertices():
-                seq = g.cycle_through(v)
+                seq = private_cycle(g, v, frozenset())
                 assert (seq is not None) == (v in expected)
                 if seq is not None:
                     assert_simple_cycle(g, v, seq)

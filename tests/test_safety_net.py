@@ -13,7 +13,7 @@ import sys
 if __debug__:
     sys.exit("this script must run under python -O")
 
-from mmfvs import batch, extension, ksolver
+from mmfvs import batch, extension, ksolver, vcsolver
 from mmfvs.graph import Graph
 from mmfvs.report import Solution
 from mmfvs.verify import VerificationError
@@ -44,6 +44,10 @@ expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
 # a search that claims the non-minimal fvs {0, 1}
 extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
 expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solve_extension")
+
+# a connector search that fails even the empty cover guess leaves no answer
+vcsolver.find_connectors = lambda *args, **kwargs: None
+expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc")
 """
 
 
