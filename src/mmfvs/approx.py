@@ -28,6 +28,7 @@ from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import cover_guesses
 from mmfvs.verify import (
     VerificationError,
+    is_fvs,
     is_minimal_fvs,
     members_have_private_cycles,
     min_vertex_cover,
@@ -214,14 +215,20 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         if len(state.moved) > vc:
             raise VerificationError("a greedy move merged no outside trees")
         max_moved = max(max_moved, len(state.moved))
+        if best is not None and len(candidate) <= len(best.vertices):
+            # cannot win: the cheap check counts it, no certificate is built
+            if is_fvs(g, candidate) and members_have_private_cycles(g, candidate, candidate):
+                verified += 1
+            else:
+                discarded += 1
+            continue
         certificate = is_minimal_fvs(g, candidate)
         if certificate is None:
             discarded += 1
             continue
         verified += 1
-        if best is None or len(candidate) > len(best.vertices):
-            best = Solution(candidate, certificate)
-            best_state = state
+        best = Solution(candidate, certificate)
+        best_state = state
     mode = "greedy"
     if best is None:
         # no guess survived verification; fall back to the exact route so

@@ -336,9 +336,11 @@ def _children(ctx: _Context, inst: ExtensionInstance, v: int, parent: Mapping[in
         # solution or it merges those trees, so both branches drop the measure.
         return [_commit(inst, inside=(v,)), _commit(inst, outside=(v,))]
 
-    assert len(forbidden_nbrs) == 1, "fringe stripping guarantees a forbidden neighbor"
+    if len(forbidden_nbrs) != 1:
+        raise VerificationError("fringe stripping left a free leaf without a forbidden neighbor")
     pi = parent[v]
-    assert pi is not None, "a free leaf with one forbidden neighbor has a parent"
+    if pi is None:
+        raise VerificationError("a free leaf with one forbidden neighbor has no parent")
     pi_degree = len(inst.search.neighbors(pi) - inst.required)
 
     if pi_degree == 2:
@@ -354,7 +356,8 @@ def _children(ctx: _Context, inst: ExtensionInstance, v: int, parent: Mapping[in
             # triangle only v or the parent can break, and at full degree
             # two with clean original neighborhoods a parent-inside
             # solution swaps into a v-inside one of equal size.
-            assert common <= inst.forbidden
+            if not common <= inst.forbidden:
+                raise VerificationError("a free degree-two pair shares a free neighbor")
             return [_commit(inst, inside=(v,), outside=(pi,))]
     elif not inst.search.neighbors(pi) & inst.forbidden:
         # Parent of free degree >= 3 whose neighbors outside `required` are
@@ -367,7 +370,8 @@ def _children(ctx: _Context, inst: ExtensionInstance, v: int, parent: Mapping[in
             for u in sorted(inst.search.neighbors(pi) - inst.required - inst.forbidden)
             if parent.get(u) == pi
         ]
-        assert v in children and len(children) >= 2
+        if v not in children or len(children) < 2:
+            raise VerificationError("a free parent of degree >= 3 lacks two leaf children")
         if all(
             inst.search.degree(c) == 2 and _detached_free(ctx, inst, c)
             for c in children

@@ -4,7 +4,7 @@ To decide whether some minimal fvs has at least k vertices, greedily build
 a minimal fvs W: if it is already large enough we are done, and otherwise
 every target solution meets W in one of its subsets, so the extension
 solver is run once per bipartition guess of W.  The exact optimum follows
-by sweeping k upward until the first refusal.
+by sweeping k upward from |W| + 1 until the first refusal.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
 
 
+def _certified_greedy(g: Graph, w: frozenset[int]) -> Solution:
+    certificate = is_minimal_fvs(g, w)
+    if certificate is None:
+        raise VerificationError("greedy fvs is not a minimal fvs")
+    return Solution(w, certificate)
+
+
 def solve_k(g: Graph, k: int) -> SolveReport:
     """Decide whether g has a minimal fvs of size at least k."""
     if k < 0:
@@ -25,12 +32,9 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     start = time.perf_counter()
     w = greedy_minimal_fvs(g)
     if len(w) >= k:
-        certificate = is_minimal_fvs(g, w)
-        if certificate is None:
-            raise VerificationError("greedy fvs is not a minimal fvs")
         return SolveReport(
             outcome="yes",
-            solution=Solution(w, certificate),
+            solution=_certified_greedy(g, w),
             nodes_explored=0,
             reductions_fired={},
             max_depth=0,
@@ -78,15 +82,14 @@ def solve_k(g: Graph, k: int) -> SolveReport:
 def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     """Largest minimal fvs size along with a witness.
 
-    Sweeps k upward from 0 (always a yes) and stops at the first no, which
-    is valid because yes-instances are downward closed in k.
+    The greedy minimal fvs W answers every k <= |W| at once, so the sweep
+    starts at k = |W| + 1 and stops at the first no, which is valid
+    because yes-instances are downward closed in k.
     """
-    best_report = solve_k(g, 0)
-    if best_report.solution is None:
-        raise VerificationError("solve_k(g, 0) gave no witness")
-    best: Solution = best_report.solution
-    opt = 0
-    for k in range(1, len(g) + 1):
+    w = greedy_minimal_fvs(g)
+    best = _certified_greedy(g, w)
+    opt = len(w)
+    for k in range(opt + 1, len(g) + 1):
         report = solve_k(g, k)
         if not report.is_yes:
             break

@@ -6,13 +6,15 @@ in the graph induced on (V - S) + v.  Minimality is certified here through
 private cycles; the definitional drop-one-vertex test is also provided and
 the two are asserted equal in the test suite.
 
-The forest questions all run on one kernel, the incremental union-find
-`graph.Forest`.  `greedy_minimal_fvs` grows a single forest as vertices
-leave the set, O(m alpha(m)) in all.  Private cycles of the members of a
-set S are checked from one union-find over g - S: a member has one iff two
-of its neighbors outside S share a tree, so one O(m alpha(m)) sweep serves
-the whole set.  Certificates come from a BFS per member, and only once
-that check has passed.
+The forest questions run on the incremental union-find `graph.Forest`.
+`greedy_minimal_fvs` grows a single forest as vertices leave the set,
+O(m alpha(m)) in all.  Private cycles of the members of a set S are
+checked from one union-find over g - S: a member has one iff two of its
+neighbors outside S share a tree, so one O(m alpha(m)) sweep serves the
+whole set.  `is_minimal_fvs` instead walks g - S once, rejecting a cycle
+and labelling every vertex with its tree, parent and depth; each member's
+private cycle is then the tree path between two of its neighbors, found
+by climbing to their lowest common ancestor, with no search.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ Certificate = dict[int, tuple[int, ...]]
 
 
 class VerificationError(Exception):
-    """A solution about to be emitted failed re-verification on its graph."""
+    """A solution failed re-verification on its graph, or a solver invariant broke."""
 
 
 def _members_of(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -83,22 +85,99 @@ def has_private_cycle(g: Graph, v: int, banned: frozenset[int]) -> bool:
     return Forest.without(g, banned | {v}).closes_cycle(v)
 
 
+def _spanning_forest(
+    g: Graph, s: frozenset[int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]] | None:
+    """Tree, parent and depth of every vertex of g - s, or None on a cycle.
+
+    BFS from each unlabelled vertex in ascending order, which becomes the
+    root (its own parent) and names its tree.  An edge to a labelled vertex
+    other than the parent is a second path to it, hence a cycle.
+    """
+    tree: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for root in g.sorted_vertices():
+        if root in s or root in tree:
+            continue
+        tree[root] = parent[root] = root
+        depth[root] = 0
+        queue = [root]
+        for x in queue:  # grows while it is walked
+            above, below = parent[x], depth[x] + 1
+            for y in g.neighbors(x):
+                if y in s or y == above:
+                    continue
+                if y in tree:
+                    return None
+                tree[y] = root
+                parent[y] = x
+                depth[y] = below
+                queue.append(y)
+    return tree, parent, depth
+
+
+def _tree_path(
+    parent: Mapping[int, int], depth: Mapping[int, int], u: int, y: int
+) -> tuple[int, ...]:
+    """The path from u to y in their common tree, via the lowest common ancestor."""
+    up, down = [u], [y]
+    du, dy = depth[u], depth[y]
+    while du > dy:
+        u = parent[u]
+        up.append(u)
+        du -= 1
+    while dy > du:
+        y = parent[y]
+        down.append(y)
+        dy -= 1
+    while u != y:
+        u, y = parent[u], parent[y]
+        up.append(u)
+        down.append(y)
+    down.pop()
+    return (*up, *reversed(down))
+
+
 def is_minimal_fvs(g: Graph, s: Iterable[int]) -> Certificate | None:
     """Certificate of minimality if s is a minimal fvs of g, else None.
 
     The certificate maps every v in s to a private cycle; an empty set on a
-    forest yields the empty certificate.
+    forest yields the empty certificate.  One walk over g - s rejects a
+    cycle and labels the trees.  Member v's cycle then runs through its
+    smallest neighbor u outside s whose tree holds another neighbor y, and
+    the tree path from u to the y that minimizes (length, ids in order).
+    That is the first neighbor a BFS from u meets in the forest, so the
+    cycle equals the one `private_cycle` would return.  Every member is
+    checked for such a u before any path is built.
     """
     s = _members_of(g, s)
-    forest = Forest.without(g, s)
-    if not forest.acyclic or not all(forest.closes_cycle(v) for v in s):
+    labels = _spanning_forest(g, s)
+    if labels is None:
         return None
-    cert: Certificate = {}
+    tree, parent, depth = labels
+    ends: list[tuple[int, int, list[int]]] = []
     for v in sorted(s):
-        cycle = private_cycle(g, v, s - {v})
-        if cycle is None:
+        outside = sorted(g.neighbors(v) - s)
+        first: dict[int, int] = {}  # tree -> smallest neighbor of v in it
+        u = None
+        for x in outside:
+            root = tree[x]
+            if root not in first:
+                first[root] = x
+            elif u is None or first[root] < u:
+                u = first[root]
+        if u is None:
             return None
-        cert[v] = cycle
+        ends.append((v, u, [y for y in outside if y != u and tree[y] == tree[u]]))
+    cert: Certificate = {}
+    for v, u, ys in ends:
+        best = _tree_path(parent, depth, u, ys[0])
+        for y in ys[1:]:
+            path = _tree_path(parent, depth, u, y)
+            if len(path) < len(best) or (len(path) == len(best) and path < best):
+                best = path
+        cert[v] = (v, *best)
     return cert
 
 

@@ -6,6 +6,9 @@ import random
 from itertools import combinations
 
 from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.ksolver import solve_k
+from mmfvs.report import Solution
+from mmfvs.verify import private_cycle
 
 
 def apex_pair(n: int = 6) -> Graph:
@@ -42,6 +45,19 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     )
 
 
+def random_graphs(count: int, seed: int, max_n: int = 40):
+    """Seeded gnp graphs with 3-max_n vertices, from near-forests to dense."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, max_n)
+        p = min(1.0, rng.choice((0.8, 1.5, 2.5, 4.0, 8.0)) / n)
+        yield gnp(n, p, seed=rng.randrange(2**32))
+
+
+def random_subset(g: Graph, rng: random.Random, share: float) -> frozenset[int]:
+    return frozenset(v for v in g.sorted_vertices() if rng.random() < share)
+
+
 def prune_reference(g: Graph, s, order) -> frozenset[int]:
     """Per-vertex pruning: one full acyclicity sweep for every vertex tried."""
     s = set(s)
@@ -54,6 +70,32 @@ def prune_reference(g: Graph, s, order) -> frozenset[int]:
 def greedy_minimal_fvs_reference(g: Graph) -> frozenset[int]:
     """The greedy minimal fvs the slow way: S = V pruned in descending order."""
     return prune_reference(g, g.vertices, sorted(g.vertices, reverse=True))
+
+
+def minimal_certificate_reference(g: Graph, s) -> dict[int, tuple[int, ...]] | None:
+    """Minimality certificate with one `private_cycle` BFS per member, or None."""
+    s = frozenset(s)
+    if not is_acyclic_without(g, s):
+        return None
+    cert: dict[int, tuple[int, ...]] = {}
+    for v in sorted(s):
+        cycle = private_cycle(g, v, s - {v})
+        if cycle is None:
+            return None
+        cert[v] = cycle
+    return cert
+
+
+def opt_exact_sweep_reference(g: Graph) -> tuple[int, Solution]:
+    """The optimum and its witness by `solve_k` at every k from 0 up to the first no."""
+    best = solve_k(g, 0).solution
+    opt = 0
+    for k in range(1, len(g) + 1):
+        report = solve_k(g, k)
+        if not report.is_yes:
+            break
+        best, opt = report.solution, k
+    return opt, best
 
 
 def peel_reference(g: Graph, live) -> set[int]:

@@ -32,20 +32,9 @@ from helpers import (
     greedy_minimal_fvs_reference,
     peel_reference,
     prune_reference,
+    random_graphs,
+    random_subset,
 )
-
-
-def random_graphs(count: int, seed: int, max_n: int = 40):
-    """Seeded gnp graphs with 3-max_n vertices, from near-forests to dense."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(3, max_n)
-        p = min(1.0, rng.choice((0.8, 1.5, 2.5, 4.0, 8.0)) / n)
-        yield gnp(n, p, seed=rng.randrange(2**32))
-
-
-def random_subset(g: Graph, rng: random.Random, share: float) -> frozenset[int]:
-    return frozenset(v for v in g.sorted_vertices() if rng.random() < share)
 
 
 class TestForest:

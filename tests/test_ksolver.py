@@ -4,7 +4,7 @@ from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
-from helpers import apex_pair, cycle, gnp, path
+from helpers import apex_pair, cycle, gnp, opt_exact_sweep_reference, path, random_graphs
 
 
 class TestSolveK:
@@ -69,3 +69,12 @@ class TestOptExact:
             assert opt == opt_mmfvs_brute(g).opt_value
             assert len(sol.vertices) >= opt
             assert is_minimal_fvs(g, sol.vertices) is not None
+
+    def test_equals_the_sweep_from_zero(self):
+        # starting at |greedy W| + 1 skips only the k that W answers itself
+        for g in random_graphs(300, seed=31, max_n=11):
+            opt, sol = opt_exact_solution(g)
+            ref_opt, ref_sol = opt_exact_sweep_reference(g)
+            assert (opt, sol.vertices, sol.certificate) == (
+                ref_opt, ref_sol.vertices, ref_sol.certificate
+            )

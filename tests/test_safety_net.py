@@ -1,4 +1,4 @@
-"""The solution re-verification checks must hold under `python -O`."""
+"""The solution re-verification and invariant checks must hold under `python -O`."""
 
 import os
 import subprocess
@@ -30,7 +30,7 @@ def expect_failure(call, what):
         call()
     except VerificationError:
         return
-    sys.exit(f"{what} emitted an unverified solution")
+    sys.exit(f"{what} did not raise VerificationError")
 
 
 batch.is_minimal_fvs = no_certificate
@@ -44,6 +44,10 @@ expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
 # a search that claims the non-minimal fvs {0, 1}
 extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
 expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solve_extension")
+
+# a branching leaf without a forbidden neighbor breaks an invariant of the search
+leaf = extension.ExtensionInstance(triangle, frozenset(), frozenset(), 1)
+expect_failure(lambda: extension._children(None, leaf, 0, {0: None}), "_children")
 
 # a connector search that fails even the empty cover guess leaves no answer
 vcsolver.find_connectors = lambda *args, **kwargs: None

@@ -20,7 +20,10 @@ from helpers import (
     complete,
     cycle,
     gnp,
+    minimal_certificate_reference,
     path,
+    random_graphs,
+    random_subset,
 )
 
 
@@ -87,6 +90,62 @@ class TestMinimality:
                 cert = is_minimal_fvs(g, s)
                 if cert is not None:
                     assert certificate_is_valid(g, s, cert)
+
+
+class TestTreePathCertificates:
+    """`is_minimal_fvs` reads certificates off the forest G - S; the reference
+    runs one `private_cycle` BFS per member.  The certificates must be equal,
+    not merely valid."""
+
+    @staticmethod
+    def check(g, s):
+        cert = is_minimal_fvs(g, s)
+        assert cert == minimal_certificate_reference(g, s)
+        if cert is not None:
+            assert certificate_is_valid(g, frozenset(s), cert)
+        return cert
+
+    def test_equals_per_member_bfs_on_random_graphs(self):
+        rng = random.Random(404)
+        forests = disconnected = certified = 0
+        for g in random_graphs(2000, seed=404):
+            forests += g.is_forest()
+            disconnected += len(g.components()) > 1
+            w = greedy_minimal_fvs(g)
+            rest = sorted(g.vertices - w)
+            sets = [w, frozenset(), random_subset(g, rng, rng.random())]
+            if rest:
+                sets.append(w | {rng.choice(rest)})  # an fvs, not minimal
+            for s in sets:
+                certified += self.check(g, s) is not None
+        # the corpus covers forests, disconnected graphs and many certificates
+        assert forests > 100 and disconnected > 500 and certified > 2000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_per_member_bfs_at_n_1000(self, seed):
+        g = gnp(1000, 0.0015, seed=seed)
+        w = greedy_minimal_fvs(g)
+        assert self.check(g, w) is not None
+        assert self.check(g, w | {min(g.vertices - w)}) is None
+        self.check(g, frozenset())
+
+    def test_ties_break_by_path_ids(self):
+        # member 0 sees the trees {1..5} and {6}; from 1, the paths to 3 and
+        # to 5 have equal length and 1-2-3 is smaller
+        g = Graph(range(7), [(1, 2), (2, 3), (1, 4), (4, 5), (0, 1), (0, 3), (0, 5), (0, 6)])
+        assert self.check(g, {0}) == {0: (0, 1, 2, 3)}
+
+    def test_path_climbs_to_the_common_ancestor(self):
+        # the smallest neighbor 1 of member 0 is alone in its tree, so the
+        # cycle runs 4 -> 2 -> 3 -> 5 through the root 2 of the other tree
+        g = Graph(range(6), [(2, 3), (2, 4), (3, 5), (0, 1), (0, 4), (0, 5)])
+        assert self.check(g, {0}) == {0: (0, 4, 2, 3, 5)}
+
+    def test_member_without_private_cycle_is_rejected(self):
+        # 0 and 1 both sit on the triangle 0-1-2 only: either alone is minimal
+        g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+        assert self.check(g, {0}) == {0: (0, 1, 2)}
+        assert self.check(g, {0, 1}) is None
 
 
 class TestGreedyMinimalFvs:
