@@ -9,9 +9,9 @@ solution-size solver whether the optimum reaches vc/eps first turns that
 additive loss into a (1 - eps) factor: below the threshold the exact
 optimum is computed outright.
 
-The cover-side guesses come from `vcsolver.cover_guesses` and the degree
-and cycle rules from `graph.peel` and `graph.cycle_closers`, the same ones
-the exact solvers use.
+The cover-side guesses come from `vcsolver.cover_guesses` and their
+reduction from `vcsolver.settle` (the degree and cycle rules `graph.peel`
+and `graph.cycle_closers`), the same ones the exact solvers use.
 """
 
 from __future__ import annotations
@@ -19,38 +19,20 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
-from mmfvs.graph import Graph, cycle_closers, peel
+from mmfvs.graph import Graph
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.report import Solution, SolveReport
-from mmfvs.vcsolver import cover_guesses
+from mmfvs.vcsolver import cover_guesses, settle
 from mmfvs.verify import (
     VerificationError,
-    is_fvs,
+    is_minimal,
     is_minimal_fvs,
     members_have_private_cycles,
     min_vertex_cover,
 )
-
-
-@dataclass(frozen=True)
-class GreedyState:
-    """One cover-side guess being ground down by the greedy rounds.
-
-    `cover_out` holds the live outside forest (committed cover vertices
-    plus moved independents, minus degree-pruned ones); `moved` remembers
-    the move order because each move must merge outside trees.
-    """
-
-    graph: Graph
-    cover_in: frozenset[int]
-    cover_out: frozenset[int]
-    remaining_indep: frozenset[int]
-    solution: frozenset[int]
-    moved: tuple[int, ...]
-    removed: frozenset[int]
 
 
 def _component_ids(g: Graph, c_out: Iterable[int]) -> dict[int, int]:
@@ -84,93 +66,35 @@ def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -
     )
 
 
-def reduce_state(state: GreedyState, counters: Counter[str] | None = None) -> GreedyState:
-    """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint.
-
-    Live vertices of degree <= 1 outside the committed-in side are deleted
-    (this covers independents with at most one outside neighbor), and an
-    independent vertex with two neighbors in one outside tree joins the
-    solution.
-    """
-    counters = counters if counters is not None else Counter()
-    g = state.graph
-    cover_out = set(state.cover_out)
-    remaining = set(state.remaining_indep)
-    solution = set(state.solution)
-    removed = set(state.removed)
-    while True:
-        gone = peel(g, g.vertices - state.cover_in - solution - removed)
-        removed |= gone
-        cover_out -= gone
-        remaining -= gone
-        counters["reduction_degree"] += len(gone)
-        closers = cycle_closers(g, cover_out, remaining)
-        solution.update(closers)
-        remaining.difference_update(closers)
-        counters["reduction_force"] += len(closers)
-        if not gone and not closers:
-            return replace(
-                state,
-                cover_out=frozenset(cover_out),
-                remaining_indep=frozenset(remaining),
-                solution=frozenset(solution),
-                removed=frozenset(removed),
-            )
-
-
-def _live_graph(state: GreedyState) -> Graph:
-    return state.graph.delete(state.cover_in | state.solution | state.removed)
-
-
-def greedy_round(state: GreedyState, counters: Counter[str] | None = None) -> GreedyState:
-    """Process the smallest remaining independent vertex.
-
-    Its conflict set is pulled into the solution and the vertex moved
-    outside when the committed-in side keeps its private cycles under that
-    hypothesis; otherwise the vertex itself joins the solution.
-    """
-    counters = counters if counters is not None else Counter()
-    u = min(state.remaining_indep)
-    s_u = conflict_set(_live_graph(state), state.cover_out, state.remaining_indep, u)
-    counters[f"conflict_size_{len(s_u)}"] += 1
-    hypothetical = state.cover_in | state.solution | s_u
-    if members_have_private_cycles(state.graph, hypothetical, state.cover_in):
-        return reduce_state(
-            replace(
-                state,
-                solution=state.solution | s_u,
-                remaining_indep=state.remaining_indep - s_u - {u},
-                cover_out=state.cover_out | {u},
-                moved=state.moved + (u,),
-            ),
-            counters,
-        )
-    return reduce_state(
-        replace(
-            state,
-            solution=state.solution | {u},
-            remaining_indep=state.remaining_indep - {u},
-        ),
-        counters,
-    )
-
-
 def _run_greedy(
     g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], counters: Counter[str]
-) -> tuple[frozenset[int], GreedyState]:
-    state = GreedyState(
-        graph=g,
-        cover_in=cover_in,
-        cover_out=cover_out,
-        remaining_indep=g.vertices - cover_in - cover_out,
-        solution=frozenset(),
-        moved=(),
-        removed=frozenset(),
-    )
-    state = reduce_state(state, counters)
-    while state.remaining_indep:
-        state = greedy_round(state, counters)
-    return frozenset(cover_in | state.solution), state
+) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The greedy candidate of one cover-side guess and the vertices it moved.
+
+    `settle` reduces the guess, then again after each step.  A step takes
+    the smallest undecided independent u: when the committed-in side keeps
+    its private cycles with u's conflict set pulled inside, u moves to the
+    outside forest and the conflict set joins the solution; otherwise u
+    itself joins the solution.
+    """
+    out, free = set(cover_out), set(g.vertices - cover_in - cover_out)
+    inside: set[int] = set()
+    moved: list[int] = []
+    settle(g, out, free, inside, counters)
+    while free:
+        u = min(free)
+        s_u = conflict_set(g, out, free, u)
+        counters[f"conflict_size_{len(s_u)}"] += 1
+        if members_have_private_cycles(g, cover_in | inside | s_u, cover_in):
+            inside |= s_u
+            free -= s_u
+            out.add(u)
+            moved.append(u)
+        else:
+            inside.add(u)
+        free.discard(u)
+        settle(g, out, free, inside, counters)
+    return cover_in | inside, tuple(moved)
 
 
 @dataclass(frozen=True)
@@ -207,17 +131,17 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         )
 
     best: Solution | None = None
-    best_state: GreedyState | None = None
+    moved_of_best = 0
     verified = discarded = 0
     max_moved = 0
     for cover_in, cover_out in cover_guesses(g, cover, counters):
-        candidate, state = _run_greedy(g, cover_in, cover_out, counters)
-        if len(state.moved) > vc:
+        candidate, moved = _run_greedy(g, cover_in, cover_out, counters)
+        if len(moved) > vc:
             raise VerificationError("a greedy move merged no outside trees")
-        max_moved = max(max_moved, len(state.moved))
+        max_moved = max(max_moved, len(moved))
         if best is not None and len(candidate) <= len(best.vertices):
-            # cannot win: the cheap check counts it, no certificate is built
-            if is_fvs(g, candidate) and members_have_private_cycles(g, candidate, candidate):
+            # cannot win: the boolean check counts it, no certificate is built
+            if is_minimal(g, candidate):
                 verified += 1
             else:
                 discarded += 1
@@ -228,7 +152,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             continue
         verified += 1
         best = Solution(candidate, certificate)
-        best_state = state
+        moved_of_best = len(moved)
     mode = "greedy"
     if best is None:
         # no guess survived verification; fall back to the exact route so
@@ -254,7 +178,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "verified_guesses": verified,
             "guess_rejected_at_verify": discarded,
             "max_moved": max_moved,
-            "moved_of_best": len(best_state.moved) if best_state else 0,
+            "moved_of_best": moved_of_best,
             "conflict_histogram": {
                 int(name.rsplit("_", 1)[1]): count
                 for name, count in counters.items()

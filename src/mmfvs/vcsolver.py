@@ -12,11 +12,13 @@ blocks together; candidates for each connector are pinned down by exact
 adjacency counts.  Guesses are enumerated with fewer connectors first, so
 the first assignment that verifies is the largest solution the cover guess
 can give.  Nothing is trusted from the search state: a candidate solution
-is kept only after full minimality verification on the input graph.
+is kept only after a minimality check on the input graph (one union-find
+sweep, `verify.is_minimal`), and the one that becomes the new best is then
+certified in full (`verify.is_minimal_fvs`).
 
-The cover-side guesses come from `cover_guesses`, which the approximation
-scheme shares, and the in-guess reductions are `graph.peel` and
-`graph.cycle_closers`, the rules the extension search uses too.
+The cover-side guesses come from `cover_guesses` and their reduction to
+fixpoint from `settle` (the rules `graph.peel` and `graph.cycle_closers`,
+which the extension search uses too); the approximation scheme shares both.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Iterator, Sequence
 from mmfvs.graph import Graph, cycle_closers, is_acyclic_without, peel
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
-    Certificate,
     VerificationError,
+    is_minimal,
     is_minimal_fvs,
     members_have_private_cycles,
     min_vertex_cover,
@@ -57,9 +59,7 @@ class ConnectorResult:
 
     connectors: frozenset[int]
     forced: frozenset[int]
-    removed: frozenset[int]
     solution: frozenset[int]
-    certificate: Certificate
     trees: int
     guess: GuessState
 
@@ -143,7 +143,13 @@ def _oriented_tree_edges(targets: Sequence[frozenset[int]]) -> tuple[tuple[int, 
 
 
 class _CoverGuess:
-    """Connector search state for one committed cover-side guess."""
+    """Connector search state for one committed cover-side guess.
+
+    The guess is settled once, on construction: `out` holds the live
+    committed-out vertices, `forced` the independents the cycle rule put
+    inside, and `free` the independents still undecided, listed ascending
+    with their neighbors in `out` in `free_nbrs`.
+    """
 
     def __init__(
         self,
@@ -151,38 +157,18 @@ class _CoverGuess:
         pristine: Graph,
         cover_in: frozenset[int],
         cover_out: frozenset[int],
-        indep: frozenset[int],
         counters: Counter[str],
     ):
         self.g = g
         self.pristine = pristine
         self.cover_in = cover_in
         self.cover_out = cover_out
-        self.indep = indep
         self.counters = counters
-        self.removed: set[int] = set()
+        self.out = set(cover_out)
+        self.free = set(g.vertices - cover_in - cover_out)
         self.forced: set[int] = set()
-
-    # -- in-guess reductions ------------------------------------------------
-
-    def reduce(self) -> None:
-        """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint.
-
-        Vertices of degree <= 1 outside the committed cover side are
-        deleted (outside any solution); independent vertices closing a
-        cycle with one committed-out component are forced inside.
-        """
-        while True:
-            gone = peel(self.g, self.g.vertices - self.cover_in - self.removed - self.forced)
-            self.removed |= gone
-            self.counters["reduction_degree"] += len(gone)
-            closers = cycle_closers(
-                self.g, self.cover_out - self.removed, self.indep - self.removed - self.forced
-            )
-            self.forced.update(closers)
-            self.counters["reduction_force"] += len(closers)
-            if not gone and not closers:
-                return
+        settle(g, self.out, self.free, self.forced, counters)
+        self.free_nbrs = [(x, g.neighbors(x) & self.out) for x in sorted(self.free)]
 
     # -- connector structure search ------------------------------------------
 
@@ -201,10 +187,8 @@ class _CoverGuess:
         when `targets` is given, exactly one neighbor in each target block
         and none in the other blocks.
         """
-        live_out = self.cover_out - self.removed
         found: list[int] = []
-        for x in sorted(self.indep - self.removed - self.forced):
-            nb = self.g.neighbors(x) & live_out
+        for x, nb in self.free_nbrs:
             if not nb <= part_union:
                 continue
             if any(len(nb & comp) != 1 for comp in blocks[block_idx]):
@@ -275,8 +259,7 @@ class _CoverGuess:
         plans: list[tuple], connectors: list[int]
     ) -> ConnectorResult | None:
         z = frozenset(connectors)
-        live_out = self.cover_out - self.removed
-        forest = live_out | z
+        forest = self.out | z
         if not is_acyclic_without(self.g, self.g.vertices - forest):
             self.counters["forest_check_failures"] += 1
             return None
@@ -286,7 +269,7 @@ class _CoverGuess:
             return None
         # every leftover independent vertex must close a cycle with one of
         # the final trees, or it cannot be a minimal member of the solution
-        leftover = self.indep - self.removed - self.forced - z
+        leftover = self.free - z
         if len(cycle_closers(self.g, forest, leftover)) != len(leftover):
             self.counters["assignments_rejected_structure"] += 1
             return None
@@ -294,8 +277,7 @@ class _CoverGuess:
         if not members_have_private_cycles(self.pristine, solution, self.cover_in):
             self.counters["assignments_rejected_partial"] += 1
             return None
-        certificate = is_minimal_fvs(self.pristine, solution)
-        if certificate is None:
+        if not is_minimal(self.pristine, solution):
             self.counters["guess_rejected_at_verify"] += 1
             return None
         # reconstruct the per-part view for the report
@@ -320,18 +302,14 @@ class _CoverGuess:
         return ConnectorResult(
             connectors=z,
             forced=frozenset(self.forced),
-            removed=frozenset(self.removed),
             solution=solution,
-            certificate=certificate,
             trees=trees,
             guess=guess,
         )
 
     def search(self) -> ConnectorResult | None:
-        self.reduce()
-        comps = self.g.induced(self.cover_out - self.removed).components()
-        live_indep = self.indep - self.removed - self.forced
-        if not live_indep:
+        comps = self.g.induced(self.out).components()
+        if not self.free:
             return self._try_assignment(comps, [[i] for i in range(len(comps))],
                                         [((), (), [])] * len(comps), [])
         if not comps:
@@ -342,7 +320,7 @@ class _CoverGuess:
         # cannot work here: a surviving independent vertex meets every
         # committed-out component at most once, so it would have no private
         # cycle in the unglued forest.
-        for z_total in range(1, min(len(live_indep), len(comps)) + 1):
+        for z_total in range(1, min(len(self.free), len(comps)) + 1):
             for partition in set_partitions(range(len(comps))):
                 self.counters["comp_partitions"] += 1
                 parts = [tuple(comps[i] for i in part) for part in partition]
@@ -413,18 +391,18 @@ def find_connectors(
 ) -> ConnectorResult | None:
     """Search for connectors completing one cover-side guess.
 
-    Returns the first (largest-solution) verified result, or None when the
-    guess admits no minimal fvs of the required shape.
+    Returns the first (largest-solution) result whose solution is a
+    minimal fvs of `pristine`, or None when the guess admits no minimal fvs
+    of the required shape.  The result carries no certificate: the caller
+    builds one for the result it keeps.
     """
     if not is_acyclic_without(g, g.vertices - cover_out):
         return None
-    indep = g.vertices - cover_in - cover_out
     guess = _CoverGuess(
         g,
         pristine if pristine is not None else g,
         cover_in,
         cover_out,
-        indep,
         counters if counters is not None else Counter(),
     )
     return guess.search()
@@ -457,6 +435,31 @@ def cover_guesses(
             yield cover_in, cover_out
 
 
+def settle(
+    g: Graph, out: set[int], free: set[int], inside: set[int], tally: Counter[str]
+) -> None:
+    """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint, in place.
+
+    One cover-side guess splits its live vertices into the committed
+    inside, `out` (committed outside) and `free` (undecided independents).
+    Vertices of degree <= 1 in g[out | free] lie on no cycle and leave
+    both sets, outside any solution; a free vertex with two neighbors in
+    one tree of g[out] moves to `inside`.  `tally` counts the deletions in
+    "reduction_degree" and the moves in "reduction_force".
+    """
+    while True:
+        gone = peel(g, out | free)
+        out -= gone
+        free -= gone
+        tally["reduction_degree"] += len(gone)
+        closers = cycle_closers(g, out, free)
+        inside.update(closers)
+        free.difference_update(closers)
+        tally["reduction_force"] += len(closers)
+        if not gone and not closers:
+            return
+
+
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover."""
     start = time.perf_counter()
@@ -472,11 +475,14 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     best_state: ConnectorResult | None = None
     for cover_in, cover_out in cover_guesses(reduced, cover, counters):
         result = find_connectors(reduced, cover_in, cover_out, pristine=g, counters=counters)
-        if result is None:
+        if result is None or (best is not None and len(result.solution) <= len(best.vertices)):
             continue
-        if best is None or len(result.solution) > len(best.vertices):
-            best = Solution(result.solution, result.certificate)
-            best_state = result
+        # only a new best gets a certificate
+        certificate = is_minimal_fvs(g, result.solution)
+        if certificate is None:
+            raise VerificationError("a checked connector solution got no certificate")
+        best = Solution(result.solution, certificate)
+        best_state = result
     if best is None:
         raise VerificationError("no cover guess extended, yet the empty one always does")
     report = SolveReport(

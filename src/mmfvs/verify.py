@@ -11,10 +11,12 @@ The forest questions run on the incremental union-find `graph.Forest`.
 O(m alpha(m)) in all.  Private cycles of the members of a set S are
 checked from one union-find over g - S: a member has one iff two of its
 neighbors outside S share a tree, so one O(m alpha(m)) sweep serves the
-whole set.  `is_minimal_fvs` instead walks g - S once, rejecting a cycle
-and labelling every vertex with its tree, parent and depth; each member's
-private cycle is then the tree path between two of its neighbors, found
-by climbing to their lowest common ancestor, with no search.
+whole set; with the sweep's acyclicity it answers `is_minimal`, the
+boolean form of minimality.  `is_minimal_fvs` instead walks g - S once,
+rejecting a cycle and labelling every vertex with its tree, parent and
+depth; each member's private cycle is then the tree path between two of
+its neighbors, found by climbing to their lowest common ancestor, with no
+search.
 """
 
 from __future__ import annotations
@@ -181,6 +183,17 @@ def is_minimal_fvs(g: Graph, s: Iterable[int]) -> Certificate | None:
     return cert
 
 
+def is_minimal(g: Graph, s: Iterable[int]) -> bool:
+    """Boolean-only fast path of :func:`is_minimal_fvs`.
+
+    One union-find sweep over g - s answers both halves: g - s is a forest,
+    and every member has two neighbors in one of its trees.
+    """
+    s = _members_of(g, s)
+    forest = Forest.without(g, s)
+    return forest.acyclic and all(forest.closes_cycle(w) for w in s)
+
+
 def is_minimal_fvs_by_deletion(g: Graph, s: Iterable[int]) -> bool:
     """Definitional minimality test: dropping any one vertex breaks fvs-ness."""
     s = frozenset(s)
@@ -231,20 +244,13 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
     return frozenset(best)
 
 
-def partial_minimality_ok(
-    g: Graph, in_set: Iterable[int], out_set: Iterable[int] = ()
-) -> bool:
+def partial_minimality_ok(g: Graph, in_set: Iterable[int]) -> bool:
     """True iff every committed-in vertex still has a cycle of its own.
 
     For each w in `in_set` there must be a cycle through w once the rest of
-    `in_set` is removed.  `out_set` vertices stay eligible cycle material by
-    definition (they are merely outside the solution), so beyond the
-    disjointness precondition they do not constrain the check.
+    `in_set` is removed.
     """
     in_set = frozenset(in_set)
-    out_set = frozenset(out_set)
-    if in_set & out_set:
-        raise ValueError(f"overlapping sets: {sorted(in_set & out_set)}")
     return members_have_private_cycles(g, in_set, in_set)
 
 

@@ -1,12 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from mmfvs.approx import (
-    GreedyState,
+    _run_greedy,
     approx_solve,
     conflict_set,
-    greedy_round,
     neighborhood_components,
-    reduce_state,
 )
 from mmfvs.graph import Graph
 from mmfvs.oracle import opt_mmfvs_brute
@@ -74,59 +74,30 @@ class TestConflictSet:
 
 
 class TestGreedyRound:
+    """Full greedy runs of one cover-side guess: (solution, moved vertices)."""
+
     def test_move_absorbs_conflicts_and_merges_trees(self):
         g = Graph(range(6), [(0, 1), (2, 3), (0, 4), (2, 4), (1, 5), (3, 5)])
-        state = reduce_state(
-            GreedyState(
-                graph=g,
-                cover_in=frozenset(),
-                cover_out=frozenset({0, 1, 2, 3}),
-                remaining_indep=frozenset({4, 5}),
-                solution=frozenset(),
-                moved=(),
-                removed=frozenset(),
-            )
-        )
-        after = greedy_round(state)
-        assert after.moved == (4,)
-        assert after.solution == {5}
-        assert not after.remaining_indep
+        solution, moved = _run_greedy(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
+        assert moved == (4,)
+        assert solution == {5}
 
     def test_minimality_violation_sends_vertex_inside(self):
         # 0 is committed in with its only cycle 0-3-4; absorbing {3} would
         # starve it, so the probed vertex 1 joins the solution instead
         g = Graph([0, 1, 3, 4, 5], [(0, 3), (0, 4), (3, 4), (1, 4), (1, 5), (3, 5)])
-        state = reduce_state(
-            GreedyState(
-                graph=g,
-                cover_in=frozenset({0}),
-                cover_out=frozenset({4, 5}),
-                remaining_indep=frozenset({1, 3}),
-                solution=frozenset(),
-                moved=(),
-                removed=frozenset(),
-            )
-        )
-        after = greedy_round(state)
-        assert 1 in after.solution
-        assert after.moved == ()
+        solution, moved = _run_greedy(g, frozenset({0}), frozenset({4, 5}), Counter())
+        assert 1 in solution
+        assert moved == ()
 
     def test_last_vertex_moves_out(self):
         g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
-        state = GreedyState(
-            graph=g,
-            cover_in=frozenset(),
-            cover_out=frozenset({1, 2}),
-            remaining_indep=frozenset({0}),
-            solution=frozenset(),
-            moved=(),
-            removed=frozenset(),
-        )
-        # 0 closes a cycle with the tree {1, 2}: the cycle rule, not the
-        # round, must absorb it
-        after = reduce_state(state)
-        assert after.solution == {0}
-        assert not after.remaining_indep
+        # 0 closes a cycle with the tree {1, 2}: the cycle rule, not a
+        # greedy step, must absorb it
+        tally = Counter()
+        solution, moved = _run_greedy(g, frozenset(), frozenset({1, 2}), tally)
+        assert solution == {0}
+        assert tally["reduction_force"] == 1 and not moved
 
 
 class TestApproxSolve:

@@ -1,5 +1,6 @@
 """The solution re-verification and invariant checks must hold under `python -O`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -49,6 +50,10 @@ expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solv
 leaf = extension.ExtensionInstance(triangle, frozenset(), frozenset(), 1)
 expect_failure(lambda: extension._children(None, leaf, 0, {0: None}), "_children")
 
+# a best connector solution without a certificate must not be returned
+vcsolver.is_minimal_fvs = no_certificate
+expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc certifying its best")
+
 # a connector search that fails even the empty cover guess leaves no answer
 vcsolver.find_connectors = lambda *args, **kwargs: None
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc")
@@ -64,3 +69,15 @@ def test_reverification_survives_optimized_mode():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_package_has_no_assert_statement():
+    # an assert vanishes under python -O; checks must raise explicitly
+    package = Path(mmfvs.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in mmfvs: {found}"

@@ -1,3 +1,4 @@
+from mmfvs import vcsolver
 from mmfvs.graph import Graph
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -120,3 +121,20 @@ class TestSolveVc:
         guess = report.extras["winning_guess"]
         assert guess is not None
         assert guess.cover_in | guess.cover_out <= {0, 1}
+
+    def test_certifies_only_a_new_best(self, monkeypatch):
+        # a cover guess whose solution is no larger than the best so far
+        # cannot win, so it gets the boolean check but no certificate
+        sizes = []
+
+        def certify(g, s):
+            sizes.append(len(s))
+            return is_minimal_fvs(g, s)
+
+        monkeypatch.setattr(vcsolver, "is_minimal_fvs", certify)
+        for seed in range(25):
+            g = gnp(7, 0.4, seed=seed)
+            sizes.clear()
+            sol, _ = solve_vc(g)
+            assert sizes == sorted(set(sizes)), seed
+            assert sizes[-1] == len(sol.vertices)

@@ -8,6 +8,7 @@ from mmfvs.verify import (
     certificate_is_valid,
     greedy_minimal_fvs,
     is_fvs,
+    is_minimal,
     is_minimal_fvs,
     is_minimal_fvs_by_deletion,
     min_vertex_cover,
@@ -95,12 +96,13 @@ class TestMinimality:
 class TestTreePathCertificates:
     """`is_minimal_fvs` reads certificates off the forest G - S; the reference
     runs one `private_cycle` BFS per member.  The certificates must be equal,
-    not merely valid."""
+    not merely valid, and the one-sweep boolean `is_minimal` must agree."""
 
     @staticmethod
     def check(g, s):
         cert = is_minimal_fvs(g, s)
         assert cert == minimal_certificate_reference(g, s)
+        assert is_minimal(g, s) == (cert is not None)
         if cert is not None:
             assert certificate_is_valid(g, frozenset(s), cert)
         return cert
@@ -196,9 +198,3 @@ class TestPartialMinimality:
 
     def test_empty_in_set(self):
         assert partial_minimality_ok(cycle(4), set())
-
-    def test_out_set_is_only_checked_for_overlap(self):
-        g = apex_pair(6)
-        assert partial_minimality_ok(g, {2}, {0, 1} - {0, 1} | {3})
-        with pytest.raises(ValueError):
-            partial_minimality_ok(g, {2}, {2, 3})
