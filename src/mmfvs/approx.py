@@ -10,8 +10,9 @@ additive loss into a (1 - eps) factor: below the threshold the exact
 optimum is computed outright.
 
 The cover-side guesses come from `vcsolver.cover_guesses` and their
-reduction from `vcsolver.settle` (the degree and cycle rules `graph.peel`
-and `graph.cycle_closers`), the same ones the exact solvers use.
+reduction from `graph.settle`, the fixpoint of the round of degree and
+cycle rules (`graph.peel`, then `graph.cycle_closers`) that the exact
+solvers run too.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from mmfvs.graph import Graph
+from mmfvs.graph import Graph, settle
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.report import Solution, SolveReport
-from mmfvs.vcsolver import cover_guesses, settle
+from mmfvs.vcsolver import cover_guesses
 from mmfvs.verify import (
     VerificationError,
     is_minimal,
@@ -44,11 +45,6 @@ def _adjacent_ids(g: Graph, component_id: dict[int, int], u: int) -> frozenset[i
     if u in component_id:
         raise ValueError(f"{u} is itself committed outside")
     return frozenset(component_id[w] for w in g.neighbors(u) if w in component_id)
-
-
-def neighborhood_components(g: Graph, c_out: Iterable[int], u: int) -> frozenset[int]:
-    """Ids (minimum members) of the c_out components adjacent to u."""
-    return _adjacent_ids(g, _component_ids(g, c_out), u)
 
 
 def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -> frozenset[int]:

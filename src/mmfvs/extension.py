@@ -5,7 +5,13 @@ feedback vertex set, decide whether the graph has a *minimal* fvs S with
 required <= S, S disjoint from forbidden, and at least k vertices beyond
 `required`; a yes always carries a concrete, re-verified witness.
 
-The search keeps three reductions at fixpoint and then branches on a
+Each search node holds its committed and free vertices as plain sets and
+reduces them in place: the round every solver shares (`graph.settle_round`:
+strip degree <= 1 vertices, then force forbidden-side cycle closers
+inside), then degree-two contraction, until nothing fires.  The round's
+rules are counted as "strip_acyclic_fringe" and "force_cycle_closers",
+contraction as "contract_degree_two_pairs".  A node builds a graph of its
+own only when a contraction fires.  The search then branches on a
 deepest leaf of the forest left outside the committed sets.  Branch
 arithmetic is tracked by the measure k + gamma, where gamma counts the
 trees of the forbidden-side forest: branches spend a unit of k or merge
@@ -22,11 +28,11 @@ only pruned away when no completion could restore their private cycles.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Graph, cycle_closers, is_acyclic_without, peel, prune_to_minimal
+from mmfvs.graph import Forest, Graph, is_acyclic_without, peel, prune_to_minimal, settle_round
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -42,141 +48,113 @@ RULE_FORCE = "force_cycle_closers"
 RULE_CONTRACT = "contract_degree_two_pairs"
 
 
-@dataclass(frozen=True)
-class ExtensionInstance:
-    """One node of the extension search.
+@dataclass(slots=True)
+class _Node:
+    """One node of the extension search, over plain mutable sets.
 
-    `search` is the working graph with deletions and contractions applied.
-    `removed` collects deleted ids (committed outside every solution) and
-    `expansions` maps a contracted id to the original ids it stands for;
-    both are needed to lift witnesses back to the input graph.
+    `required`, `forbidden` and `free` split the live vertices of the
+    working graph `search`; a child copies them once and reduces them in
+    place.  `search` may still hold vertices deleted higher up the tree:
+    they are in none of the three sets, and every degree here counts live
+    neighbors only.  `removed` collects the originals of deleted ids
+    (committed outside every solution) and `expansions` maps a contracted
+    id to the original ids it stands for; both lift witnesses back to the
+    input graph.  A child shares `search`, `removed` and `expansions` with
+    its parent; a node that needs another value assigns a new object and
+    never changes the shared one.
     """
 
     search: Graph
-    required: frozenset[int]
-    forbidden: frozenset[int]
+    required: set[int]
+    forbidden: set[int]
+    free: set[int]
     k: int
     removed: frozenset[int] = frozenset()
-    expansions: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
+    expansions: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def free_vertices(self) -> frozenset[int]:
-        return self.search.vertices - self.required - self.forbidden
-
-    def gamma(self) -> int:
-        """Number of trees in the forbidden-side forest."""
-        if not self.forbidden:
-            return 0
-        return len(self.search.induced(self.forbidden).components())
-
-    def measure(self) -> int:
-        return self.k + self.gamma()
+    def live(self) -> set[int]:
+        return self.required | self.forbidden | self.free
 
     def originals_of(self, v: int) -> tuple[int, ...]:
         return self.expansions.get(v, (v,))
 
-
-def _forbidden_is_forest(inst: ExtensionInstance) -> bool:
-    return is_acyclic_without(inst.search, inst.search.vertices - inst.forbidden)
+    def child(self, inside: tuple[int, ...] = (), outside: tuple[int, ...] = ()) -> _Node:
+        return _Node(
+            self.search,
+            self.required.union(inside),
+            self.forbidden.union(outside),
+            self.free.difference(inside, outside),
+            self.k - len(inside),
+            self.removed,
+            self.expansions,
+        )
 
 
 # -- reductions -------------------------------------------------------------
 
 
-def _strip(inst: ExtensionInstance) -> tuple[ExtensionInstance, int]:
-    """Delete, to fixpoint, vertices of degree <= 1 outside `required`."""
-    gone = peel(inst.search, inst.search.vertices - inst.required)
-    if not gone:
-        return inst, 0
-    return (
-        replace(
-            inst,
-            search=inst.search.delete(gone),
-            forbidden=inst.forbidden - gone,
-            removed=inst.removed | gone,
-        ),
-        len(gone),
-    )
+def _contractible_pair(node: _Node) -> tuple[int, int] | None:
+    """First adjacent free pair of live degree two with no common neighbor.
 
-
-def _force(inst: ExtensionInstance) -> tuple[ExtensionInstance, int]:
-    """Move free vertices that close a forbidden-side cycle into `required`.
-
-    A free vertex with two neighbors in one tree of the forbidden forest
-    closes a cycle no solution may leave standing, so it must be inside;
-    k drops accordingly (and may go below zero, treated like zero).
+    Free vertices are scanned ascending, each with its larger neighbors,
+    so the pair is the first one in sorted edge order.
     """
-    forced = cycle_closers(inst.search, inst.forbidden, inst.free_vertices())
-    if not forced:
-        return inst, 0
-    return (
-        replace(inst, required=inst.required | set(forced), k=inst.k - len(forced)),
-        len(forced),
-    )
+    live = node.live()
+    for u in sorted(node.free):
+        nu = node.search.neighbors(u) & live
+        if len(nu) != 2:
+            continue
+        for v in sorted(nu):
+            if v > u and v in node.free:
+                nv = node.search.neighbors(v) & live
+                if len(nv) == 2 and not nu & nv:
+                    return u, v
+    return None
 
 
-def _contract(inst: ExtensionInstance) -> tuple[ExtensionInstance, int]:
+def _contract(node: _Node) -> int:
     """Contract adjacent free degree-2 pairs with disjoint neighborhoods.
 
     No minimal fvs can contain both endpoints of such an edge (each one's
     cycles all run through the other), so the pair can be treated as a
     single choice; the expansion map records which original ids a merged
-    vertex stands for.
+    vertex stands for.  The first contraction at a node builds its own
+    graph of the live vertices and its own expansion map.
     """
-    search = inst.search
-    committed = inst.required | inst.forbidden
-    expansions = dict(inst.expansions)
     fired = 0
-    while True:
-        pair = None
-        for u, v in sorted(search.edges()):
-            if u in committed or v in committed:
-                continue
-            if search.degree(u) != 2 or search.degree(v) != 2:
-                continue
-            if (search.neighbors(u) & search.neighbors(v)) - {u, v}:
-                continue
-            pair = (u, v)
-            break
-        if pair is None:
-            break
+    while (pair := _contractible_pair(node)) is not None:
         u, v = pair
-        search, _ = search.contract(u, v)
-        keep, fold = min(u, v), max(u, v)
-        expansions[keep] = expansions.pop(keep, (keep,)) + expansions.pop(fold, (fold,))
+        if not fired:
+            node.search = node.search.induced(node.live())
+            node.expansions = dict(node.expansions)
+        node.search, _ = node.search.contract(u, v)
+        node.expansions[u] = node.expansions.pop(u, (u,)) + node.expansions.pop(v, (v,))
+        node.free.discard(v)
         fired += 1
-    if not fired:
-        return inst, 0
-    return replace(inst, search=search, expansions=expansions), fired
+    return fired
 
 
-def strip_acyclic_fringe(inst: ExtensionInstance) -> ExtensionInstance:
-    """Public form of the degree-<=-1 deletion rule (applied to fixpoint)."""
-    return _strip(inst)[0]
+def _reduce(node: _Node, fired: dict[str, int]) -> None:
+    """The shared round (`graph.settle_round`), then contraction, until nothing fires.
 
-
-def force_cycle_closers(inst: ExtensionInstance) -> ExtensionInstance:
-    """Public form of the forbidden-cycle forcing rule."""
-    return _force(inst)[0]
-
-
-def contract_degree_two_pairs(inst: ExtensionInstance) -> ExtensionInstance:
-    """Public form of the degree-2 path contraction rule."""
-    return _contract(inst)[0]
-
-
-_RULES = ((RULE_STRIP, _strip), (RULE_FORCE, _force), (RULE_CONTRACT, _contract))
-
-
-def _reduce_to_fixpoint(inst: ExtensionInstance, fired: dict[str, int]) -> ExtensionInstance:
-    changed = True
-    while changed:
-        changed = False
-        for name, rule in _RULES:
-            inst, n = rule(inst)
-            if n:
-                fired[name] = fired.get(name, 0) + n
-                changed = True
-    return inst
+    The round strips degree <= 1 vertices outside `required` and forces
+    free vertices that close a forbidden-side cycle inside: no solution
+    may leave such a cycle standing, so k drops accordingly (and may go
+    below zero, treated like zero).
+    """
+    while True:
+        gone, forced = settle_round(node.search, node.forbidden, node.free, node.required)
+        if gone:
+            node.removed = node.removed.union(*map(node.originals_of, gone))
+        node.k -= len(forced)
+        contracted = _contract(node)
+        for name, count in ((RULE_STRIP, len(gone)), (RULE_FORCE, len(forced)), (RULE_CONTRACT, contracted)):
+            if count:
+                fired[name] = fired.get(name, 0) + count
+        # with nothing forced or merged, the round's strip left a fixpoint; a
+        # merged vertex keeps its neighbors' degrees but may close a cycle
+        if not (forced or contracted):
+            return
 
 
 # -- witness completion and lifting ------------------------------------------
@@ -195,7 +173,7 @@ class _Context:
         self.fallback_branchings = 0
 
 
-def _partial_minimality(ctx: _Context, inst: ExtensionInstance) -> bool:
+def _partial_minimality(ctx: _Context, node: _Node) -> bool:
     """Can every committed-in vertex still get a private cycle?
 
     Checked against the original graph so that deleted vertices stay
@@ -204,11 +182,11 @@ def _partial_minimality(ctx: _Context, inst: ExtensionInstance) -> bool:
     on lifting, so banning all of its originals could reject branches that
     still complete.  This keeps the prune a necessary condition.
     """
-    solid = frozenset(v for v in inst.required if v not in inst.expansions)
+    solid = frozenset(v for v in node.required if v not in node.expansions)
     if not members_have_private_cycles(ctx.pristine, solid, solid):
         return False
-    for w in sorted(inst.required - solid):
-        reps = inst.originals_of(w)
+    for w in sorted(node.required - solid):
+        reps = node.originals_of(w)
         if not any(has_private_cycle(ctx.pristine, r, solid - {r}) for r in reps):
             return False
     return True
@@ -235,7 +213,7 @@ def _prune_orders(ctx: _Context, base: frozenset[int], pool: frozenset[int]) -> 
     return orders
 
 
-def _complete_witness(ctx: _Context, inst: ExtensionInstance) -> Solution | None:
+def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
     """Try to turn the current commitments into a verified witness.
 
     Starts from the committed-in set plus every still-free vertex lying on
@@ -245,13 +223,13 @@ def _complete_witness(ctx: _Context, inst: ExtensionInstance) -> Solution | None
     original graph.  Contracted committed ids are resolved by trying their
     original ids in order and keeping the first combination that verifies.
     """
-    fixed = [v for v in sorted(inst.required) if v not in inst.expansions]
-    merged = [v for v in sorted(inst.required) if v in inst.expansions]
-    excluded: set[int] = set()
-    for v in inst.removed | inst.forbidden | inst.required:
-        excluded.update(inst.originals_of(v))
+    fixed = [v for v in sorted(node.required) if v not in node.expansions]
+    merged = [v for v in sorted(node.required) if v in node.expansions]
+    excluded = set(node.removed)
+    for v in node.forbidden | node.required:
+        excluded.update(node.originals_of(v))
     addable = ctx.pristine.vertices - excluded
-    for combo in product(*(inst.expansions[v] for v in merged)):
+    for combo in product(*(node.expansions[v] for v in merged)):
         base = frozenset(fixed) | frozenset(combo)
         live = ctx.pristine.vertices - base
         core = live - peel(ctx.pristine, live)
@@ -273,9 +251,9 @@ def _complete_witness(ctx: _Context, inst: ExtensionInstance) -> Solution | None
 # -- branching ----------------------------------------------------------------
 
 
-def _deepest_free_leaf(inst: ExtensionInstance) -> tuple[int, dict[int, int | None]]:
+def _deepest_free_leaf(node: _Node) -> tuple[int, dict[int, int | None]]:
     """Deepest leaf over all free trees (roots at minimum ids, ties by id)."""
-    free = inst.free_vertices()
+    free = node.free
     parent: dict[int, int | None] = {}
     depth: dict[int, int] = {}
     seen: set[int] = set()
@@ -289,7 +267,7 @@ def _deepest_free_leaf(inst: ExtensionInstance) -> tuple[int, dict[int, int | No
         while frontier:
             nxt: list[int] = []
             for x in frontier:
-                for y in sorted(inst.search.neighbors(x) & free):
+                for y in sorted(node.search.neighbors(x) & free):
                     if y in seen:
                         continue
                     seen.add(y)
@@ -301,18 +279,7 @@ def _deepest_free_leaf(inst: ExtensionInstance) -> tuple[int, dict[int, int | No
     return best, parent
 
 
-def _commit(inst: ExtensionInstance, inside: Iterable[int] = (), outside: Iterable[int] = ()) -> ExtensionInstance:
-    inside = frozenset(inside)
-    outside = frozenset(outside)
-    return replace(
-        inst,
-        required=inst.required | inside,
-        forbidden=inst.forbidden | outside,
-        k=inst.k - len(inside),
-    )
-
-
-def _detached_free(ctx: _Context, inst: ExtensionInstance, x: int) -> bool:
+def _detached_free(ctx: _Context, node: _Node, x: int) -> bool:
     """No original behind x is adjacent to a deleted vertex.
 
     Deleted vertices never serve on cycles that avoid the whole
@@ -321,66 +288,58 @@ def _detached_free(ctx: _Context, inst: ExtensionInstance, x: int) -> bool:
     exchange arguments are therefore only trusted for vertices whose
     original neighborhoods stay clear of everything deleted.
     """
-    if not inst.removed:
+    if not node.removed:
         return True
-    gone: set[int] = set()
-    for r in inst.removed:
-        gone.update(inst.originals_of(r))
-    return all(not (ctx.pristine.neighbors(rep) & gone) for rep in inst.originals_of(x))
+    return all(not (ctx.pristine.neighbors(rep) & node.removed) for rep in node.originals_of(x))
 
 
-def _children(ctx: _Context, inst: ExtensionInstance, v: int, parent: Mapping[int, int | None]) -> list[ExtensionInstance]:
-    forbidden_nbrs = inst.search.neighbors(v) & inst.forbidden
+def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int | None]) -> list[_Node]:
+    forbidden_nbrs = node.search.neighbors(v) & node.forbidden
     if len(forbidden_nbrs) >= 2:
         # Deepest leaf touching several forbidden trees: either it is in the
         # solution or it merges those trees, so both branches drop the measure.
-        return [_commit(inst, inside=(v,)), _commit(inst, outside=(v,))]
+        return [node.child(inside=(v,)), node.child(outside=(v,))]
 
     if len(forbidden_nbrs) != 1:
         raise VerificationError("fringe stripping left a free leaf without a forbidden neighbor")
     pi = parent[v]
     if pi is None:
         raise VerificationError("a free leaf with one forbidden neighbor has no parent")
-    pi_degree = len(inst.search.neighbors(pi) - inst.required)
+    live = node.live()
+    pi_degree = len(node.search.neighbors(pi) & (node.forbidden | node.free))
 
     if pi_degree == 2:
-        common = inst.search.neighbors(v) & inst.search.neighbors(pi)
+        v_nbrs, pi_nbrs = node.search.neighbors(v) & live, node.search.neighbors(pi) & live
+        common = v_nbrs & pi_nbrs
         if (
-            inst.search.degree(v) == 2
-            and inst.search.degree(pi) == 2
+            len(v_nbrs) == 2
+            and len(pi_nbrs) == 2
             and common
-            and _detached_free(ctx, inst, v)
-            and _detached_free(ctx, inst, pi)
+            and _detached_free(ctx, node, v)
+            and _detached_free(ctx, node, pi)
         ):
             # v, its parent and their shared forbidden neighbor form a
             # triangle only v or the parent can break, and at full degree
             # two with clean original neighborhoods a parent-inside
             # solution swaps into a v-inside one of equal size.
-            if not common <= inst.forbidden:
+            if not common <= node.forbidden:
                 raise VerificationError("a free degree-two pair shares a free neighbor")
-            return [_commit(inst, inside=(v,), outside=(pi,))]
-    elif not inst.search.neighbors(pi) & inst.forbidden:
+            return [node.child(inside=(v,), outside=(pi,))]
+    elif not node.search.neighbors(pi) & node.forbidden:
         # Parent of free degree >= 3 whose neighbors outside `required` are
         # all free leaf children.  When every child has clean full degree
         # two, a parent-inside solution converts into one that swaps the
         # parent for children (hitting all its cycles), so three branches
         # suffice and the all-outside one merges forbidden trees.
-        children = [
-            u
-            for u in sorted(inst.search.neighbors(pi) - inst.required - inst.forbidden)
-            if parent.get(u) == pi
-        ]
+        children = [u for u in sorted(node.search.neighbors(pi) & node.free) if parent.get(u) == pi]
         if v not in children or len(children) < 2:
             raise VerificationError("a free parent of degree >= 3 lacks two leaf children")
-        if all(
-            inst.search.degree(c) == 2 and _detached_free(ctx, inst, c)
-            for c in children
-        ):
+        if all(len(node.search.neighbors(c) & live) == 2 and _detached_free(ctx, node, c) for c in children):
             v2 = next(u for u in children if u != v)
             return [
-                _commit(inst, inside=(v,)),
-                _commit(inst, inside=(v2,)),
-                _commit(inst, outside=(v, v2, pi)),
+                node.child(inside=(v,)),
+                node.child(inside=(v2,)),
+                node.child(outside=(v, v2, pi)),
             ]
 
     # Exhaustive by construction: v inside, or the parent inside, or both
@@ -388,29 +347,29 @@ def _children(ctx: _Context, inst: ExtensionInstance, v: int, parent: Mapping[in
     # parent touches no forbidden tree; such nodes are counted for audit.
     ctx.fallback_branchings += 1
     return [
-        _commit(inst, inside=(v,)),
-        _commit(inst, inside=(pi,)),
-        _commit(inst, outside=(v, pi)),
+        node.child(inside=(v,)),
+        node.child(inside=(pi,)),
+        node.child(outside=(v, pi)),
     ]
 
 
-def _solve(ctx: _Context, inst: ExtensionInstance, depth: int) -> Solution | None:
+def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
-    if not _forbidden_is_forest(inst):
+    if not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
         return None
-    inst = _reduce_to_fixpoint(inst, ctx.fired)
-    if not _partial_minimality(ctx, inst):
+    _reduce(node, ctx.fired)
+    if not _partial_minimality(ctx, node):
         return None
-    if inst.k <= 0:
-        witness = _complete_witness(ctx, inst)
+    if node.k <= 0:
+        witness = _complete_witness(ctx, node)
         if witness is not None:
             return witness
         ctx.completion_failures += 1
-    if not inst.free_vertices():
+    if not node.free:
         return None
-    v, parent = _deepest_free_leaf(inst)
-    for child in _children(ctx, inst, v, parent):
+    v, parent = _deepest_free_leaf(node)
+    for child in _children(ctx, node, v, parent):
         witness = _solve(ctx, child, depth + 1)
         if witness is not None:
             return witness
@@ -441,8 +400,9 @@ def solve_extension(
 
     start = time.perf_counter()
     ctx = _Context(g, required, forbidden, k)
-    root = ExtensionInstance(search=g, required=required, forbidden=forbidden, k=k)
-    gamma_root = root.gamma()
+    # gamma: the number of trees in the forbidden-side forest
+    gamma_root = len(g.induced(forbidden).components()) if forbidden else 0
+    root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k)
     witness = _solve(ctx, root, depth=0)
 
     if witness is not None:

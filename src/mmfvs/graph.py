@@ -11,11 +11,16 @@ solver shares: `Forest`, the incremental union-find; `prune_to_minimal`;
 and the two reduction rules of the extension search, the cover-guess
 solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
 no cycle) and `cycle_closers` (a vertex with two neighbors in one tree of
-a committed-out forest must be in the solution).
+a committed-out forest must be in the solution).  `settle_round` applies
+both once to plain mutable vertex sets, and is the one reduction round
+of all three solvers; `settle` runs it to fixpoint for the cover-guess
+solver and the approximation scheme, and the extension search adds
+degree-two contraction to each round.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
 
@@ -289,3 +294,41 @@ def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> li
     forest = Forest(g)
     forest.extend(out)
     return [v for v in sorted(candidates) if forest.closes_cycle(v)]
+
+
+def settle_round(
+    g: Graph, out: set[int], free: set[int], inside: set[int]
+) -> tuple[set[int], list[int]]:
+    """One round of `peel`, then `cycle_closers`, on plain sets in place.
+
+    The live vertices split into `inside` (committed to the solution),
+    `out` (committed outside) and `free` (undecided).  Vertices of degree
+    <= 1 in g[out | free] lie on no cycle and leave both sets; then every
+    free vertex with two neighbors in one tree of g[out] moves to `inside`.
+    Returns the deleted vertices and the moved ones.  A round that moves
+    nothing ends at a fixpoint of both rules, because its `peel` already
+    ran to fixpoint on the sets it leaves.
+    """
+    gone = peel(g, out | free)
+    out -= gone
+    free -= gone
+    closers = cycle_closers(g, out, free)
+    inside.update(closers)
+    free.difference_update(closers)
+    return gone, closers
+
+
+def settle(
+    g: Graph, out: set[int], free: set[int], inside: set[int], tally: Counter[str]
+) -> None:
+    """`settle_round` to fixpoint.
+
+    `tally` counts the deletions in "reduction_degree" and the moves in
+    "reduction_force".
+    """
+    while True:
+        gone, closers = settle_round(g, out, free, inside)
+        tally["reduction_degree"] += len(gone)
+        tally["reduction_force"] += len(closers)
+        if not closers:
+            return

@@ -13,12 +13,14 @@ adjacency counts.  Guesses are enumerated with fewer connectors first, so
 the first assignment that verifies is the largest solution the cover guess
 can give.  Nothing is trusted from the search state: a candidate solution
 is kept only after a minimality check on the input graph (one union-find
-sweep, `verify.is_minimal`), and the one that becomes the new best is then
-certified in full (`verify.is_minimal_fvs`).
+sweep, the same one that checks the cover side's private cycles), and the
+one that becomes the new best is then certified in full
+(`verify.is_minimal_fvs`).
 
-The cover-side guesses come from `cover_guesses` and their reduction to
-fixpoint from `settle` (the rules `graph.peel` and `graph.cycle_closers`,
-which the extension search uses too); the approximation scheme shares both.
+The cover-side guesses come from `cover_guesses`, which the approximation
+scheme shares.  Each guess is reduced in place by `graph.settle`, the
+fixpoint of the round (`graph.peel`, then `graph.cycle_closers`) that the
+extension search and the approximation scheme run too.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
-from mmfvs.graph import Graph, cycle_closers, is_acyclic_without, peel
+from mmfvs.graph import Forest, Graph, cycle_closers, is_acyclic_without, peel, settle
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
-    is_minimal,
     is_minimal_fvs,
-    members_have_private_cycles,
     min_vertex_cover,
     partial_minimality_ok,
 )
@@ -274,10 +274,14 @@ class _CoverGuess:
             self.counters["assignments_rejected_structure"] += 1
             return None
         solution = frozenset(self.cover_in | self.forced | leftover)
-        if not members_have_private_cycles(self.pristine, solution, self.cover_in):
+        # one sweep over G - solution answers both checks: the cover side's
+        # private cycles, then the rest of `verify.is_minimal` (acyclicity
+        # and the private cycles of the other members)
+        rest = Forest.without(self.pristine, solution)
+        if not all(rest.closes_cycle(w) for w in self.cover_in):
             self.counters["assignments_rejected_partial"] += 1
             return None
-        if not is_minimal(self.pristine, solution):
+        if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - self.cover_in)):
             self.counters["guess_rejected_at_verify"] += 1
             return None
         # reconstruct the per-part view for the report
@@ -433,31 +437,6 @@ def cover_guesses(
                 continue
             tally["viable_cover_guesses"] += 1
             yield cover_in, cover_out
-
-
-def settle(
-    g: Graph, out: set[int], free: set[int], inside: set[int], tally: Counter[str]
-) -> None:
-    """Degree and cycle rules (`peel`, `cycle_closers`) to joint fixpoint, in place.
-
-    One cover-side guess splits its live vertices into the committed
-    inside, `out` (committed outside) and `free` (undecided independents).
-    Vertices of degree <= 1 in g[out | free] lie on no cycle and leave
-    both sets, outside any solution; a free vertex with two neighbors in
-    one tree of g[out] moves to `inside`.  `tally` counts the deletions in
-    "reduction_degree" and the moves in "reduction_force".
-    """
-    while True:
-        gone = peel(g, out | free)
-        out -= gone
-        free -= gone
-        tally["reduction_degree"] += len(gone)
-        closers = cycle_closers(g, out, free)
-        inside.update(closers)
-        free.difference_update(closers)
-        tally["reduction_force"] += len(closers)
-        if not gone and not closers:
-            return
 
 
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:

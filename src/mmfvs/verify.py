@@ -3,8 +3,8 @@
 A set S is an fvs when G - S is acyclic, and a *minimal* fvs when no proper
 subset is: equivalently, every v in S has a private cycle, a cycle through v
 in the graph induced on (V - S) + v.  Minimality is certified here through
-private cycles; the definitional drop-one-vertex test is also provided and
-the two are asserted equal in the test suite.
+private cycles; the test suite checks that against the definitional
+drop-one-vertex test.
 
 The forest questions run on the incremental union-find `graph.Forest`.
 `greedy_minimal_fvs` grows a single forest as vertices leave the set,
@@ -192,14 +192,6 @@ def is_minimal(g: Graph, s: Iterable[int]) -> bool:
     s = _members_of(g, s)
     forest = Forest.without(g, s)
     return forest.acyclic and all(forest.closes_cycle(w) for w in s)
-
-
-def is_minimal_fvs_by_deletion(g: Graph, s: Iterable[int]) -> bool:
-    """Definitional minimality test: dropping any one vertex breaks fvs-ness."""
-    s = frozenset(s)
-    if not is_fvs(g, s):
-        return False
-    return all(not is_fvs(g, s - {v}) for v in s)
 
 
 def greedy_minimal_fvs(g: Graph) -> frozenset[int]:

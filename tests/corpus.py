@@ -7,10 +7,11 @@ non-cut vertex, so this reaches all of them) and deduping up to
 isomorphism via Weisfeiler-Lehman hash buckets plus exact checks.
 
 Building takes over a minute, so the list is stored as JSON under
-`.pytest_cache/`, keyed by the sha256 of this file, `helpers.py` and the
-networkx version.  A stored list is used only if it still has the right
-number of graphs per vertex count and every graph is connected; otherwise
-it is rebuilt.
+`.pytest_cache/`, keyed by the sha256 of this file and the networkx
+version; everything the build reads from the test suite lives here, so
+edits to other test modules keep the cache.  A stored list is used only
+if it still has the right number of graphs per vertex count and every
+graph is connected; otherwise it is rebuilt.
 """
 
 from __future__ import annotations
@@ -24,13 +25,46 @@ from pathlib import Path
 
 from mmfvs.graph import Graph
 
-from helpers import connected_atlas, nx_to_graph
-
 # connected graphs up to isomorphism, by vertex count
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 _TESTS = Path(__file__).resolve().parent
 CACHE_DIR = _TESTS.parent / ".pytest_cache" / "mmfvs-corpus"
+
+
+def nx_to_graph(nxg) -> Graph:
+    relabel = {v: i for i, v in enumerate(sorted(nxg.nodes(), key=str))}
+    return Graph(
+        range(nxg.number_of_nodes()),
+        [(relabel[u], relabel[v]) for u, v in nxg.edges()],
+    )
+
+
+def connected_atlas(max_n: int) -> list[Graph]:
+    """All connected graphs with 1..max_n vertices, up to isomorphism.
+
+    Backed by the networkx graph atlas, so max_n <= 7.
+    """
+    import networkx as nx
+
+    assert max_n <= 7
+    out = []
+    for nxg in nx.graph_atlas_g()[1:]:
+        if 1 <= nxg.number_of_nodes() <= max_n and nx.is_connected(nxg):
+            out.append(nx_to_graph(nxg))
+    return out
+
+
+def atlas_all_graphs(max_n: int) -> list[Graph]:
+    """All graphs (connected or not) with 0..max_n vertices, up to isomorphism."""
+    import networkx as nx
+
+    assert max_n <= 7
+    return [
+        nx_to_graph(nxg)
+        for nxg in nx.graph_atlas_g()
+        if nxg.number_of_nodes() <= max_n
+    ]
 
 
 def _to_nx(g: Graph):
@@ -73,9 +107,7 @@ def _build() -> list[Graph]:
 def _cache_path() -> Path:
     import networkx as nx
 
-    digest = hashlib.sha256()
-    for name in ("corpus.py", "helpers.py"):
-        digest.update((_TESTS / name).read_bytes())
+    digest = hashlib.sha256((_TESTS / "corpus.py").read_bytes())
     digest.update(nx.__version__.encode())
     return CACHE_DIR / f"{digest.hexdigest()}.json"
 

@@ -8,7 +8,11 @@ from itertools import combinations
 from mmfvs.graph import Graph, is_acyclic_without
 from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
-from mmfvs.verify import private_cycle
+from mmfvs.verify import is_fvs, private_cycle
+
+# re-exported for the acceptance tests: the atlas code lives in corpus.py,
+# whose source alone keys the cached corpus
+from corpus import atlas_all_graphs  # noqa: F401
 
 
 def apex_pair(n: int = 6) -> Graph:
@@ -159,36 +163,19 @@ def brute_min_vertex_cover_size(g: Graph) -> int:
     raise AssertionError("V itself always covers")
 
 
-def nx_to_graph(nxg) -> Graph:
-    relabel = {v: i for i, v in enumerate(sorted(nxg.nodes(), key=str))}
-    return Graph(
-        range(nxg.number_of_nodes()),
-        [(relabel[u], relabel[v]) for u, v in nxg.edges()],
+def is_minimal_fvs_by_deletion(g: Graph, s) -> bool:
+    """Definitional minimality test: dropping any one vertex breaks fvs-ness."""
+    s = frozenset(s)
+    if not is_fvs(g, s):
+        return False
+    return all(not is_fvs(g, s - {v}) for v in s)
+
+
+def neighborhood_components(g: Graph, c_out, u: int) -> frozenset[int]:
+    """Ids (minimum members) of the g[c_out] components adjacent to u, from the component list."""
+    c_out = frozenset(c_out)
+    if u in c_out:
+        raise ValueError(f"{u} is itself committed outside")
+    return frozenset(
+        min(comp) for comp in g.induced(c_out).components() if g.neighbors(u) & comp
     )
-
-
-def connected_atlas(max_n: int) -> list[Graph]:
-    """All connected graphs with 1..max_n vertices, up to isomorphism.
-
-    Backed by the networkx graph atlas, so max_n <= 7.
-    """
-    import networkx as nx
-
-    assert max_n <= 7
-    out = []
-    for nxg in nx.graph_atlas_g()[1:]:
-        if 1 <= nxg.number_of_nodes() <= max_n and nx.is_connected(nxg):
-            out.append(nx_to_graph(nxg))
-    return out
-
-
-def atlas_all_graphs(max_n: int) -> list[Graph]:
-    """All graphs (connected or not) with 0..max_n vertices, up to isomorphism."""
-    import networkx as nx
-
-    assert max_n <= 7
-    return [
-        nx_to_graph(nxg)
-        for nxg in nx.graph_atlas_g()
-        if nxg.number_of_nodes() <= max_n
-    ]

@@ -1,18 +1,14 @@
+import random
 from collections import Counter
 
 import pytest
 
-from mmfvs.approx import (
-    _run_greedy,
-    approx_solve,
-    conflict_set,
-    neighborhood_components,
-)
+from mmfvs.approx import _run_greedy, approx_solve, conflict_set
 from mmfvs.graph import Graph
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 
-from helpers import apex_pair, gnp, path
+from helpers import apex_pair, gnp, neighborhood_components, path
 
 
 def four_tree_instance():
@@ -71,6 +67,21 @@ class TestConflictSet:
     def test_single_shared_component_is_no_conflict(self):
         g = Graph(range(4), [(0, 2), (1, 2), (0, 3)])
         assert conflict_set(g, {2, 3}, {0, 1}, 0) == frozenset()
+
+    def test_matches_the_component_list_reference(self):
+        # x conflicts with u iff they share two adjacent c_out components
+        rng = random.Random(5)
+        for seed in range(40):
+            g = gnp(rng.randint(4, 12), rng.uniform(0.2, 0.5), seed=seed)
+            c_out = frozenset(v for v in g.sorted_vertices() if rng.random() < 0.5)
+            indep = g.vertices - c_out
+            for u in sorted(indep):
+                qu = neighborhood_components(g, c_out, u)
+                expected = {
+                    x for x in indep - {u}
+                    if len(qu & neighborhood_components(g, c_out, x)) >= 2
+                }
+                assert conflict_set(g, c_out, indep, u) == expected, (seed, u)
 
 
 class TestGreedyRound:

@@ -1,7 +1,8 @@
 from mmfvs.batch import render_report, run_batch, run_one, summarize
 from mmfvs.instances import generate
 
-from helpers import apex_pair, connected_atlas, gnp
+from corpus import connected_atlas
+from helpers import apex_pair, gnp
 
 
 class TestRunBatch:

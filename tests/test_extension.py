@@ -1,83 +1,122 @@
+import copy
 import random
 
 import pytest
 
-from mmfvs.extension import (
-    ExtensionInstance,
-    contract_degree_two_pairs,
-    force_cycle_closers,
-    solve_extension,
-    strip_acyclic_fringe,
-)
-from mmfvs.graph import Graph
+from mmfvs.extension import _contract, _Node, _reduce, solve_extension
+from mmfvs.graph import Graph, cycle_closers, peel, settle_round
 from mmfvs.oracle import extension_exists_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
 from helpers import apex_pair, cycle, disjoint_triangles, gnp, path
 
 
-def inst(g, required=(), forbidden=(), k=0):
-    return ExtensionInstance(
-        search=g, required=frozenset(required), forbidden=frozenset(forbidden), k=k
-    )
+def node(g, required=(), forbidden=(), k=0):
+    required, forbidden = set(required), set(forbidden)
+    return _Node(g, required, forbidden, set(g.vertices) - required - forbidden, k)
+
+
+def gamma(g, forbidden):
+    return len(g.induced(forbidden).components())
 
 
 class TestStripAcyclicFringe:
+    """The first half of the shared round: `peel` outside the committed-in side."""
+
     def test_pendant_leaf_removed(self):
         g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-        out = strip_acyclic_fringe(inst(g, forbidden={0}))
-        assert out.removed == {3, 4}
-        assert out.search.vertices == {0, 1, 2}
+        out, free, inside = {0}, {1, 2, 3, 4}, set()
+        gone, forced = settle_round(g, out, free, inside)
+        assert gone == {3, 4} and forced == []
+        assert out | free | inside == {0, 1, 2}
 
     def test_degree_one_inside_forbidden_side(self):
         # pendant 4 hangs off the forbidden side of a 4-cycle
         g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
-        out = strip_acyclic_fringe(inst(g, forbidden={0, 4}))
-        assert out.removed == {4}
-        assert out.forbidden == {0}
-        assert out.gamma() == 1
+        out, free = {0, 4}, {1, 2, 3}
+        gone, _ = settle_round(g, out, free, set())
+        assert gone == {4}
+        assert out == {0}
+        assert gamma(g, out) == 1
 
     def test_already_reduced_is_identity(self):
-        out = strip_acyclic_fringe(inst(cycle(4), forbidden={0}))
-        assert out == inst(cycle(4), forbidden={0})
+        out, free, inside = {0}, {1, 2, 3}, set()
+        assert settle_round(cycle(4), out, free, inside) == (set(), [])
+        assert (out, free, inside) == ({0}, {1, 2, 3}, set())
 
     def test_required_vertices_protected(self):
-        out = strip_acyclic_fringe(inst(path(3), required={1}))
-        assert 1 in out.search.vertices
-        assert out.removed == {0, 2}
+        out, free, inside = set(), {0, 2}, {1}
+        gone, _ = settle_round(path(3), out, free, inside)
+        assert inside == {1}
+        assert gone == {0, 2}
+
+    def test_search_strips_into_originals(self):
+        n = node(Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), forbidden={0})
+        fired = {}
+        _reduce(n, fired)
+        assert n.removed == {3, 4}
+        assert fired == {"strip_acyclic_fringe": 2}
 
 
 class TestForceCycleClosers:
+    """The second half of the shared round: `cycle_closers` against the forbidden side."""
+
     def test_two_neighbors_in_one_forbidden_tree(self):
-        g = cycle(3)
-        out = force_cycle_closers(inst(g, forbidden={1, 2}, k=2))
-        assert out.required == {0}
-        assert out.k == 1
+        n = node(cycle(3), forbidden={1, 2}, k=2)
+        fired = {}
+        _reduce(n, fired)
+        assert n.required == {0}
+        assert n.k == 1
+        # forcing 0 inside leaves the forbidden pair to the next strip
+        assert fired == {"force_cycle_closers": 1, "strip_acyclic_fringe": 2}
 
     def test_neighbors_in_distinct_trees_untouched(self):
         g = Graph(range(3), [(0, 1), (0, 2)])
-        out = force_cycle_closers(inst(g, forbidden={1, 2}, k=2))
-        assert out == inst(g, forbidden={1, 2}, k=2)
+        assert cycle_closers(g, {1, 2}, {0}) == []
 
     def test_no_closer_is_identity(self):
-        out = force_cycle_closers(inst(cycle(4), forbidden={0}, k=1))
-        assert out.required == frozenset()
+        out, free, inside = {0}, {1, 2, 3}, set()
+        settle_round(cycle(4), out, free, inside)
+        assert inside == set()
 
 
 class TestContractDegreeTwoPairs:
     def test_long_paths_between_forbidden_attachments_collapse(self):
-        out = contract_degree_two_pairs(inst(cycle(8), forbidden={0, 4}))
-        assert out.search.vertices == {0, 1, 4, 5}
-        assert out.search.edge_count() == 4
-        assert out.expansions == {1: (1, 2, 3), 5: (5, 6, 7)}
+        n = node(cycle(8), forbidden={0, 4})
+        assert _contract(n) == 4
+        assert n.search.vertices == {0, 1, 4, 5}
+        assert n.search.edge_count() == 4
+        assert n.expansions == {1: (1, 2, 3), 5: (5, 6, 7)}
+        assert n.free == {1, 5}
 
     def test_common_neighbor_blocks_contraction(self):
-        out = contract_degree_two_pairs(inst(cycle(3)))
-        assert out.search == cycle(3)
+        n = node(cycle(3))
+        assert _contract(n) == 0
+        assert n.search == cycle(3)
 
     def test_committed_endpoint_blocks_contraction(self):
-        out = contract_degree_two_pairs(inst(cycle(8), forbidden={0, 2, 4, 6}))
-        assert out.search == cycle(8)
+        n = node(cycle(8), forbidden={0, 2, 4, 6})
+        assert _contract(n) == 0
+        assert n.search == cycle(8)
+
+    def test_deleted_vertices_do_not_count(self):
+        # once 5 and 6 are stripped, 2 has degree two and the path 1-2-3 merges
+        g = Graph(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)])
+        n = node(g, forbidden={0})
+        fired = {}
+        _reduce(n, fired)
+        assert n.removed == {5, 6}
+        assert n.search.vertices == {0, 1, 4}
+        assert n.expansions == {1: (1, 2, 3)}
+        assert fired == {"strip_acyclic_fringe": 2, "contract_degree_two_pairs": 2}
+
+    def test_contraction_leaves_the_parent_alone(self):
+        parent = node(cycle(8), forbidden={0})
+        kept = copy.deepcopy(parent)
+        child = parent.child(outside=(4,))
+        _contract(child)
+        assert child.expansions and child.search != parent.search
+        assert parent == kept
 
 
 class TestSolveExtension:
@@ -183,17 +222,17 @@ class TestOracleAgreement:
 class TestReductionsPreserveTheAnswer:
     @staticmethod
     def decision(pristine, state):
-        """Ground truth for a (possibly reduced) search state.
+        """Ground truth for a (possibly reduced) search node.
 
-        A state always speaks about the original graph: deleted and
+        A node always speaks about the original graph: deleted and
         forbidden originals are excluded from the solution but remain
         cycle material, and a contracted committed id means one of its
         originals, whichever works.
         """
         from itertools import product
 
-        excluded = set()
-        for x in state.forbidden | state.removed:
+        excluded = set(state.removed)
+        for x in state.forbidden:
             excluded.update(state.originals_of(x))
         fixed = [v for v in sorted(state.required) if v not in state.expansions]
         merged = [v for v in sorted(state.required) if v in state.expansions]
@@ -206,19 +245,33 @@ class TestReductionsPreserveTheAnswer:
                 return True
         return False
 
+    @staticmethod
+    def strip(n):
+        gone = peel(n.search, n.forbidden | n.free)
+        n.forbidden -= gone
+        n.free -= gone
+        n.removed = frozenset(gone)
+
+    @staticmethod
+    def force(n):
+        forced = cycle_closers(n.search, n.forbidden, n.free)
+        n.required.update(forced)
+        n.free.difference_update(forced)
+        n.k -= len(forced)
+
     def test_each_rule_alone_keeps_the_decision(self):
         rng = random.Random(31)
-        rules = [strip_acyclic_fringe, force_cycle_closers, contract_degree_two_pairs]
+        rules = [self.strip, self.force, _contract, lambda n: _reduce(n, {})]
         for trial in range(40):
             g = gnp(8, rng.uniform(0.2, 0.5), seed=700 + trial)
             w = greedy_minimal_fvs(g)
             required = frozenset(v for v in w if rng.random() < 0.4)
             k = rng.randint(0, 3)
-            before = inst(g, required, w - required, k)
-            base = self.decision(g, before)
-            for rule in rules:
-                after = rule(before)
-                assert self.decision(g, after) == base, (trial, rule.__name__)
+            base = self.decision(g, node(g, required, w - required, k))
+            for i, rule in enumerate(rules):
+                after = node(g, required, w - required, k)
+                rule(after)
+                assert self.decision(g, after) == base, (trial, i)
 
 
 class TestSearchAccounting:

@@ -6,6 +6,7 @@ question afresh, one vertex at a time.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,8 @@ from mmfvs.graph import (
     is_acyclic_without,
     peel,
     prune_to_minimal,
+    settle,
+    settle_round,
 )
 from mmfvs.verify import (
     greedy_minimal_fvs,
@@ -163,3 +166,31 @@ class TestReductionRules:
         assert peel(g, g.vertices) == {3, 4}
         assert peel(g, {0, 1, 3, 4}) == {0, 1, 3, 4}
         assert peel(g, ()) == set()
+
+    def test_settle_stops_at_the_joint_fixpoint(self):
+        # settle ends after the first round that moves nothing inside; the
+        # sets it leaves must then be a fixpoint of both rules, reached by
+        # rounds of the references alone
+        rng = random.Random(5)
+        for i, g in enumerate(random_graphs(600, seed=5, max_n=25)):
+            inside = set(random_subset(g, rng, 0.2))
+            out = set(random_subset(g, rng, rng.random())) - inside
+            free = set(g.vertices) - inside - out
+            expected = [set(out), set(free), set(inside)]
+            while True:
+                gone = peel_reference(g, expected[0] | expected[1])
+                expected[0] -= gone
+                expected[1] -= gone
+                closers = cycle_closers_reference(g, expected[0], expected[1])
+                expected[1].difference_update(closers)
+                expected[2].update(closers)
+                if not gone and not closers:
+                    break
+            tally = Counter()
+            before = len(out | free)
+            settle(g, out, free, inside, tally)
+            assert [out, free, inside] == expected, i
+            assert settle_round(g, out, free, inside) == (set(), [])
+            moved = len(inside) - (len(g) - before)
+            assert tally["reduction_force"] == moved
+            assert tally["reduction_degree"] == before - len(out | free) - moved

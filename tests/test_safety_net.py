@@ -47,7 +47,7 @@ extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
 expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solve_extension")
 
 # a branching leaf without a forbidden neighbor breaks an invariant of the search
-leaf = extension.ExtensionInstance(triangle, frozenset(), frozenset(), 1)
+leaf = extension._Node(triangle, set(), set(), {0, 1, 2}, 1)
 expect_failure(lambda: extension._children(None, leaf, 0, {0: None}), "_children")
 
 # a best connector solution without a certificate must not be returned

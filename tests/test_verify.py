@@ -10,7 +10,6 @@ from mmfvs.verify import (
     is_fvs,
     is_minimal,
     is_minimal_fvs,
-    is_minimal_fvs_by_deletion,
     min_vertex_cover,
     partial_minimality_ok,
 )
@@ -21,6 +20,7 @@ from helpers import (
     complete,
     cycle,
     gnp,
+    is_minimal_fvs_by_deletion,
     minimal_certificate_reference,
     path,
     random_graphs,
