@@ -11,7 +11,9 @@ strip degree <= 1 vertices, then force forbidden-side cycle closers
 inside), then degree-two contraction, until nothing fires.  The round's
 rules are counted as "strip_acyclic_fringe" and "force_cycle_closers",
 contraction as "contract_degree_two_pairs".  A node builds a graph of its
-own only when a contraction fires.  The search then branches on a
+own only when a contraction fires.  A reduced node that still needs more
+vertices than it has free ids is cut (each free id adds at most one
+vertex to a witness; `_solve` proves it).  The search then branches on a
 deepest leaf of the forest left outside the committed sets.  Branch
 arithmetic is tracked by the measure k + gamma, where gamma counts the
 trees of the forbidden-side forest: branches spend a unit of k or merge
@@ -61,7 +63,10 @@ class _Node:
     id to the original ids it stands for; both lift witnesses back to the
     input graph.  A child shares `search`, `removed` and `expansions` with
     its parent; a node that needs another value assigns a new object and
-    never changes the shared one.
+    never changes the shared one.  `forest_known` says that `forbidden`
+    already induces a forest: a child that commits nothing outside inherits
+    a subset of its parent's checked forbidden side (reduction only peels
+    it, and contraction merges free vertices only).
     """
 
     search: Graph
@@ -71,6 +76,7 @@ class _Node:
     k: int
     removed: frozenset[int] = frozenset()
     expansions: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    forest_known: bool = False
 
     def live(self) -> set[int]:
         return self.required | self.forbidden | self.free
@@ -87,6 +93,7 @@ class _Node:
             self.k - len(inside),
             self.removed,
             self.expansions,
+            not outside,
         )
 
 
@@ -354,11 +361,37 @@ def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int | Non
 
 
 def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
+    """Search below `node` for a witness; None when there is none.
+
+    After reduction, a node with `k` above its number of free ids is cut.
+    Take a witness S found below it: a minimal fvs of the input graph with
+    exactly one original of each committed-in id (completion adds no other
+    original of a contracted one), none of a committed-out or deleted id,
+    and `k0 - k` committed-in originals beyond the initial required set.
+    So S needs `k` originals of free ids, and it is enough that S holds at
+    most one original of each free id x.  A descendant that commits x (or
+    a merge of x) settles this at once, so let x stay free and suppose
+    s1 != s2 in S are originals of x.  Contraction keeps the working
+    graph's edges one-to-one with the input edges between originals of
+    distinct live ids, and the originals of x form a path joined to the
+    rest by one edge at each end and otherwise only to vertices deleted
+    before the path formed.  Take a private cycle C of s1.  If C avoids
+    deleted vertices, it runs along the whole path, through s2: impossible.
+    Otherwise let y be the first-deleted id whose originals C meets.  C
+    enters and leaves y's originals along two edges of the working graph,
+    to ids still live then (one deleted earlier would come first).
+    `settle_round` peels only committed-out and free ids, and y had at
+    most one neighbor among those, so one of the two is a committed-in id,
+    formed before y went.  C runs along that id's whole path, through its
+    member of S, which is not s1: again impossible.
+    """
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
-    if not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
+    if not node.forest_known and not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
         return None
     _reduce(node, ctx.fired)
+    if node.k > len(node.free):
+        return None
     if not _partial_minimality(ctx, node):
         return None
     if node.k <= 0:

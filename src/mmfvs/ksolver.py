@@ -3,8 +3,10 @@
 To decide whether some minimal fvs has at least k vertices, greedily build
 a minimal fvs W: if it is already large enough we are done, and otherwise
 every target solution meets W in one of its subsets, so the extension
-solver is run once per bipartition guess of W.  The exact optimum follows
-by sweeping k upward from |W| + 1 until the first refusal.
+solver is run once per bipartition guess of W.  Before guessing, a k above
+the degree-sum bound of `opt_upper_bound` is refused outright.  The exact
+optimum follows by sweeping k upward from |W| + 1 until the first refusal
+or the bound, whichever comes first.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import time
 from itertools import combinations
 
 from mmfvs.extension import solve_extension
-from mmfvs.graph import Graph
+from mmfvs.graph import Graph, peel
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
 
@@ -23,6 +25,29 @@ def _certified_greedy(g: Graph, w: frozenset[int]) -> Solution:
     if certificate is None:
         raise VerificationError("greedy fvs is not a minimal fvs")
     return Solution(w, certificate)
+
+
+def opt_upper_bound(g: Graph) -> int:
+    """An upper bound on the largest minimal fvs size, from degrees alone.
+
+    Vertices that `peel` deletes lie on no cycle, so no minimal fvs holds
+    one, and the minimal fvs of g are exactly those of its 2-core C with
+    n' vertices.  Let S be one of them and F = C - S.  Each s in S has a
+    private cycle, which meets S only in s, so both of its neighbors on
+    that cycle lie in F; hence 2|S| <= e(S, F) <= the sum of the degrees
+    in C of the vertices of F, which is at most the sum of the |F| largest
+    degrees.  So |F| is one of the counts t whose t largest degrees sum to
+    at least 2(n' - t).  That condition only gets easier as t grows, so the
+    smallest such t is at most |F|, and |S| = n' - |F| <= n' - t.
+    """
+    core = g.vertices - peel(g, g.vertices)
+    degrees = sorted((len(g.neighbors(v) & core) for v in core), reverse=True)
+    reach = 0
+    for t, degree in enumerate(degrees):
+        if reach >= 2 * (len(core) - t):
+            return len(core) - t
+        reach += degree
+    return 0
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
@@ -49,8 +74,9 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     witness: Solution | None = None
     guesses = 0
     # Ascending intersection size, lexicographic within a size: the guess is
-    # which part of W the solution keeps.
-    for size in range(len(w) + 1):
+    # which part of W the solution keeps.  Past the bound no guess can
+    # succeed, so none is tried.
+    for size in range(len(w) + 1 if k <= opt_upper_bound(g) else 0):
         for picked in combinations(ordered, size):
             guesses += 1
             required = frozenset(picked)
@@ -84,12 +110,13 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
 
     The greedy minimal fvs W answers every k <= |W| at once, so the sweep
     starts at k = |W| + 1 and stops at the first no, which is valid
-    because yes-instances are downward closed in k.
+    because yes-instances are downward closed in k.  It never asks past
+    `opt_upper_bound`, so an optimum equal to the bound needs no final no.
     """
     w = greedy_minimal_fvs(g)
     best = _certified_greedy(g, w)
     opt = len(w)
-    for k in range(opt + 1, len(g) + 1):
+    for k in range(opt + 1, opt_upper_bound(g) + 1):
         report = solve_k(g, k)
         if not report.is_yes:
             break

@@ -49,6 +49,19 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     )
 
 
+def subdivided(g: Graph, seed: int) -> Graph:
+    """g with about half of its edges replaced by paths of two or three edges."""
+    rng = random.Random(seed)
+    n = len(g)
+    edges = []
+    for u, v in g.edges():
+        extra = rng.choice((0, 0, 1, 2))
+        chain = [u, *range(n, n + extra), v]
+        n += extra
+        edges += zip(chain, chain[1:])
+    return Graph(range(n), edges)
+
+
 def random_graphs(count: int, seed: int, max_n: int = 40):
     """Seeded gnp graphs with 3-max_n vertices, from near-forests to dense."""
     rng = random.Random(seed)

@@ -1,0 +1,64 @@
+"""Differential tier past the exhaustive corpus: 9-13-vertex graphs.
+
+Seeded gnp graphs, the apex-pair family and outputs of the PPT reduction
+are solved by brute force and by every exact solver, which must agree on
+the optimum and on `solve_k` just at and just past it; `approx_solve` must
+meet its (1 - eps) * opt guarantee with a verified solution.  So the
+rules that refute large k (the degree-sum bound, the free-vertex cut) are
+checked past the exhaustive corpus too.
+"""
+
+import math
+import random
+
+import pytest
+
+from mmfvs.approx import approx_solve
+from mmfvs.instances import generate
+from mmfvs.ksolver import opt_exact_solution, solve_k
+from mmfvs.oracle import opt_mmfvs_brute
+from mmfvs.vcsolver import solve_vc
+from mmfvs.verify import is_minimal_fvs
+
+
+def gnp_graphs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        params = {"n": rng.randint(9, 13), "p": rng.uniform(0.15, 0.5)}
+        yield generate("gnp", params, seed=rng.randrange(1 << 30))
+
+
+def reduction_graphs(count, seed):
+    # base graphs on 2-4 vertices give 9, 11 and 13 vertices after the reduction
+    rng = random.Random(seed)
+    for _ in range(count):
+        params = {"n": rng.randint(2, 4), "p": rng.uniform(0.3, 0.9), "k": 0}
+        yield generate("reduction-output", params, seed=rng.randrange(1 << 30))
+
+
+FAMILIES = {
+    "gnp": lambda: list(gnp_graphs(200, seed=9)),
+    "apexpair": lambda: [generate("apexpair", {"n": n}) for n in range(9, 14)],
+    "reduction-output": lambda: list(reduction_graphs(40, seed=13)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_exact_solvers_and_approx_match_brute_force(family):
+    mismatches = []
+    for i, g in enumerate(FAMILIES[family]()):
+        opt = opt_mmfvs_brute(g).opt_value
+        found, witness = opt_exact_solution(g)
+        if found != opt or len(witness.vertices) != opt or is_minimal_fvs(g, witness.vertices) is None:
+            mismatches.append((i, "opt_exact", found, opt))
+        cover_sol, _ = solve_vc(g)
+        if len(cover_sol.vertices) != opt or is_minimal_fvs(g, cover_sol.vertices) is None:
+            mismatches.append((i, "solve_vc", len(cover_sol.vertices), opt))
+        at, past = solve_k(g, opt), solve_k(g, opt + 1)
+        if not at.is_yes or past.is_yes:
+            mismatches.append((i, "solve_k", at.outcome, past.outcome, opt))
+        for eps in (0.25, 0.5, 0.9):
+            vertices = approx_solve(g, eps).solution.vertices
+            if len(vertices) < math.ceil((1 - eps) * opt) or is_minimal_fvs(g, vertices) is None:
+                mismatches.append((i, "approx", eps, len(vertices), opt))
+    assert not mismatches, mismatches[:5]

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from mmfvs import extension
 from mmfvs.extension import _contract, _Node, _reduce, solve_extension
 from mmfvs.graph import Graph, cycle_closers, peel, settle_round
 from mmfvs.oracle import extension_exists_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
-from helpers import apex_pair, cycle, disjoint_triangles, gnp, path
+from helpers import apex_pair, cycle, disjoint_triangles, gnp, path, subdivided
 
 
 def node(g, required=(), forbidden=(), k=0):
@@ -217,6 +218,49 @@ class TestOracleAgreement:
             report = solve_extension(g, required, w - required, k)
             expected = extension_exists_brute(g, required, w - required, k)
             assert report.is_yes == (expected is not None)
+
+
+class TestFreeVertexCut:
+    """A reduced node that needs more vertices than it has free ids is cut."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(8)
+        for trial in range(300):
+            if trial % 2:
+                g = gnp(rng.randint(6, 10), rng.uniform(0.25, 0.5), seed=900 + trial)
+            else:
+                # degree-two paths, so contracted ids and peeled vertices meet
+                g = subdivided(gnp(rng.randint(4, 5), rng.uniform(0.5, 0.8), seed=900 + trial), trial)
+            if len(g) > 12:
+                continue
+            w = greedy_minimal_fvs(g)
+            for required, forbidden in all_bipartitions(w):
+                if rng.random() < 0.5:
+                    yield g, required, forbidden, rng.randint(1, 4)
+
+    def test_agrees_with_brute_force_where_it_fires(self, monkeypatch):
+        cuts = 0
+
+        def counting_reduce(node, fired):
+            nonlocal cuts
+            _reduce(node, fired)
+            cuts += node.k > len(node.free)
+
+        def past_the_cut(ctx, node):
+            # the next step after reduction runs only on nodes the cut keeps
+            assert node.k <= len(node.free)
+            return partial_minimality(ctx, node)
+
+        partial_minimality = extension._partial_minimality
+        monkeypatch.setattr(extension, "_reduce", counting_reduce)
+        monkeypatch.setattr(extension, "_partial_minimality", past_the_cut)
+        for g, required, forbidden, k in self.instances():
+            report = solve_extension(g, required, forbidden, k)
+            expected = extension_exists_brute(g, required, forbidden, k)
+            assert report.is_yes == (expected is not None), (g, sorted(required), sorted(forbidden), k)
+        # 739 instances, 255 of them yes; the cut fires 686 times
+        assert cuts >= 600
 
 
 class TestReductionsPreserveTheAnswer:

@@ -1,10 +1,60 @@
 import pytest
 
-from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
+from mmfvs.graph import Graph
+from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
-from helpers import apex_pair, cycle, gnp, opt_exact_sweep_reference, path, random_graphs
+from helpers import (
+    apex_pair,
+    complete,
+    cycle,
+    disjoint_triangles,
+    gnp,
+    opt_exact_sweep_reference,
+    path,
+    random_graphs,
+)
+
+
+class TestOptUpperBound:
+    def test_never_below_brute_force_on_the_corpus(self):
+        from corpus import connected_graphs_up_to_8
+
+        below = tight = 0
+        for g in connected_graphs_up_to_8():
+            opt = opt_mmfvs_brute(g).opt_value
+            bound = opt_upper_bound(g)
+            below += bound < opt
+            tight += bound == opt
+        assert below == 0
+        # the bound is exact on 2,765 of the 12,113 graphs; a tighter one may do better
+        assert tight >= 2765
+
+    def test_hand_cases(self):
+        # every core degree two: t of them reach 2(n - t) at t = ceil(n / 2)
+        assert [opt_upper_bound(cycle(n)) for n in (3, 4, 5, 6, 7)] == [1, 2, 2, 3, 3]
+        assert opt_upper_bound(disjoint_triangles(3)) == 4
+        # two vertices of degree n - 1 reach 2(n - 2): exact on K_n and the apex pair
+        for n in range(3, 8):
+            assert opt_upper_bound(complete(n)) == n - 2 == opt_exact(complete(n))
+            assert opt_upper_bound(apex_pair(n)) == n - 2 == opt_exact(apex_pair(n))
+
+    def test_pendant_trees_do_not_count(self):
+        # a triangle with a long tail and a pendant star has the triangle's bound
+        g = Graph(range(9), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7), (6, 8)])
+        assert opt_upper_bound(g) == 1
+        assert opt_upper_bound(path(6)) == 0
+        assert opt_upper_bound(Graph()) == 0
+
+    def test_solve_k_refutes_past_the_bound_without_guessing(self):
+        for g in random_graphs(60, seed=17, max_n=12):
+            bound = opt_upper_bound(g)
+            report = solve_k(g, bound + 1)
+            # the greedy W is a minimal fvs, so it never reaches past the bound
+            assert not report.is_yes and report.extras["greedy_size"] <= bound
+            assert report.extras["guesses_tried"] == 0 and report.extras["nodes_per_guess"] == []
+            assert report.nodes_explored == 0
 
 
 class TestSolveK:
@@ -69,6 +119,15 @@ class TestOptExact:
             assert opt == opt_mmfvs_brute(g).opt_value
             assert len(sol.vertices) >= opt
             assert is_minimal_fvs(g, sol.vertices) is not None
+
+    def test_matches_brute_force_up_to_the_bound(self):
+        # the sweep stops at the bound; an optimum equal to it needs no final no
+        at_bound = 0
+        for g in random_graphs(120, seed=23, max_n=10):
+            opt, sol = opt_exact_solution(g)
+            assert opt == len(sol.vertices) == opt_mmfvs_brute(g).opt_value
+            at_bound += opt == opt_upper_bound(g)
+        assert at_bound > 0
 
     def test_equals_the_sweep_from_zero(self):
         # starting at |greedy W| + 1 skips only the k that W answers itself
