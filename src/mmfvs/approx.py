@@ -9,10 +9,12 @@ solution-size solver whether the optimum reaches vc/eps first turns that
 additive loss into a (1 - eps) factor: below the threshold the exact
 optimum is computed outright.
 
-The cover-side guesses come from `vcsolver.cover_guesses` and their
-reduction from `graph.settle`, the fixpoint of the round of degree and
-cycle rules (`graph.peel`, then `graph.cycle_closers`) that the exact
-solvers run too.
+The cover-side guesses come settled from `vcsolver.cover_guesses`, by
+`graph.settle`, the fixpoint of the round of degree and cycle rules
+(`graph.peel`, then `graph.cycle_closers`) that the exact solvers run
+too.  A guess whose settled committed-in and free vertices together are
+no more than the best candidate so far cannot win, and is cut before its
+greedy run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable
 from mmfvs.graph import Graph, settle
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.report import Solution, SolveReport
-from mmfvs.vcsolver import cover_guesses
+from mmfvs.vcsolver import CoverGuess, cover_guesses
 from mmfvs.verify import (
     VerificationError,
     is_minimal,
@@ -63,20 +65,19 @@ def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -
 
 
 def _run_greedy(
-    g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], counters: Counter[str]
+    g: Graph, guess: CoverGuess, counters: Counter[str]
 ) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The greedy candidate of one cover-side guess and the vertices it moved.
+    """The greedy candidate of one settled cover-side guess and the vertices it moved.
 
-    `settle` reduces the guess, then again after each step.  A step takes
-    the smallest undecided independent u: when the committed-in side keeps
-    its private cycles with u's conflict set pulled inside, u moves to the
-    outside forest and the conflict set joins the solution; otherwise u
-    itself joins the solution.
+    A step takes the smallest undecided independent u: when the
+    committed-in side keeps its private cycles with u's conflict set
+    pulled inside, u moves to the outside forest and the conflict set
+    joins the solution; otherwise u itself joins the solution.  `settle`
+    reduces the guess again after each step.
     """
-    out, free = set(cover_out), set(g.vertices - cover_in - cover_out)
-    inside: set[int] = set()
+    cover_in = guess.cover_in
+    out, free, inside = set(guess.out), set(guess.free), set(guess.inside)
     moved: list[int] = []
-    settle(g, out, free, inside, counters)
     while free:
         u = min(free)
         s_u = conflict_set(g, out, free, u)
@@ -91,6 +92,15 @@ def _run_greedy(
         free.discard(u)
         settle(g, out, free, inside, counters)
     return cover_in | inside, tuple(moved)
+
+
+def _greedy_bound(guess: CoverGuess) -> int:
+    """Size of the largest candidate the greedy run can give `guess`.
+
+    The run only moves the settled guess's free vertices inside or out of
+    the graph, so its candidate lies in cover_in, inside and free.
+    """
+    return len(guess.cover_in) + len(guess.inside) + len(guess.free)
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,13 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     moved_of_best = 0
     verified = discarded = 0
     max_moved = 0
-    for cover_in, cover_out in cover_guesses(g, cover, counters):
-        candidate, moved = _run_greedy(g, cover_in, cover_out, counters)
+
+    def can_win(guess: CoverGuess) -> bool:
+        # a candidate replaces the best only when it is strictly larger
+        return best is None or _greedy_bound(guess) > len(best.vertices)
+
+    for guess in cover_guesses(g, cover, counters, can_win):
+        candidate, moved = _run_greedy(g, guess, counters)
         if len(moved) > vc:
             raise VerificationError("a greedy move merged no outside trees")
         max_moved = max(max_moved, len(moved))
@@ -170,6 +185,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "threshold": threshold,
             # only the guesses that reached the greedy rounds
             "cover_guesses": counters["viable_cover_guesses"],
+            "guesses_cut_by_bound": counters["guesses_cut_by_bound"],
             "wrong_cover_guesses": counters["wrong_cover_guesses"],
             "verified_guesses": verified,
             "guess_rejected_at_verify": discarded,

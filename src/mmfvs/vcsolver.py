@@ -17,10 +17,16 @@ sweep, the same one that checks the cover side's private cycles), and the
 one that becomes the new best is then certified in full
 (`verify.is_minimal_fvs`).
 
-The cover-side guesses come from `cover_guesses`, which the approximation
-scheme shares.  Each guess is reduced in place by `graph.settle`, the
-fixpoint of the round (`graph.peel`, then `graph.cycle_closers`) that the
-extension search and the approximation scheme run too.
+The cover-side guesses come from `cover_guesses`, a branch and bound that
+the approximation scheme shares.  Each split whose cover_out side is a
+forest is reduced once by `graph.settle`, the fixpoint of the round
+(`graph.peel`, then `graph.cycle_closers`) that the extension search and
+the approximation scheme run too.  Both solvers keep only a strictly
+larger result, so the settled guess is cut when its bound is no larger
+than the best so far: here the cover side, the forced vertices and every
+free vertex but the one connector the search must pick.  Only a guess
+that survives the cut has its cover side checked for private cycles, and
+a side containing one found wrong is wrong without a sweep.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from mmfvs.graph import Forest, Graph, cycle_closers, is_acyclic_without, peel, settle
+from mmfvs.graph import Forest, Graph, peel, settle
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -142,32 +148,49 @@ def _oriented_tree_edges(targets: Sequence[frozenset[int]]) -> tuple[tuple[int, 
     )
 
 
-class _CoverGuess:
-    """Connector search state for one committed cover-side guess.
+@dataclass(frozen=True)
+class CoverGuess:
+    """One cover-side guess, reduced by `graph.settle`.
 
-    The guess is settled once, on construction: `out` holds the live
-    committed-out vertices, `forced` the independents the cycle rule put
-    inside, and `free` the independents still undecided, listed ascending
-    with their neighbors in `out` in `free_nbrs`.
+    `out` holds the live committed-out vertices, `inside` the independents
+    the cycle rule forced into the solution, and `free` the independents
+    still undecided.
+    """
+
+    cover_in: frozenset[int]
+    cover_out: frozenset[int]
+    out: frozenset[int]
+    free: frozenset[int]
+    inside: frozenset[int]
+
+
+def settle_guess(
+    g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], tally: Counter[str]
+) -> CoverGuess:
+    """The guess (cover_in, cover_out) with `graph.settle` run to fixpoint."""
+    out, free, inside = set(cover_out), set(g.vertices - cover_in - cover_out), set()
+    settle(g, out, free, inside, tally)
+    return CoverGuess(cover_in, cover_out, frozenset(out), frozenset(free), frozenset(inside))
+
+
+class _ConnectorSearch:
+    """Connector search state for one settled cover-side guess.
+
+    `free_nbrs` lists the free independents ascending, each with its
+    neighbors in the committed-out forest.
     """
 
     def __init__(
-        self,
-        g: Graph,
-        pristine: Graph,
-        cover_in: frozenset[int],
-        cover_out: frozenset[int],
-        counters: Counter[str],
+        self, g: Graph, pristine: Graph, guess: CoverGuess, counters: Counter[str]
     ):
         self.g = g
         self.pristine = pristine
-        self.cover_in = cover_in
-        self.cover_out = cover_out
+        self.cover_in = guess.cover_in
+        self.cover_out = guess.cover_out
+        self.out = guess.out
+        self.free = guess.free
+        self.forced = guess.inside
         self.counters = counters
-        self.out = set(cover_out)
-        self.free = set(g.vertices - cover_in - cover_out)
-        self.forced: set[int] = set()
-        settle(g, self.out, self.free, self.forced, counters)
         self.free_nbrs = [(x, g.neighbors(x) & self.out) for x in sorted(self.free)]
 
     # -- connector structure search ------------------------------------------
@@ -259,21 +282,20 @@ class _CoverGuess:
         plans: list[tuple], connectors: list[int]
     ) -> ConnectorResult | None:
         z = frozenset(connectors)
-        forest = self.out | z
-        if not is_acyclic_without(self.g, self.g.vertices - forest):
-            self.counters["forest_check_failures"] += 1
-            return None
-        trees = len(self.g.induced(forest).components())
-        if trees != len(partition):
+        # one union-find over the final forest answers acyclicity, the tree
+        # count and the cycle closers below
+        forest = Forest(self.g)
+        acyclic = forest.extend(self.out | z, stop_at_cycle=True)
+        if not acyclic or forest.trees() != len(partition):
             self.counters["forest_check_failures"] += 1
             return None
         # every leftover independent vertex must close a cycle with one of
         # the final trees, or it cannot be a minimal member of the solution
         leftover = self.free - z
-        if len(cycle_closers(self.g, forest, leftover)) != len(leftover):
+        if not all(forest.closes_cycle(x) for x in leftover):
             self.counters["assignments_rejected_structure"] += 1
             return None
-        solution = frozenset(self.cover_in | self.forced | leftover)
+        solution = self.cover_in | self.forced | leftover
         # one sweep over G - solution answers both checks: the cover side's
         # private cycles, then the rest of `verify.is_minimal` (acyclicity
         # and the private cycles of the other members)
@@ -305,9 +327,9 @@ class _CoverGuess:
         )
         return ConnectorResult(
             connectors=z,
-            forced=frozenset(self.forced),
+            forced=self.forced,
             solution=solution,
-            trees=trees,
+            trees=len(partition),
             guess=guess,
         )
 
@@ -400,43 +422,82 @@ def find_connectors(
     of the required shape.  The result carries no certificate: the caller
     builds one for the result it keeps.
     """
-    if not is_acyclic_without(g, g.vertices - cover_out):
+    if not Forest(g).extend(cover_out, stop_at_cycle=True):
         return None
-    guess = _CoverGuess(
-        g,
-        pristine if pristine is not None else g,
-        cover_in,
-        cover_out,
-        counters if counters is not None else Counter(),
-    )
-    return guess.search()
+    counters = counters if counters is not None else Counter()
+    guess = settle_guess(g, cover_in, cover_out, counters)
+    return _ConnectorSearch(g, pristine if pristine is not None else g, guess, counters).search()
+
+
+class _WrongSides:
+    """Cover sides on which some member loses every private cycle.
+
+    `cover_in in wrong` is `not partial_minimality_ok(g, cover_in)`.  If w
+    of S has no cycle in G - (S - w), it has none in the subgraph
+    G - (T - w) for any T containing S either, so a superset of a side
+    found wrong is answered without a sweep.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.known: list[frozenset[int]] = []
+
+    def __contains__(self, cover_in: frozenset[int]) -> bool:
+        if any(wrong <= cover_in for wrong in self.known):
+            return True
+        if not cover_in or partial_minimality_ok(self.g, cover_in):
+            return False
+        self.known.append(cover_in)
+        return True
 
 
 def cover_guesses(
-    g: Graph, cover: frozenset[int], tally: Counter[str]
-) -> Iterator[tuple[frozenset[int], frozenset[int]]]:
-    """(cover_in, cover_out) splits of a vertex cover some minimal fvs can take.
+    g: Graph,
+    cover: frozenset[int],
+    tally: Counter[str],
+    can_win: Callable[[CoverGuess], bool],
+) -> Iterator[CoverGuess]:
+    """Settled splits of a vertex cover that some minimal fvs can take.
 
-    Smaller cover_in first, lexicographic within a size.  A split survives
-    when g minus cover_out is a forest and every cover_in vertex keeps a
-    private cycle.  `tally` counts every split in "cover_guesses", the
-    private-cycle rejects in "wrong_cover_guesses" and the yielded splits
+    Branch and bound over (cover_in, cover_out) splits, smaller cover_in
+    first, lexicographic within a size.  A split whose cover_out side is
+    not a forest is dropped; the rest are settled (`settle_guess`).  Then
+    `can_win` asks the caller whether the settled guess can still beat its
+    best, and only a guess that can is checked for the private cycles of
+    its cover_in side (`_WrongSides`).  `tally` counts every split in
+    "cover_guesses", the bound's cuts in "guesses_cut_by_bound", the
+    private-cycle rejects in "wrong_cover_guesses" and the yielded guesses
     in "viable_cover_guesses".
     """
     ordered = sorted(cover)
+    wrong = _WrongSides(g)
     for size in range(len(ordered) + 1):
         for picked in combinations(ordered, size):
             tally["cover_guesses"] += 1
             cover_in = frozenset(picked)
             cover_out = cover - cover_in
-            if not is_acyclic_without(g, g.vertices - cover_out):
+            if not Forest(g).extend(cover_out, stop_at_cycle=True):
                 continue
-            if cover_in and not partial_minimality_ok(g, cover_in):
+            guess = settle_guess(g, cover_in, cover_out, tally)
+            if not can_win(guess):
+                tally["guesses_cut_by_bound"] += 1
+                continue
+            if cover_in in wrong:
                 # no minimal fvs meets the cover in exactly this set
                 tally["wrong_cover_guesses"] += 1
                 continue
             tally["viable_cover_guesses"] += 1
-            yield cover_in, cover_out
+            yield guess
+
+
+def _search_bound(guess: CoverGuess) -> int:
+    """Size of the largest solution the connector search can give `guess`.
+
+    The solution is cover_in, the forced independents and the free ones
+    no connector takes, and while free ones remain the search picks at
+    least one connector.
+    """
+    return len(guess.cover_in) + len(guess.inside) + max(len(guess.free) - 1, 0)
 
 
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
@@ -452,8 +513,13 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     cover = min_vertex_cover(reduced)
     best: Solution | None = None
     best_state: ConnectorResult | None = None
-    for cover_in, cover_out in cover_guesses(reduced, cover, counters):
-        result = find_connectors(reduced, cover_in, cover_out, pristine=g, counters=counters)
+
+    def can_win(guess: CoverGuess) -> bool:
+        # a result replaces the best only when it is strictly larger
+        return best is None or _search_bound(guess) > len(best.vertices)
+
+    for guess in cover_guesses(reduced, cover, counters, can_win):
+        result = _ConnectorSearch(reduced, g, guess, counters).search()
         if result is None or (best is not None and len(result.solution) <= len(best.vertices)):
             continue
         # only a new best gets a certificate
@@ -478,6 +544,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
             "cover_size": len(cover),
             "cover": tuple(sorted(cover)),
             "cover_guesses": counters["cover_guesses"],
+            "guesses_cut_by_bound": counters["guesses_cut_by_bound"],
             "viable_cover_guesses": counters["viable_cover_guesses"],
             "comp_partitions": counters["comp_partitions"],
             "structure_guesses": counters["structure_guesses"],

@@ -6,6 +6,7 @@ import pytest
 from mmfvs.approx import _run_greedy, approx_solve, conflict_set
 from mmfvs.graph import Graph
 from mmfvs.oracle import opt_mmfvs_brute
+from mmfvs.vcsolver import settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 
 from helpers import apex_pair, gnp, neighborhood_components, path
@@ -84,12 +85,16 @@ class TestConflictSet:
                 assert conflict_set(g, c_out, indep, u) == expected, (seed, u)
 
 
+def greedy(g, cover_in, cover_out, tally):
+    return _run_greedy(g, settle_guess(g, cover_in, cover_out, tally), tally)
+
+
 class TestGreedyRound:
     """Full greedy runs of one cover-side guess: (solution, moved vertices)."""
 
     def test_move_absorbs_conflicts_and_merges_trees(self):
         g = Graph(range(6), [(0, 1), (2, 3), (0, 4), (2, 4), (1, 5), (3, 5)])
-        solution, moved = _run_greedy(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
+        solution, moved = greedy(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
         assert moved == (4,)
         assert solution == {5}
 
@@ -97,7 +102,7 @@ class TestGreedyRound:
         # 0 is committed in with its only cycle 0-3-4; absorbing {3} would
         # starve it, so the probed vertex 1 joins the solution instead
         g = Graph([0, 1, 3, 4, 5], [(0, 3), (0, 4), (3, 4), (1, 4), (1, 5), (3, 5)])
-        solution, moved = _run_greedy(g, frozenset({0}), frozenset({4, 5}), Counter())
+        solution, moved = greedy(g, frozenset({0}), frozenset({4, 5}), Counter())
         assert 1 in solution
         assert moved == ()
 
@@ -106,7 +111,7 @@ class TestGreedyRound:
         # 0 closes a cycle with the tree {1, 2}: the cycle rule, not a
         # greedy step, must absorb it
         tally = Counter()
-        solution, moved = _run_greedy(g, frozenset(), frozenset({1, 2}), tally)
+        solution, moved = greedy(g, frozenset(), frozenset({1, 2}), tally)
         assert solution == {0}
         assert tally["reduction_force"] == 1 and not moved
 

@@ -1,0 +1,92 @@
+"""`solve_vc` and `approx_solve` answers pinned by one digest.
+
+Both solvers run one search per guess of the solution's cover side and
+keep a guess's result only when it is strictly larger than the best so
+far.  Cutting guesses that cannot win, or reusing what an earlier guess
+showed, must leave every answer as it was: the solution, its certificate,
+the cover, the winning guess and its tree count, and for the
+approximation its mode and the vertices its best greedy run moved.  The
+corpus holds seeded random graphs, apex-pair graphs with noise among the
+independent vertices, and outputs of the Max Min Vertex Cover reduction,
+so that the approximation takes its greedy route on many of them.
+"""
+
+import hashlib
+import random
+from functools import cache
+
+from mmfvs.approx import approx_solve
+from mmfvs.graph import Graph
+from mmfvs.instances import generate
+from mmfvs.vcsolver import solve_vc
+
+from helpers import gnp
+
+# (solver calls, greedy-mode approx results, sha256 of the answers), taken
+# before cover guesses were cut by a bound
+ANSWERS = (660, 200, "2ee1c76c733432b73ea0127f82753947411f0849ad8d7db59ddd29b40304fa9d")
+
+
+def corpus():
+    rng = random.Random(2026)
+    for seed in range(120):
+        yield gnp(rng.randint(6, 9), rng.uniform(0.25, 0.55), seed=seed)
+    for _ in range(60):
+        n = rng.randint(10, 20)
+        extra, noise = rng.randint(1, 4), set()
+        while len(noise) < extra:
+            noise.add(tuple(sorted(rng.sample(range(2, n), 2))))
+        g = generate("apexpair", {"n": n})
+        yield Graph(g.vertices, list(g.edges()) + sorted(noise))
+    for _ in range(40):
+        params = {"n": rng.randint(4, 8), "p": rng.uniform(0.3, 0.5), "k": 0}
+        yield generate("reduction-output", params, rng.randrange(1 << 30))
+
+
+def canonical_guess(guess):
+    if guess is None:
+        return None
+    return (
+        sorted(guess.cover_in),
+        sorted(guess.cover_out),
+        [[sorted(comp) for comp in part] for part in guess.comp_partition],
+        [[[sorted(comp) for comp in block] for block in blocks] for blocks in guess.sub_partitions],
+        guess.cross_edges,
+        guess.connectors,
+    )
+
+
+def answer(solution):
+    return sorted(solution.vertices), sorted(solution.certificate.items())
+
+
+@cache
+def digest():
+    h = hashlib.sha256()
+    calls = greedy = 0
+    for g in corpus():
+        solution, report = solve_vc(g)
+        extras = report.extras
+        h.update(repr((
+            answer(solution),
+            extras["cover"],
+            canonical_guess(extras["winning_guess"]),
+            extras["winning_trees"],
+        )).encode())
+        calls += 1
+        for epsilon in (0.5, 0.9):
+            result = approx_solve(g, epsilon)
+            h.update(repr((
+                answer(result.solution),
+                result.mode,
+                result.report.extras.get("moved_of_best"),
+            )).encode())
+            calls += 1
+            greedy += result.mode == "greedy"
+    return calls, greedy, h.hexdigest()
+
+
+def test_answers_match_the_pinned_digest():
+    calls, greedy, _ = digest()
+    assert greedy >= 20, greedy
+    assert digest() == ANSWERS

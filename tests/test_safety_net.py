@@ -14,12 +14,14 @@ import sys
 if __debug__:
     sys.exit("this script must run under python -O")
 
-from mmfvs import batch, extension, ksolver, vcsolver
+from mmfvs import approx, batch, extension, ksolver, vcsolver
 from mmfvs.graph import Graph
 from mmfvs.report import Solution
 from mmfvs.verify import VerificationError
 
 triangle = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
+# two hubs over four independents: approx_solve takes the greedy route
+apex_pair = Graph(range(6), [(0, 1)] + [(h, v) for v in range(2, 6) for h in (0, 1)])
 
 
 def no_certificate(g, s):
@@ -33,6 +35,11 @@ def expect_failure(call, what):
         return
     sys.exit(f"{what} did not raise VerificationError")
 
+
+# a greedy run that moved more than vc vertices broke the additive
+# guarantee; checked first, as the patches below break the solve_k gate
+approx._run_greedy = lambda g, guess, counters: (guess.cover_in, tuple(range(len(g))))
+expect_failure(lambda: approx.approx_solve(apex_pair, 0.5), "approx_solve")
 
 batch.is_minimal_fvs = no_certificate
 record = batch.run_one("triangle", triangle, "vcsolver")
@@ -55,7 +62,7 @@ vcsolver.is_minimal_fvs = no_certificate
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc certifying its best")
 
 # a connector search that fails even the empty cover guess leaves no answer
-vcsolver.find_connectors = lambda *args, **kwargs: None
+vcsolver._ConnectorSearch.search = lambda self: None
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc")
 """
 
