@@ -14,7 +14,9 @@ The cover-side guesses come settled from `vcsolver.cover_guesses`, by
 (`graph.peel`, then `graph.cycle_closers`) that the exact solvers run
 too.  A guess whose settled committed-in and free vertices together are
 no more than the best candidate so far cannot win, and is cut before its
-greedy run.
+greedy run; `cover_guesses` first bounds those vertices without settling,
+by the cover side plus the independents with two or more neighbours in
+cover_out, and settles only the splits that pass.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     verified = discarded = 0
     max_moved = 0
 
-    def can_win(guess: CoverGuess) -> bool:
+    def can_win(size: int) -> bool:
         # a candidate replaces the best only when it is strictly larger
-        return best is None or _greedy_bound(guess) > len(best.vertices)
+        return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(g, cover, counters, can_win):
+    for guess in cover_guesses(g, cover, counters, _greedy_bound, can_win):
         candidate, moved = _run_greedy(g, guess, counters)
         if len(moved) > vc:
             raise VerificationError("a greedy move merged no outside trees")

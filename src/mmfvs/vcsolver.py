@@ -18,15 +18,18 @@ one that becomes the new best is then certified in full
 (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
-the approximation scheme shares.  Each split whose cover_out side is a
-forest is reduced once by `graph.settle`, the fixpoint of the round
-(`graph.peel`, then `graph.cycle_closers`) that the extension search and
-the approximation scheme run too.  Both solvers keep only a strictly
-larger result, so the settled guess is cut when its bound is no larger
-than the best so far: here the cover side, the forced vertices and every
-free vertex but the one connector the search must pick.  Only a guess
-that survives the cut has its cover side checked for private cycles, and
-a side containing one found wrong is wrong without a sweep.
+the approximation scheme shares.  Both solvers keep only a strictly
+larger result, so a guess is cut when its bound is no larger than the
+best so far.  Each split whose cover_out side is a forest is bounded
+first without settling it: the cover side plus the independents with two
+or more neighbours in cover_out, the only ones that can survive the
+degree rule.  A split that passes is reduced once by `graph.settle`, the
+fixpoint of the round (`graph.peel`, then `graph.cycle_closers`) that the
+extension search and the approximation scheme run too, and bounded
+again: here the cover side, the forced vertices and every free vertex but
+the one connector the search must pick.  Only a guess that survives both
+cuts has its cover side checked for private cycles, and a side
+containing one found wrong is wrong without a sweep.
 """
 
 from __future__ import annotations
@@ -455,31 +458,58 @@ def cover_guesses(
     g: Graph,
     cover: frozenset[int],
     tally: Counter[str],
-    can_win: Callable[[CoverGuess], bool],
+    bound: Callable[[CoverGuess], int],
+    can_win: Callable[[int], bool],
 ) -> Iterator[CoverGuess]:
     """Settled splits of a vertex cover that some minimal fvs can take.
 
-    Branch and bound over (cover_in, cover_out) splits, smaller cover_in
-    first, lexicographic within a size.  A split whose cover_out side is
-    not a forest is dropped; the rest are settled (`settle_guess`).  Then
-    `can_win` asks the caller whether the settled guess can still beat its
-    best, and only a guess that can is checked for the private cycles of
-    its cover_in side (`_WrongSides`).  `tally` counts every split in
-    "cover_guesses", the bound's cuts in "guesses_cut_by_bound", the
-    private-cycle rejects in "wrong_cover_guesses" and the yielded guesses
-    in "viable_cover_guesses".
+    Branch and bound over (cover_in, cover_out) splits of `cover`, a vertex
+    cover of g, smaller cover_in first, lexicographic within a size.
+    `bound` gives the size of the largest result the caller can make of a
+    settled guess, and `can_win(size)` says whether a result of that size
+    would beat the caller's best; it must not turn False as size grows.
+
+    A split whose cover_out side is not a forest is dropped.  The rest are
+    bounded before they are settled: every independent x has N(x) inside
+    the cover, so in g - cover_in its degree is |N(x) & cover_out|, and the
+    first `peel` of `graph.settle` deletes it when that is at most one.
+    Settling after that only deletes free vertices or moves them inside,
+    so the settled inside and free sets lie in L = {x : |N(x) - cover_in|
+    >= 2}, and a caller whose `bound` counts no more than cover_in, inside
+    and free stays within |cover_in| + |L|.  A split whose |cover_in| + |L|
+    cannot win is cut unsettled; it is one the settled bound would cut too.
+    The independents are grouped by their neighbourhood in the cover, so
+    |L| is a sum over the classes.  A split that passes is settled
+    (`settle_guess`) and asked again with `bound`, and only a guess that
+    can still win is checked for the private cycles of its cover_in side
+    (`_WrongSides`).
+
+    `tally` counts every split in "cover_guesses", both bounds' cuts in
+    "guesses_cut_by_bound", the private-cycle rejects in
+    "wrong_cover_guesses" and the yielded guesses in
+    "viable_cover_guesses"; `settle_guess` adds the reductions of the
+    splits that pass the first bound.
     """
     ordered = sorted(cover)
+    bit = {v: 1 << i for i, v in enumerate(ordered)}
+    classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
+    # only edges inside the cover decide whether cover_out is a forest
+    cover_graph = g.induced(cover)
     wrong = _WrongSides(g)
     for size in range(len(ordered) + 1):
         for picked in combinations(ordered, size):
             tally["cover_guesses"] += 1
             cover_in = frozenset(picked)
             cover_out = cover - cover_in
-            if not Forest(g).extend(cover_out, stop_at_cycle=True):
+            if not Forest(cover_graph).extend(cover_out, stop_at_cycle=True):
+                continue
+            out_mask = sum(bit[w] for w in cover_out)
+            live = sum(n for nb, n in classes.items() if (nb & out_mask).bit_count() >= 2)
+            if not can_win(size + live):
+                tally["guesses_cut_by_bound"] += 1
                 continue
             guess = settle_guess(g, cover_in, cover_out, tally)
-            if not can_win(guess):
+            if not can_win(bound(guess)):
                 tally["guesses_cut_by_bound"] += 1
                 continue
             if cover_in in wrong:
@@ -514,11 +544,11 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     best: Solution | None = None
     best_state: ConnectorResult | None = None
 
-    def can_win(guess: CoverGuess) -> bool:
+    def can_win(size: int) -> bool:
         # a result replaces the best only when it is strictly larger
-        return best is None or _search_bound(guess) > len(best.vertices)
+        return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(reduced, cover, counters, can_win):
+    for guess in cover_guesses(reduced, cover, counters, _search_bound, can_win):
         result = _ConnectorSearch(reduced, g, guess, counters).search()
         if result is None or (best is not None and len(result.solution) <= len(best.vertices)):
             continue

@@ -209,7 +209,19 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
     Branches on the lexicographically smallest uncovered edge, including
     each endpoint in turn, and keeps the first minimum found, so the result
-    is deterministic.
+    is deterministic.  `chosen` only grows along a branch, so the edges
+    before the one a node branched on stay covered and its children resume
+    the scan there.
+
+    Before branching, a node greedily matches the uncovered edges from
+    that point on.  Every cover below the node holds `chosen` plus a
+    distinct endpoint of each matched edge, so when len(chosen) plus the
+    matching is at least len(best), the node is pruned.  The cover
+    returned is the one the plain branching returns: `best` is replaced
+    only by a strictly smaller cover, a pruned subtree holds none smaller
+    than `best` at the time of pruning, and that `best` is at least every
+    later one, so the plain search would not have replaced `best` inside
+    it either.
     """
     edges = sorted(g.edges())
     if not edges:
@@ -217,22 +229,30 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
     best = set(g.vertices)
     chosen: set[int] = set()
 
-    def branch() -> None:
+    def branch(start: int) -> None:
         nonlocal best
+        # `best` may have shrunk since the parent's matching check
         if len(chosen) >= len(best):
             return
-        uncovered = next(
-            (e for e in edges if e[0] not in chosen and e[1] not in chosen), None
-        )
-        if uncovered is None:
+        i = start
+        while i < len(edges) and (edges[i][0] in chosen or edges[i][1] in chosen):
+            i += 1
+        if i == len(edges):
             best = set(chosen)
             return
-        for w in uncovered:
+        matched: set[int] = set()
+        for u, v in edges[i:]:
+            if u in chosen or v in chosen or u in matched or v in matched:
+                continue
+            matched.update((u, v))
+            if len(chosen) + len(matched) // 2 >= len(best):
+                return
+        for w in edges[i]:
             chosen.add(w)
-            branch()
+            branch(i + 1)
             chosen.discard(w)
 
-    branch()
+    branch(0)
     return frozenset(best)
 
 

@@ -176,6 +176,38 @@ def brute_min_vertex_cover_size(g: Graph) -> int:
     raise AssertionError("V itself always covers")
 
 
+def min_vertex_cover_reference(g: Graph) -> frozenset[int]:
+    """The first minimum cover of plain pick-an-edge branching, with no lower bound.
+
+    Branches on the lexicographically smallest uncovered edge, each
+    endpoint in turn, and replaces the best cover only by a strictly
+    smaller one.
+    """
+    edges = sorted(g.edges())
+    if not edges:
+        return frozenset()
+    best = set(g.vertices)
+    chosen: set[int] = set()
+
+    def branch() -> None:
+        nonlocal best
+        if len(chosen) >= len(best):
+            return
+        uncovered = next(
+            (e for e in edges if e[0] not in chosen and e[1] not in chosen), None
+        )
+        if uncovered is None:
+            best = set(chosen)
+            return
+        for w in uncovered:
+            chosen.add(w)
+            branch()
+            chosen.discard(w)
+
+    branch()
+    return frozenset(best)
+
+
 def is_minimal_fvs_by_deletion(g: Graph, s) -> bool:
     """Definitional minimality test: dropping any one vertex breaks fvs-ness."""
     s = frozenset(s)

@@ -1,19 +1,24 @@
 """The branch and bound over cover guesses cuts only guesses that cannot win.
 
-`cover_guesses` settles each split, asks the caller's bound, and only then
-tests the split's private cycles, answering supersets of a known-wrong
-cover side from memory.  Checked here on seeded random, apex-pair and
-reduction-output graphs, on every split whose cover_out side is a forest:
-each bound is at least what the unbounded search gives, the memory agrees
-with `partial_minimality_ok` in any query order and saves exactly the
-sweeps it should, and each solver cuts exactly the guesses whose bound is
-at most its best so far.
+`cover_guesses` bounds each split before settling it by |cover_in| + |L|,
+L the independents with two or more neighbours outside cover_in, then
+settles it, asks the caller's bound, and only then tests the split's
+private cycles, answering supersets of a known-wrong cover side from
+memory.  Checked here on seeded random, apex-pair and reduction-output
+graphs, on every split whose cover_out side is a forest: each bound is at
+least what the unbounded search gives, the unsettled bound is at least
+both settled ones, the memory agrees with `partial_minimality_ok` in any
+query order and saves exactly the sweeps it should, and each solver cuts
+exactly the guesses whose settled bound is at most its best so far while
+settling exactly the splits whose unsettled bound beats it.
 """
 
 import random
 from collections import Counter
 from functools import cache
 from itertools import combinations
+
+import pytest
 
 from mmfvs import vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
@@ -62,6 +67,25 @@ def forest_splits(g, cover):
             yield cover_in, cover_out
 
 
+def live_bound(g, cover, cover_in):
+    """|cover_in| + |L|, L the independents with two or more neighbours outside cover_in."""
+    independents = g.vertices - cover
+    return len(cover_in) + sum(1 for x in independents if len(g.neighbors(x) - cover_in) >= 2)
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """The cover_in sides `cover_guesses` settles, in order."""
+    sides = []
+
+    def recorded(g, cover_in, cover_out, tally):
+        sides.append(cover_in)
+        return settle_guess(g, cover_in, cover_out, tally)
+
+    monkeypatch.setattr(vcsolver, "settle_guess", recorded)
+    return sides
+
+
 def vc_setting(g):
     """The graph and cover `solve_vc` enumerates its guesses on."""
     reduced = g.delete(peel(g, g.vertices))
@@ -89,6 +113,18 @@ def test_greedy_candidates_stay_within_the_greedy_bound():
             candidate, _ = _run_greedy(g, guess, Counter())
             assert len(candidate) <= _greedy_bound(guess), (g, cover_in)
             tight += len(candidate) == _greedy_bound(guess)
+    assert tight > 0
+
+
+def test_the_unsettled_bound_covers_both_settled_bounds():
+    tight = 0
+    for g in corpus():
+        for h, cover in (vc_setting(g), (g, min_vertex_cover(g))):
+            for cover_in, cover_out in forest_splits(h, cover):
+                guess = settle_guess(h, cover_in, cover_out, Counter())
+                bound = live_bound(h, cover, cover_in)
+                assert bound >= _greedy_bound(guess) >= _search_bound(guess), (g, cover_in)
+                tight += bound == _greedy_bound(guess)
     assert tight > 0
 
 
@@ -129,10 +165,12 @@ def test_wrong_sides_sweep_only_sides_with_no_wrong_subset(monkeypatch):
 
 
 def replay_vc(g):
-    """`solve_vc`'s optimum, bound cuts and wrong sides, searching each guess unbounded."""
+    """`solve_vc`'s optimum, bound cuts, wrong sides and settled sides, by unbounded searches."""
     reduced, cover = vc_setting(g)
-    best, cut, wrong = None, 0, 0
+    best, cut, wrong, settles = None, 0, 0, []
     for cover_in, cover_out in forest_splits(reduced, cover):
+        if best is None or live_bound(reduced, cover, cover_in) > best:
+            settles.append(cover_in)
         guess = settle_guess(reduced, cover_in, cover_out, Counter())
         if best is not None and _search_bound(guess) <= best:
             cut += 1
@@ -143,13 +181,16 @@ def replay_vc(g):
         result = find_connectors(reduced, cover_in, cover_out, pristine=g)
         if result is not None and (best is None or len(result.solution) > best):
             best = len(result.solution)
-    return best, cut, wrong
+    return best, cut, wrong, settles
 
 
 def replay_greedy(g):
-    """`approx_solve`'s greedy best, bound cuts and wrong sides, from each guess's greedy run."""
-    best, cut, wrong = None, 0, 0
-    for cover_in, cover_out in forest_splits(g, min_vertex_cover(g)):
+    """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs."""
+    cover = min_vertex_cover(g)
+    best, cut, wrong, settles = None, 0, 0, []
+    for cover_in, cover_out in forest_splits(g, cover):
+        if best is None or live_bound(g, cover, cover_in) > best:
+            settles.append(cover_in)
         guess = settle_guess(g, cover_in, cover_out, Counter())
         if best is not None and _greedy_bound(guess) <= best:
             cut += 1
@@ -160,34 +201,43 @@ def replay_greedy(g):
         candidate, _ = _run_greedy(g, guess, Counter())
         if (best is None or len(candidate) > best) and is_minimal(g, candidate):
             best = len(candidate)
-    return best, cut, wrong
+    return best, cut, wrong, settles
 
 
-def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win():
-    cuts = wrongs = 0
+def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
+    cuts = wrongs = unsettled = 0
     for g in corpus():
+        # the replay's unbounded searches settle too, so record only the solve
+        best, cut, wrong, settles = replay_vc(g)
+        settled.clear()
         solution, report = solve_vc(g)
-        best, cut, wrong = replay_vc(g)
         extras = report.extras
-        viable = sum(1 for _ in forest_splits(*vc_setting(g))) - cut - wrong
+        splits_in = sum(1 for _ in forest_splits(*vc_setting(g)))
+        viable = splits_in - cut - wrong
         assert (len(solution), extras["guesses_cut_by_bound"], extras["viable_cover_guesses"]) == (
             best, cut, viable,
         ), g
+        assert settled == settles, g
         cuts += cut
         wrongs += wrong
-    assert cuts > 0 and wrongs > 0
+        unsettled += splits_in - len(settles)
+    assert cuts > 0 and wrongs > 0 and unsettled > 0
 
 
-def test_approx_cuts_exactly_the_guesses_that_cannot_win():
-    cuts = greedy = 0
+def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
+    cuts = greedy = unsettled = 0
     for g in corpus():
+        settled.clear()
         result = approx_solve(g, 0.9)
         if result.mode != "greedy":
             continue
         greedy += 1
         extras = result.report.extras
+        best, cut, wrong, settles = replay_greedy(g)
         assert (
             len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"]
-        ) == replay_greedy(g), g
+        ) == (best, cut, wrong), g
+        assert settled == settles, g
         cuts += extras["guesses_cut_by_bound"]
-    assert greedy >= 50 and cuts > 0
+        unsettled += sum(1 for _ in forest_splits(g, min_vertex_cover(g))) - len(settles)
+    assert greedy >= 50 and cuts > 0 and unsettled > 0
