@@ -25,9 +25,8 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
-from mmfvs.graph import Graph, settle
+from mmfvs.graph import Graph, cycle_closers, settle
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import CoverGuess, cover_guesses
@@ -40,50 +39,30 @@ from mmfvs.verify import (
 )
 
 
-def _component_ids(g: Graph, c_out: Iterable[int]) -> dict[int, int]:
-    """Each c_out vertex mapped to the minimum id of its c_out component."""
-    return {v: min(comp) for comp in g.induced(c_out).components() for v in comp}
-
-
-def _adjacent_ids(g: Graph, component_id: dict[int, int], u: int) -> frozenset[int]:
-    if u in component_id:
-        raise ValueError(f"{u} is itself committed outside")
-    return frozenset(component_id[w] for w in g.neighbors(u) if w in component_id)
-
-
-def conflict_set(g: Graph, c_out: Iterable[int], indep: Iterable[int], u: int) -> frozenset[int]:
-    """Independent vertices sharing at least two adjacent components with u.
-
-    If u stays outside the solution, these vertices all close cycles with
-    the tree u glues together, so they are forced inside.
-    """
-    component_id = _component_ids(g, c_out)
-    qu = _adjacent_ids(g, component_id, u)
-    return frozenset(
-        x
-        for x in sorted(frozenset(indep) - {u})
-        if len(qu & _adjacent_ids(g, component_id, x)) >= 2
-    )
-
-
 def _run_greedy(
-    g: Graph, guess: CoverGuess, counters: Counter[str]
+    g: Graph, guess: CoverGuess, counters: Counter[str], conflict_sizes: Counter[int]
 ) -> tuple[frozenset[int], tuple[int, ...]]:
     """The greedy candidate of one settled cover-side guess and the vertices it moved.
 
-    A step takes the smallest undecided independent u: when the
-    committed-in side keeps its private cycles with u's conflict set
-    pulled inside, u moves to the outside forest and the conflict set
-    joins the solution; otherwise u itself joins the solution.  `settle`
-    reduces the guess again after each step.
+    A step takes the smallest undecided independent u and its conflict
+    set, the free vertices that would close a cycle once u joins the
+    outside forest.  When the committed-in side keeps its private cycles
+    with the conflict set pulled inside, u moves to the outside forest and
+    the conflict set joins the solution; otherwise u itself joins the
+    solution.  `settle` reduces the guess again after each step, and
+    `conflict_sizes` counts the conflict sets by size.
     """
     cover_in = guess.cover_in
     out, free, inside = set(guess.out), set(guess.free), set(guess.inside)
     moved: list[int] = []
     while free:
         u = min(free)
-        s_u = conflict_set(g, out, free, u)
-        counters[f"conflict_size_{len(s_u)}"] += 1
+        # Free vertices are independents, so none is adjacent to u, and the
+        # guess is settled, so none has two neighbours in one tree of g[out].
+        # Adding u merges the trees it touches, so x closes a cycle with
+        # g[out | {u}] exactly when two of x's trees touch u.
+        s_u = set(cycle_closers(g, out | {u}, free - {u}))
+        conflict_sizes[len(s_u)] += 1
         if members_have_private_cycles(g, cover_in | inside | s_u, cover_in):
             inside |= s_u
             free -= s_u
@@ -118,6 +97,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     start = time.perf_counter()
     counters: Counter[str] = Counter()
+    conflict_sizes: Counter[int] = Counter()
     cover = min_vertex_cover(g)
     vc = len(cover)
     threshold = max(1, math.ceil(vc / epsilon))
@@ -148,7 +128,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         return best is None or size > len(best.vertices)
 
     for guess in cover_guesses(g, cover, counters, _greedy_bound, can_win):
-        candidate, moved = _run_greedy(g, guess, counters)
+        candidate, moved = _run_greedy(g, guess, counters, conflict_sizes)
         if len(moved) > vc:
             raise VerificationError("a greedy move merged no outside trees")
         max_moved = max(max_moved, len(moved))
@@ -193,11 +173,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "guess_rejected_at_verify": discarded,
             "max_moved": max_moved,
             "moved_of_best": moved_of_best,
-            "conflict_histogram": {
-                int(name.rsplit("_", 1)[1]): count
-                for name, count in counters.items()
-                if name.startswith("conflict_size_")
-            },
+            "conflict_histogram": dict(conflict_sizes),
         },
     )
     return ApproxResult(best, mode, report)

@@ -5,17 +5,17 @@ side is guessed outright (2^vc guesses).  For one guess, the final forest
 outside the solution consists of the committed-out cover vertices plus a
 set Z of independent "connector" vertices gluing their components into
 trees; every other surviving independent vertex closes a cycle with that
-forest and must join the solution.  The search for Z guesses how the
-components group into trees (a partition), how each group is assembled
-from blocks joined by one connector each, and which cross edges hook the
-blocks together; candidates for each connector are pinned down by exact
-adjacency counts.  Guesses are enumerated with fewer connectors first, so
-the first assignment that verifies is the largest solution the cover guess
-can give.  Nothing is trusted from the search state: a candidate solution
-is kept only after a minimality check on the input graph (one union-find
-sweep, the same one that checks the cover side's private cycles), and the
-one that becomes the new best is then certified in full
-(`verify.is_minimal_fvs`).
+forest and must join the solution.  The search for Z (`find_connectors`,
+run on each settled guess) guesses how the components group into trees (a
+partition), how each group is assembled from blocks joined by one
+connector each, and which cross edges hook the blocks together; candidates
+for each connector are pinned down by exact adjacency counts.  Guesses are
+enumerated with fewer connectors first, so the first assignment that
+verifies is the largest solution the cover guess can give.  Nothing is
+trusted from the search state: a candidate solution is kept only after a
+minimality check on the input graph (one union-find sweep, the same one
+that checks the cover side's private cycles), and the one that becomes the
+new best is then certified in full (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 from mmfvs.graph import Forest, Graph, peel, settle
@@ -176,6 +176,21 @@ def settle_guess(
     return CoverGuess(cover_in, cover_out, frozenset(out), frozenset(free), frozenset(inside))
 
 
+def _splits(sizes: Sequence[int], left: int) -> Iterator[tuple[int, ...]]:
+    """Ways to spend `left` connectors over parts of these sizes, in order.
+
+    A part of one component takes zero or one connector, a larger part at
+    least one, and no part more than it has components.
+    """
+    if not sizes:
+        if left == 0:
+            yield ()
+        return
+    for s in range(0 if sizes[0] == 1 else 1, min(sizes[0], left) + 1):
+        for rest in _splits(sizes[1:], left - s):
+            yield (s, *rest)
+
+
 class _ConnectorSearch:
     """Connector search state for one settled cover-side guess.
 
@@ -188,248 +203,156 @@ class _ConnectorSearch:
     ):
         self.g = g
         self.pristine = pristine
-        self.cover_in = guess.cover_in
-        self.cover_out = guess.cover_out
-        self.out = guess.out
-        self.free = guess.free
-        self.forced = guess.inside
+        self.guess = guess
         self.counters = counters
-        self.free_nbrs = [(x, g.neighbors(x) & self.out) for x in sorted(self.free)]
+        self.free_nbrs = [(x, g.neighbors(x) & guess.out) for x in sorted(guess.free)]
 
-    # -- connector structure search ------------------------------------------
+    def _part_plans(
+        self, part: tuple[frozenset[int], ...], connectors: int
+    ) -> list[tuple[tuple, tuple, list[list[int]]]]:
+        """(blocks, targets, per-block candidates) choices for one part.
 
-    def _candidates(
-        self,
-        blocks: Sequence[tuple[frozenset[int], ...]],
-        block_unions: Sequence[frozenset[int]],
-        part_union: frozenset[int],
-        block_idx: int,
-        targets: frozenset[int] | None,
-    ) -> list[int]:
-        """Connector candidates for one block.
-
-        A candidate is adjacent to exactly one vertex of every component of
-        its block, has no committed-out neighbor outside its part, and,
-        when `targets` is given, exactly one neighbor in each target block
-        and none in the other blocks.
+        A part without connectors is one component and one plan with no
+        blocks.  Otherwise its components are grouped into one block per
+        connector, and the blocks are joined by an oriented tree of cross
+        edges (`cross_edge_choices`).  A candidate for a block's connector
+        is adjacent to exactly one vertex of every component of its block
+        and has no committed-out neighbor outside the part; under a target
+        choice it also has exactly one neighbor in each target block and
+        none in the other blocks.
         """
-        found: list[int] = []
-        for x, nb in self.free_nbrs:
-            if not nb <= part_union:
-                continue
-            if any(len(nb & comp) != 1 for comp in blocks[block_idx]):
-                continue
-            if targets is not None:
-                ok = True
-                for other in range(len(blocks)):
-                    if other == block_idx:
-                        continue
-                    hits = len(nb & block_unions[other])
-                    if hits != (1 if other in targets else 0):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            found.append(x)
-        return found
-
-    def _part_structures(
-        self, part_comps: tuple[frozenset[int], ...], connectors: int
-    ) -> Iterator[tuple[tuple, tuple, list[list[int]]]]:
-        """(blocks, targets, per-block candidates) choices for one part."""
-        part_union = frozenset().union(*part_comps)
         if connectors == 0:
-            if len(part_comps) == 1:
-                yield ((), (), [])
-            return
-        for raw in set_partitions(range(len(part_comps))):
+            return [((), (), [])]
+        part_union = frozenset().union(*part)
+        local = [(x, nb) for x, nb in self.free_nbrs if nb <= part_union]
+        plans = []
+        for raw in set_partitions(range(len(part))):
             if len(raw) != connectors:
                 continue
-            blocks = tuple(
-                tuple(part_comps[i] for i in block) for block in raw
-            )
-            block_unions = [frozenset().union(*b) for b in blocks]
+            blocks = tuple(tuple(part[i] for i in block) for block in raw)
+            unions = [frozenset().union(*block) for block in blocks]
             base = [
-                self._candidates(blocks, block_unions, part_union, b, None)
-                for b in range(len(blocks))
+                [(x, nb) for x, nb in local if all(len(nb & comp) == 1 for comp in block)]
+                for block in blocks
             ]
-            if any(not c for c in base):
+            if not all(base):
                 continue
             for targets in cross_edge_choices(len(blocks)):
                 self.counters["structure_guesses"] += 1
                 cands = [
-                    self._candidates(blocks, block_unions, part_union, b, targets[b])
+                    [
+                        x for x, nb in base[b]
+                        if all(
+                            len(nb & unions[o]) == (1 if o in targets[b] else 0)
+                            for o in range(len(blocks)) if o != b
+                        )
+                    ]
                     for b in range(len(blocks))
                 ]
-                if any(not c for c in cands):
-                    continue
-                yield (blocks, targets, cands)
-
-    def _assign(
-        self, slots: list[list[int]], used: set[int], picked: list[int]
-    ) -> Iterator[list[int]]:
-        if len(picked) == len(slots):
-            yield list(picked)
-            return
-        for x in slots[len(picked)]:
-            if x in used:
-                continue
-            used.add(x)
-            picked.append(x)
-            yield from self._assign(slots, used, picked)
-            picked.pop()
-            used.discard(x)
+                if all(cands):
+                    plans.append((blocks, targets, cands))
+        return plans
 
     def _try_assignment(
         self, comps: list[frozenset[int]], partition: list[list[int]],
-        plans: list[tuple], connectors: list[int]
+        plans: Sequence[tuple], connectors: tuple[int, ...]
     ) -> ConnectorResult | None:
+        guess = self.guess
         z = frozenset(connectors)
         # one union-find over the final forest answers acyclicity, the tree
         # count and the cycle closers below
         forest = Forest(self.g)
-        acyclic = forest.extend(self.out | z, stop_at_cycle=True)
+        acyclic = forest.extend(guess.out | z, stop_at_cycle=True)
         if not acyclic or forest.trees() != len(partition):
             self.counters["forest_check_failures"] += 1
             return None
         # every leftover independent vertex must close a cycle with one of
         # the final trees, or it cannot be a minimal member of the solution
-        leftover = self.free - z
+        leftover = guess.free - z
         if not all(forest.closes_cycle(x) for x in leftover):
             self.counters["assignments_rejected_structure"] += 1
             return None
-        solution = self.cover_in | self.forced | leftover
+        solution = guess.cover_in | guess.inside | leftover
         # one sweep over G - solution answers both checks: the cover side's
         # private cycles, then the rest of `verify.is_minimal` (acyclicity
         # and the private cycles of the other members)
         rest = Forest.without(self.pristine, solution)
-        if not all(rest.closes_cycle(w) for w in self.cover_in):
+        if not all(rest.closes_cycle(w) for w in guess.cover_in):
             self.counters["assignments_rejected_partial"] += 1
             return None
-        if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - self.cover_in)):
+        if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - guess.cover_in)):
             self.counters["guess_rejected_at_verify"] += 1
             return None
-        # reconstruct the per-part view for the report
-        slot = 0
-        sub_partitions = []
-        cross_edges = []
-        chosen = []
-        for part_idx in range(len(partition)):
-            blocks, targets, _ = plans[part_idx]
-            sub_partitions.append(blocks)
-            cross_edges.append(_oriented_tree_edges(targets) if targets else ())
-            chosen.append(tuple(connectors[slot : slot + len(blocks)]))
-            slot += len(blocks)
-        guess = GuessState(
-            cover_in=self.cover_in,
-            cover_out=self.cover_out,
+        picks = iter(connectors)
+        state = GuessState(
+            cover_in=guess.cover_in,
+            cover_out=guess.cover_out,
             comp_partition=tuple(tuple(comps[i] for i in part) for part in partition),
-            sub_partitions=tuple(sub_partitions),
-            cross_edges=tuple(cross_edges),
-            connectors=tuple(chosen),
+            sub_partitions=tuple(blocks for blocks, _, _ in plans),
+            cross_edges=tuple(_oriented_tree_edges(targets) for _, targets, _ in plans),
+            connectors=tuple(tuple(islice(picks, len(blocks))) for blocks, _, _ in plans),
         )
         return ConnectorResult(
             connectors=z,
-            forced=self.forced,
+            forced=guess.inside,
             solution=solution,
             trees=len(partition),
-            guess=guess,
+            guess=state,
         )
 
+    def _assignments(
+        self, parts: list[tuple[frozenset[int], ...]], split: tuple[int, ...]
+    ) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+        """(plans, connectors) for one split, distinct connectors only.
+
+        Each part's plans are built once; a part with none ends the split.
+        """
+        per_part = []
+        for part, connectors in zip(parts, split):
+            plans = self._part_plans(part, connectors)
+            if not plans:
+                return
+            per_part.append(plans)
+        for plans in product(*per_part):
+            for connectors in product(*(slot for plan in plans for slot in plan[2])):
+                if len(set(connectors)) == len(connectors):
+                    yield plans, connectors
+
     def search(self) -> ConnectorResult | None:
-        comps = self.g.induced(self.out).components()
-        if not self.free:
+        comps = self.g.induced(self.guess.out).components()
+        if not self.guess.free:
             return self._try_assignment(comps, [[i] for i in range(len(comps))],
-                                        [((), (), [])] * len(comps), [])
-        if not comps:
-            # surviving independent vertices but nothing to hook them to
-            return None
+                                        [((), (), [])] * len(comps), ())
         # Fewer connectors first: each one shrinks the solution by one, so
         # the first verified hit is this guess's maximum.  Zero connectors
         # cannot work here: a surviving independent vertex meets every
         # committed-out component at most once, so it would have no private
         # cycle in the unglued forest.
-        for z_total in range(1, min(len(self.free), len(comps)) + 1):
+        for z_total in range(1, min(len(self.guess.free), len(comps)) + 1):
             for partition in set_partitions(range(len(comps))):
                 self.counters["comp_partitions"] += 1
                 parts = [tuple(comps[i] for i in part) for part in partition]
-                low = sum(0 if len(p) == 1 else 1 for p in parts)
-                high = sum(len(p) for p in parts)
-                if not low <= z_total <= high:
-                    continue
-                for split in self._connector_splits(parts, z_total):
-                    result = self._combine(comps, partition, parts, split, 0, [], [])
-                    if result is not None:
-                        return result
-        return None
-
-    def _connector_splits(
-        self, parts: list[tuple[frozenset[int], ...]], z_total: int
-    ) -> Iterator[list[int]]:
-        """Ways to spend z_total connectors across the parts."""
-
-        def rec(idx: int, left: int, acc: list[int]) -> Iterator[list[int]]:
-            if idx == len(parts):
-                if left == 0:
-                    yield list(acc)
-                return
-            size = len(parts[idx])
-            lo = 0 if size == 1 else 1
-            for s in range(lo, min(size, left) + 1):
-                acc.append(s)
-                yield from rec(idx + 1, left - s, acc)
-                acc.pop()
-
-        yield from rec(0, z_total, [])
-
-    def _combine(
-        self,
-        comps: list[frozenset[int]],
-        partition: list[list[int]],
-        parts: list[tuple[frozenset[int], ...]],
-        split: list[int],
-        part_idx: int,
-        plans: list[tuple],
-        slots: list[list[int]],
-    ) -> ConnectorResult | None:
-        if part_idx == len(parts):
-            for connectors in self._assign(slots, set(), []):
-                self.counters["assignments_tried"] += 1
-                result = self._try_assignment(comps, partition, plans, connectors)
-                if result is not None:
-                    return result
-            return None
-        for plan in self._part_structures(parts[part_idx], split[part_idx]):
-            plans.append(plan)
-            slots.extend(plan[2])
-            result = self._combine(comps, partition, parts, split, part_idx + 1, plans, slots)
-            if result is not None:
-                return result
-            for _ in plan[2]:
-                slots.pop()
-            plans.pop()
+                for split in _splits([len(p) for p in parts], z_total):
+                    for plans, connectors in self._assignments(parts, split):
+                        self.counters["assignments_tried"] += 1
+                        result = self._try_assignment(comps, partition, plans, connectors)
+                        if result is not None:
+                            return result
         return None
 
 
 def find_connectors(
-    g: Graph,
-    cover_in: frozenset[int],
-    cover_out: frozenset[int],
-    pristine: Graph | None = None,
-    counters: Counter[str] | None = None,
+    g: Graph, pristine: Graph, guess: CoverGuess, counters: Counter[str]
 ) -> ConnectorResult | None:
-    """Search for connectors completing one cover-side guess.
+    """Search for connectors completing one settled cover-side guess of g.
 
-    Returns the first (largest-solution) result whose solution is a
-    minimal fvs of `pristine`, or None when the guess admits no minimal fvs
-    of the required shape.  The result carries no certificate: the caller
-    builds one for the result it keeps.
+    `guess` is one that `cover_guesses` yields on g, so its cover_out side
+    is a forest.  Returns the first (largest-solution) result whose
+    solution is a minimal fvs of `pristine`, or None when the guess admits
+    no minimal fvs of the required shape.  The result carries no
+    certificate: the caller builds one for the result it keeps.
     """
-    if not Forest(g).extend(cover_out, stop_at_cycle=True):
-        return None
-    counters = counters if counters is not None else Counter()
-    guess = settle_guess(g, cover_in, cover_out, counters)
-    return _ConnectorSearch(g, pristine if pristine is not None else g, guess, counters).search()
+    return _ConnectorSearch(g, pristine, guess, counters).search()
 
 
 class _WrongSides:
@@ -549,7 +472,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         return best is None or size > len(best.vertices)
 
     for guess in cover_guesses(reduced, cover, counters, _search_bound, can_win):
-        result = _ConnectorSearch(reduced, g, guess, counters).search()
+        result = find_connectors(reduced, g, guess, counters)
         if result is None or (best is not None and len(result.solution) <= len(best.vertices)):
             continue
         # only a new best gets a certificate

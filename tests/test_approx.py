@@ -3,10 +3,11 @@ from collections import Counter
 
 import pytest
 
-from mmfvs.approx import _run_greedy, approx_solve, conflict_set
-from mmfvs.graph import Graph
+from mmfvs import approx
+from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
+from mmfvs.graph import Graph, cycle_closers
 from mmfvs.oracle import opt_mmfvs_brute
-from mmfvs.vcsolver import settle_guess
+from mmfvs.vcsolver import cover_guesses, settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 
 from helpers import apex_pair, gnp, neighborhood_components, path
@@ -56,6 +57,15 @@ class TestNeighborhoodComponents:
             neighborhood_components(g, {0}, 0)
 
 
+def conflict_set(g, c_out, indep, u):
+    """What the greedy takes with u: the vertices closing a cycle once u joins c_out.
+
+    It is the conflict set only when no vertex of indep has two neighbours
+    in one tree of g[c_out], as in every settled guess.
+    """
+    return set(cycle_closers(g, set(c_out) | {u}, set(indep) - {u}))
+
+
 class TestConflictSet:
     def test_four_tree_conflicts(self):
         g, c_out, indep = four_tree_instance()
@@ -69,24 +79,42 @@ class TestConflictSet:
         g = Graph(range(4), [(0, 2), (1, 2), (0, 3)])
         assert conflict_set(g, {2, 3}, {0, 1}, 0) == frozenset()
 
-    def test_matches_the_component_list_reference(self):
-        # x conflicts with u iff they share two adjacent c_out components
+    def test_matches_the_component_list_reference(self, monkeypatch):
+        # at every greedy step, x is taken with u iff they share two
+        # adjacent components of the outside forest
+        steps = []
+
+        def recorded(g, out, candidates):
+            taken = cycle_closers(g, out, candidates)
+            steps.append((out, candidates, taken))
+            return taken
+
+        monkeypatch.setattr(approx, "cycle_closers", recorded)
         rng = random.Random(5)
+        taken_any = 0
         for seed in range(40):
             g = gnp(rng.randint(4, 12), rng.uniform(0.2, 0.5), seed=seed)
-            c_out = frozenset(v for v in g.sorted_vertices() if rng.random() < 0.5)
-            indep = g.vertices - c_out
-            for u in sorted(indep):
-                qu = neighborhood_components(g, c_out, u)
-                expected = {
-                    x for x in indep - {u}
-                    if len(qu & neighborhood_components(g, c_out, x)) >= 2
-                }
-                assert conflict_set(g, c_out, indep, u) == expected, (seed, u)
+            cover = min_vertex_cover(g)
+            for guess in cover_guesses(g, cover, Counter(), _greedy_bound, lambda size: True):
+                steps.clear()
+                _run_greedy(g, guess, Counter(), Counter())
+                for out, candidates, taken in steps:
+                    # the greedy moves independents out in ascending order,
+                    # so u is the largest independent in `out`
+                    u = max(out - cover)
+                    c_out = out - {u}
+                    qu = neighborhood_components(g, c_out, u)
+                    expected = [
+                        x for x in sorted(candidates)
+                        if len(qu & neighborhood_components(g, c_out, x)) >= 2
+                    ]
+                    assert taken == expected, (seed, guess.cover_in, u)
+                    taken_any += bool(taken)
+        assert taken_any > 0
 
 
 def greedy(g, cover_in, cover_out, tally):
-    return _run_greedy(g, settle_guess(g, cover_in, cover_out, tally), tally)
+    return _run_greedy(g, settle_guess(g, cover_in, cover_out, tally), tally, Counter())
 
 
 class TestGreedyRound:

@@ -97,8 +97,9 @@ def test_connector_results_stay_within_the_search_bound():
     for g in corpus():
         reduced, cover = vc_setting(g)
         for cover_in, cover_out in forest_splits(reduced, cover):
-            bound = _search_bound(settle_guess(reduced, cover_in, cover_out, Counter()))
-            result = find_connectors(reduced, cover_in, cover_out, pristine=g)
+            guess = settle_guess(reduced, cover_in, cover_out, Counter())
+            bound = _search_bound(guess)
+            result = find_connectors(reduced, g, guess, Counter())
             if result is not None:
                 assert len(result.solution) <= bound, (g, cover_in)
                 tight += len(result.solution) == bound
@@ -110,7 +111,7 @@ def test_greedy_candidates_stay_within_the_greedy_bound():
     for g in corpus():
         for cover_in, cover_out in forest_splits(g, min_vertex_cover(g)):
             guess = settle_guess(g, cover_in, cover_out, Counter())
-            candidate, _ = _run_greedy(g, guess, Counter())
+            candidate, _ = _run_greedy(g, guess, Counter(), Counter())
             assert len(candidate) <= _greedy_bound(guess), (g, cover_in)
             tight += len(candidate) == _greedy_bound(guess)
     assert tight > 0
@@ -178,7 +179,7 @@ def replay_vc(g):
         if cover_in and not partial_minimality_ok(reduced, cover_in):
             wrong += 1
             continue
-        result = find_connectors(reduced, cover_in, cover_out, pristine=g)
+        result = find_connectors(reduced, g, guess, Counter())
         if result is not None and (best is None or len(result.solution) > best):
             best = len(result.solution)
     return best, cut, wrong, settles
@@ -198,7 +199,7 @@ def replay_greedy(g):
         if cover_in and not partial_minimality_ok(g, cover_in):
             wrong += 1
             continue
-        candidate, _ = _run_greedy(g, guess, Counter())
+        candidate, _ = _run_greedy(g, guess, Counter(), Counter())
         if (best is None or len(candidate) > best) and is_minimal(g, candidate):
             best = len(candidate)
     return best, cut, wrong, settles

@@ -38,7 +38,9 @@ def expect_failure(call, what):
 
 # a greedy run that moved more than vc vertices broke the additive
 # guarantee; checked first, as the patches below break the solve_k gate
-approx._run_greedy = lambda g, guess, counters: (guess.cover_in, tuple(range(len(g))))
+approx._run_greedy = lambda g, guess, counters, conflict_sizes: (
+    guess.cover_in, tuple(range(len(g)))
+)
 expect_failure(lambda: approx.approx_solve(apex_pair, 0.5), "approx_solve")
 
 batch.is_minimal_fvs = no_certificate

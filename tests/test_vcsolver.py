@@ -1,12 +1,20 @@
+from collections import Counter
+from itertools import product
+
 from mmfvs import vcsolver
 from mmfvs.graph import Graph
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
+    _ConnectorSearch,
+    _search_bound,
+    _splits,
+    cover_guesses,
     cross_edge_choices,
     find_connectors,
     labeled_trees,
     set_partitions,
+    settle_guess,
     solve_vc,
 )
 
@@ -37,13 +45,30 @@ class TestEnumerators:
             count = sum(1 for _ in cross_edge_choices(n))
             assert count == max(1, n ** (n - 2)) * (1 << max(0, n - 1))
 
+    def test_splits_are_the_filtered_product_in_order(self):
+        for sizes in [(), (1,), (3,), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2), (4, 1)]:
+            ranges = [range(0 if size == 1 else 1, size + 1) for size in sizes]
+            for total in range(sum(sizes) + 2):
+                expected = [c for c in product(*ranges) if sum(c) == total]
+                assert list(_splits(sizes, total)) == expected, (sizes, total)
+
+
+def connectors_of(g, cover_in, cover_out):
+    """The connector search on the settled guess (cover_in, cover_out) of g."""
+    return find_connectors(g, g, settle_guess(g, cover_in, cover_out, Counter()), Counter())
+
+
+def two_edges_and_two_connectors():
+    """Committed-out edges (0,1) and (2,3); 4 and 5 each touch both, once."""
+    return Graph(range(6), [(0, 1), (2, 3), (0, 4), (2, 4), (1, 5), (3, 5)])
+
 
 class TestFindConnectors:
     def test_single_tree_forces_everything(self):
         # committed-out path 0-1-2; independent 3 and 4 each see two of its
         # vertices, so the cycle rule forces both and no connector is needed
         g = Graph(range(5), [(0, 1), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
-        res = find_connectors(g, frozenset(), frozenset({0, 1, 2}))
+        res = connectors_of(g, frozenset(), frozenset({0, 1, 2}))
         assert res is not None
         assert res.connectors == frozenset()
         assert res.forced == {3, 4}
@@ -53,19 +78,48 @@ class TestFindConnectors:
         # committed-out edges (0,1) and (2,3); vertex 4 touches one vertex
         # of each and is the only way to glue them into a single tree, in
         # which vertex 5 then closes its private cycle
-        g = Graph(
-            range(6),
-            [(0, 1), (2, 3), (0, 4), (2, 4), (1, 5), (3, 5)],
-        )
-        res = find_connectors(g, frozenset(), frozenset({0, 1, 2, 3}))
+        g = two_edges_and_two_connectors()
+        res = connectors_of(g, frozenset(), frozenset({0, 1, 2, 3}))
         assert res is not None
         assert res.connectors == {4}
         assert res.solution == {5}
         assert res.trees == 1
 
-    def test_wrong_guess_returns_none(self):
-        # committed-out side contains a cycle
-        assert find_connectors(cycle(3), frozenset(), frozenset({0, 1, 2})) is None
+
+class TestConnectorSafetyChecks:
+    """`_try_assignment` rejects final forests the search never proposes."""
+
+    def search(self):
+        g = two_edges_and_two_connectors()
+        guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
+        return _ConnectorSearch(g, g, guess, Counter()), g.induced(guess.out).components()
+
+    def test_connectors_closing_a_cycle_are_rejected(self):
+        # 4 and 5 both glue the two edges: 0-4-2-3-5-1-0 is a cycle
+        search, comps = self.search()
+        blocks = ((comps[0],), (comps[1],))
+        plan = (blocks, (frozenset({1}), frozenset()), [[4, 5], [4, 5]])
+        assert search._try_assignment(comps, [[0, 1]], [plan], (4, 5)) is None
+        assert search.counters["forest_check_failures"] == 1
+
+    def test_connectors_leaving_the_wrong_tree_count_are_rejected(self):
+        # 4 glues both edges into one tree, but the partition asks for two
+        search, comps = self.search()
+        assert search._try_assignment(comps, [[0], [1]], [((), (), [])] * 2, (4,)) is None
+        assert search.counters["forest_check_failures"] == 1
+
+
+class TestCoverGuesses:
+    def test_split_with_a_cycle_in_cover_out_is_never_yielded(self):
+        # every vertex of a triangle is in this cover; cover_out = all three
+        # is a cycle, so the empty cover_in side is dropped unsettled
+        tally = Counter()
+        cover = frozenset({0, 1, 2})
+        guesses = list(cover_guesses(cycle(3), cover, tally, _search_bound, lambda size: True))
+        assert tally["cover_guesses"] == 8
+        assert guesses
+        assert all(guess.cover_in for guess in guesses)
+        assert all(guess.cover_out == cover - guess.cover_in for guess in guesses)
 
 
 class TestSolveVc:
@@ -115,6 +169,19 @@ class TestSolveVc:
             _, report = solve_vc(g)
             assert report.extras["guess_rejected_at_verify"] == 0
             assert report.extras["forest_check_failures"] == 0
+
+    def test_every_viable_guess_goes_through_find_connectors(self, monkeypatch):
+        searched = []
+
+        def recorded(g, pristine, guess, counters):
+            searched.append(guess)
+            return find_connectors(g, pristine, guess, counters)
+
+        monkeypatch.setattr(vcsolver, "find_connectors", recorded)
+        for g in (apex_pair(6), cycle(5), gnp(8, 0.4, seed=300)):
+            searched.clear()
+            _, report = solve_vc(g)
+            assert len(searched) == report.extras["viable_cover_guesses"] > 0
 
     def test_winning_guess_is_reported(self):
         _, report = solve_vc(apex_pair(6))
