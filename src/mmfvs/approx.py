@@ -152,7 +152,6 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         # the contract (a verified minimal fvs) always holds
         opt, best = opt_exact_solution(g)
         mode = "exact"
-        counters["greedy_fallbacks"] += 1
     report = SolveReport(
         outcome="yes",
         solution=best,

@@ -10,12 +10,13 @@ run on each settled guess) guesses how the components group into trees (a
 partition), how each group is assembled from blocks joined by one
 connector each, and which cross edges hook the blocks together; candidates
 for each connector are pinned down by exact adjacency counts.  Guesses are
-enumerated with fewer connectors first, so the first assignment that
-verifies is the largest solution the cover guess can give.  Nothing is
-trusted from the search state: a candidate solution is kept only after a
-minimality check on the input graph (one union-find sweep, the same one
-that checks the cover side's private cycles), and the one that becomes the
-new best is then certified in full (`verify.is_minimal_fvs`).
+enumerated with fewer connectors first, up to the last count that can
+beat the best so far, so the first assignment that verifies is the largest
+solution the cover guess can give.  Nothing is trusted from the search
+state: a candidate solution is kept only after a minimality check (one
+union-find sweep over the 2-core, the same one that checks the cover
+side's private cycles), and the one that becomes the new best is then
+certified in full on the input graph (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -62,53 +63,36 @@ class GuessState:
     connectors: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ConnectorResult:
-    """Outcome of a successful connector search for one cover-side guess."""
+def set_partitions(
+    items: Sequence[int], blocks: int | None = None
+) -> Iterator[list[tuple[int, ...]]]:
+    """Partitions of `items`, into exactly `blocks` blocks when given.
 
-    connectors: frozenset[int]
-    forced: frozenset[int]
-    solution: frozenset[int]
-    trees: int
-    guess: GuessState
-
-
-def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """All partitions of `items` via restricted-growth strings.
-
-    Blocks come out ordered by first element, so enumeration order is
-    canonical and deterministic.
+    Restricted-growth strings in lexicographic order: each item joins an
+    earlier block, in order, or opens a new one last.  Blocks come out
+    ordered by first element, so enumeration order is canonical and
+    deterministic.  A prefix whose items left cannot fill `blocks` is cut.
     """
     n = len(items)
-    if n == 0:
-        yield []
-        return
-    rgs = [0] * n
-    while True:
-        blocks: dict[int, list[int]] = {}
-        for idx, label in enumerate(rgs):
-            blocks.setdefault(label, []).append(items[idx])
-        yield [blocks[label] for label in sorted(blocks)]
-        # advance the restricted-growth string
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= max(rgs[:i]):
-                rgs[i] += 1
-                for j in range(i + 1, n):
-                    rgs[j] = 0
-                break
-            i -= 1
-        else:
+
+    def grow(i: int, parts: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+        if blocks is not None and len(parts) + n - i < blocks:
             return
+        if i == n:
+            yield parts
+            return
+        for b, part in enumerate(parts):
+            yield from grow(i + 1, [*parts[:b], (*part, items[i]), *parts[b + 1:]])
+        if blocks is None or len(parts) < blocks:
+            yield from grow(i + 1, [*parts, (items[i],)])
+
+    return grow(0, [])
 
 
 def labeled_trees(size: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All labeled trees on `size` nodes (edge lists), by Pruefer decoding."""
     if size == 1:
         yield ()
-        return
-    if size == 2:
-        yield ((0, 1),)
         return
     for seq in product(range(size), repeat=size - 2):
         degree = [1] * size
@@ -133,9 +117,6 @@ def cross_edge_choices(size: int) -> Iterator[tuple[frozenset[int], ...]]:
     orientation of a tree edge {a, b}; size - 1 such edges joining all
     blocks are exactly the oriented labeled trees.
     """
-    if size == 1:
-        yield (frozenset(),)
-        return
     for tree in labeled_trees(size):
         for mask in range(1 << (size - 1)):
             targets: list[set[int]] = [set() for _ in range(size)]
@@ -195,17 +176,16 @@ class _ConnectorSearch:
     """Connector search state for one settled cover-side guess.
 
     `free_nbrs` lists the free independents ascending, each with its
-    neighbors in the committed-out forest.
+    neighbors in the committed-out forest, and `most` is the largest
+    connector count whose result is larger than `beat`.
     """
 
-    def __init__(
-        self, g: Graph, pristine: Graph, guess: CoverGuess, counters: Counter[str]
-    ):
+    def __init__(self, g: Graph, guess: CoverGuess, beat: int, counters: Counter[str]):
         self.g = g
-        self.pristine = pristine
         self.guess = guess
         self.counters = counters
         self.free_nbrs = [(x, g.neighbors(x) & guess.out) for x in sorted(guess.free)]
+        self.most = len(guess.cover_in) + len(guess.inside) + len(guess.free) - beat - 1
 
     def _part_plans(
         self, part: tuple[frozenset[int], ...], connectors: int
@@ -226,9 +206,7 @@ class _ConnectorSearch:
         part_union = frozenset().union(*part)
         local = [(x, nb) for x, nb in self.free_nbrs if nb <= part_union]
         plans = []
-        for raw in set_partitions(range(len(part))):
-            if len(raw) != connectors:
-                continue
+        for raw in set_partitions(range(len(part)), connectors):
             blocks = tuple(tuple(part[i] for i in block) for block in raw)
             unions = [frozenset().union(*block) for block in blocks]
             base = [
@@ -254,9 +232,9 @@ class _ConnectorSearch:
         return plans
 
     def _try_assignment(
-        self, comps: list[frozenset[int]], partition: list[list[int]],
+        self, comps: list[frozenset[int]], partition: Sequence[Sequence[int]],
         plans: Sequence[tuple], connectors: tuple[int, ...]
-    ) -> ConnectorResult | None:
+    ) -> tuple[frozenset[int], GuessState] | None:
         guess = self.guess
         z = frozenset(connectors)
         # one union-find over the final forest answers acyclicity, the tree
@@ -273,10 +251,11 @@ class _ConnectorSearch:
             self.counters["assignments_rejected_structure"] += 1
             return None
         solution = guess.cover_in | guess.inside | leftover
-        # one sweep over G - solution answers both checks: the cover side's
+        # one sweep over g - solution answers both checks: the cover side's
         # private cycles, then the rest of `verify.is_minimal` (acyclicity
-        # and the private cycles of the other members)
-        rest = Forest.without(self.pristine, solution)
+        # and the private cycles of the other members).  g is a 2-core: the
+        # peeled vertices lie on no cycle, so every answer is the input's.
+        rest = Forest.without(self.g, solution)
         if not all(rest.closes_cycle(w) for w in guess.cover_in):
             self.counters["assignments_rejected_partial"] += 1
             return None
@@ -284,20 +263,13 @@ class _ConnectorSearch:
             self.counters["guess_rejected_at_verify"] += 1
             return None
         picks = iter(connectors)
-        state = GuessState(
+        return solution, GuessState(
             cover_in=guess.cover_in,
             cover_out=guess.cover_out,
             comp_partition=tuple(tuple(comps[i] for i in part) for part in partition),
             sub_partitions=tuple(blocks for blocks, _, _ in plans),
             cross_edges=tuple(_oriented_tree_edges(targets) for _, targets, _ in plans),
             connectors=tuple(tuple(islice(picks, len(blocks))) for blocks, _, _ in plans),
-        )
-        return ConnectorResult(
-            connectors=z,
-            forced=guess.inside,
-            solution=solution,
-            trees=len(partition),
-            guess=state,
         )
 
     def _assignments(
@@ -318,9 +290,12 @@ class _ConnectorSearch:
                 if len(set(connectors)) == len(connectors):
                     yield plans, connectors
 
-    def search(self) -> ConnectorResult | None:
+    def search(self) -> tuple[frozenset[int], GuessState] | None:
+        if self.most < 0:
+            return None
         comps = self.g.induced(self.guess.out).components()
         if not self.guess.free:
+            self.counters["assignments_tried"] += 1
             return self._try_assignment(comps, [[i] for i in range(len(comps))],
                                         [((), (), [])] * len(comps), ())
         # Fewer connectors first: each one shrinks the solution by one, so
@@ -328,7 +303,7 @@ class _ConnectorSearch:
         # cannot work here: a surviving independent vertex meets every
         # committed-out component at most once, so it would have no private
         # cycle in the unglued forest.
-        for z_total in range(1, min(len(self.guess.free), len(comps)) + 1):
+        for z_total in range(1, min(len(self.guess.free), len(comps), self.most) + 1):
             for partition in set_partitions(range(len(comps))):
                 self.counters["comp_partitions"] += 1
                 parts = [tuple(comps[i] for i in part) for part in partition]
@@ -342,17 +317,21 @@ class _ConnectorSearch:
 
 
 def find_connectors(
-    g: Graph, pristine: Graph, guess: CoverGuess, counters: Counter[str]
-) -> ConnectorResult | None:
-    """Search for connectors completing one settled cover-side guess of g.
+    g: Graph, guess: CoverGuess, beat: int, counters: Counter[str]
+) -> tuple[frozenset[int], GuessState] | None:
+    """(solution, GuessState) for one settled guess of g, or None.
 
-    `guess` is one that `cover_guesses` yields on g, so its cover_out side
-    is a forest.  Returns the first (largest-solution) result whose
-    solution is a minimal fvs of `pristine`, or None when the guess admits
-    no minimal fvs of the required shape.  The result carries no
-    certificate: the caller builds one for the result it keeps.
+    g is a 2-core and `guess` one that `cover_guesses` yields on it; the
+    solution is the largest minimal fvs of g larger than `beat` (-1 takes
+    any) the guess gives, without a certificate.  The search returns the
+    first connector count z = 1, 2, ... that verifies, of size |cover_in| +
+    |inside| + |free| - z, and tries only the z whose size exceeds `beat`.
+    If the uncapped search's first verified z is one of them, the capped
+    one tries the same counts in the same order and returns the same
+    result; if not, that result is no larger than `beat`, and every count
+    tried here failed there too.
     """
-    return _ConnectorSearch(g, pristine, guess, counters).search()
+    return _ConnectorSearch(g, guess, beat, counters).search()
 
 
 class _WrongSides:
@@ -453,6 +432,14 @@ def _search_bound(guess: CoverGuess) -> int:
     return len(guess.cover_in) + len(guess.inside) + max(len(guess.free) - 1, 0)
 
 
+# search counters that `solve_vc` reports under their own names
+_REPORTED = (
+    "cover_guesses", "guesses_cut_by_bound", "viable_cover_guesses", "comp_partitions",
+    "structure_guesses", "assignments_tried", "assignments_rejected_partial",
+    "assignments_rejected_structure", "guess_rejected_at_verify", "forest_check_failures",
+)
+
+
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover."""
     start = time.perf_counter()
@@ -465,22 +452,22 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
 
     cover = min_vertex_cover(reduced)
     best: Solution | None = None
-    best_state: ConnectorResult | None = None
+    best_state: GuessState | None = None
 
     def can_win(size: int) -> bool:
         # a result replaces the best only when it is strictly larger
         return best is None or size > len(best.vertices)
 
     for guess in cover_guesses(reduced, cover, counters, _search_bound, can_win):
-        result = find_connectors(reduced, g, guess, counters)
-        if result is None or (best is not None and len(result.solution) <= len(best.vertices)):
+        found = find_connectors(reduced, guess, len(best.vertices) if best else -1, counters)
+        if found is None:
             continue
         # only a new best gets a certificate
-        certificate = is_minimal_fvs(g, result.solution)
+        solution, best_state = found
+        certificate = is_minimal_fvs(g, solution)
         if certificate is None:
             raise VerificationError("a checked connector solution got no certificate")
-        best = Solution(result.solution, certificate)
-        best_state = result
+        best = Solution(solution, certificate)
     if best is None:
         raise VerificationError("no cover guess extended, yet the empty one always does")
     report = SolveReport(
@@ -496,17 +483,9 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         extras={
             "cover_size": len(cover),
             "cover": tuple(sorted(cover)),
-            "cover_guesses": counters["cover_guesses"],
-            "guesses_cut_by_bound": counters["guesses_cut_by_bound"],
-            "viable_cover_guesses": counters["viable_cover_guesses"],
-            "comp_partitions": counters["comp_partitions"],
-            "structure_guesses": counters["structure_guesses"],
-            "assignments_tried": counters["assignments_tried"],
-            "assignments_rejected_partial": counters["assignments_rejected_partial"],
-            "guess_rejected_at_verify": counters["guess_rejected_at_verify"],
-            "forest_check_failures": counters["forest_check_failures"],
-            "winning_trees": best_state.trees if best_state else 0,
-            "winning_guess": best_state.guess if best_state else None,
+            **{name: counters[name] for name in _REPORTED},
+            "winning_trees": len(best_state.comp_partition),
+            "winning_guess": best_state,
         },
     )
     return best, report

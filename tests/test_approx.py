@@ -6,6 +6,7 @@ import pytest
 from mmfvs import approx
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
+from mmfvs.ksolver import opt_exact
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -164,6 +165,16 @@ class TestApproxSolve:
         # additive guarantee: opt - vc = 4 - 2
         assert len(result.solution.vertices) >= 2
         assert len(result.solution.vertices) == 4  # the greedy finds it here
+
+    def test_no_certified_guess_falls_back_to_the_exact_optimum(self, monkeypatch):
+        # every greedy candidate loses its certificate, so no guess survives
+        monkeypatch.setattr(approx, "is_minimal_fvs", lambda g, s: None)
+        g = apex_pair(6)
+        result = approx_solve(g, 0.5)
+        assert result.mode == "exact"
+        assert is_minimal_fvs(g, result.solution.vertices) is not None
+        assert len(result.solution.vertices) == opt_exact(g)
+        assert "opt" not in result.report.extras
 
     def test_guarantees_on_random_corpus(self):
         for seed in range(40):

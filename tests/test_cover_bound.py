@@ -99,11 +99,30 @@ def test_connector_results_stay_within_the_search_bound():
         for cover_in, cover_out in forest_splits(reduced, cover):
             guess = settle_guess(reduced, cover_in, cover_out, Counter())
             bound = _search_bound(guess)
-            result = find_connectors(reduced, g, guess, Counter())
-            if result is not None:
-                assert len(result.solution) <= bound, (g, cover_in)
-                tight += len(result.solution) == bound
+            found = find_connectors(reduced, guess, -1, Counter())
+            if found is not None:
+                solution, _ = found
+                assert len(solution) <= bound, (g, cover_in)
+                tight += len(solution) == bound
     assert tight > 0
+
+
+def test_a_capped_connector_search_returns_the_uncapped_result_or_none():
+    kept = dropped = 0
+    for g in corpus():
+        reduced, cover = vc_setting(g)
+        for cover_in, cover_out in forest_splits(reduced, cover):
+            guess = settle_guess(reduced, cover_in, cover_out, Counter())
+            uncapped = find_connectors(reduced, guess, -1, Counter())
+            for beat in range(-1, _search_bound(guess) + 1):
+                capped = find_connectors(reduced, guess, beat, Counter())
+                if uncapped is not None and len(uncapped[0]) > beat:
+                    assert capped == uncapped, (g, cover_in, beat)
+                    kept += 1
+                else:
+                    assert capped is None, (g, cover_in, beat)
+                    dropped += uncapped is not None
+    assert kept > 0 and dropped > 0
 
 
 def test_greedy_candidates_stay_within_the_greedy_bound():
@@ -179,9 +198,9 @@ def replay_vc(g):
         if cover_in and not partial_minimality_ok(reduced, cover_in):
             wrong += 1
             continue
-        result = find_connectors(reduced, g, guess, Counter())
-        if result is not None and (best is None or len(result.solution) > best):
-            best = len(result.solution)
+        found = find_connectors(reduced, guess, -1, Counter())
+        if found is not None and (best is None or len(found[0]) > best):
+            best = len(found[0])
     return best, cut, wrong, settles
 
 

@@ -3,6 +3,7 @@ from itertools import product
 
 from mmfvs import vcsolver
 from mmfvs.graph import Graph
+from mmfvs.ksolver import opt_exact
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
@@ -34,6 +35,14 @@ class TestEnumerators:
             seen.add(key)
             assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
 
+    def test_exact_block_partitions_are_the_filtered_enumeration_in_order(self):
+        for n in range(7):
+            items = [3 * i + 1 for i in range(n)]
+            every = list(set_partitions(items))
+            for blocks in range(n + 2):
+                expected = [p for p in every if len(p) == blocks]
+                assert list(set_partitions(items, blocks)) == expected, (n, blocks)
+
     def test_labeled_tree_counts_follow_cayley(self):
         for n in (1, 2, 3, 4, 5):
             count = sum(1 for _ in labeled_trees(n))
@@ -55,7 +64,7 @@ class TestEnumerators:
 
 def connectors_of(g, cover_in, cover_out):
     """The connector search on the settled guess (cover_in, cover_out) of g."""
-    return find_connectors(g, g, settle_guess(g, cover_in, cover_out, Counter()), Counter())
+    return find_connectors(g, settle_guess(g, cover_in, cover_out, Counter()), -1, Counter())
 
 
 def two_edges_and_two_connectors():
@@ -68,22 +77,20 @@ class TestFindConnectors:
         # committed-out path 0-1-2; independent 3 and 4 each see two of its
         # vertices, so the cycle rule forces both and no connector is needed
         g = Graph(range(5), [(0, 1), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
-        res = connectors_of(g, frozenset(), frozenset({0, 1, 2}))
-        assert res is not None
-        assert res.connectors == frozenset()
-        assert res.forced == {3, 4}
-        assert res.solution == {3, 4}
+        solution, state = connectors_of(g, frozenset(), frozenset({0, 1, 2}))
+        assert solution == {3, 4}
+        # with 3 and 4 inside, the path peels away: no tree, no connector
+        assert state.comp_partition == state.connectors == ()
 
     def test_unique_connector_between_two_components(self):
         # committed-out edges (0,1) and (2,3); vertex 4 touches one vertex
         # of each and is the only way to glue them into a single tree, in
         # which vertex 5 then closes its private cycle
         g = two_edges_and_two_connectors()
-        res = connectors_of(g, frozenset(), frozenset({0, 1, 2, 3}))
-        assert res is not None
-        assert res.connectors == {4}
-        assert res.solution == {5}
-        assert res.trees == 1
+        solution, state = connectors_of(g, frozenset(), frozenset({0, 1, 2, 3}))
+        assert solution == {5}
+        assert state.connectors == ((4,),)
+        assert len(state.comp_partition) == 1
 
 
 class TestConnectorSafetyChecks:
@@ -92,7 +99,7 @@ class TestConnectorSafetyChecks:
     def search(self):
         g = two_edges_and_two_connectors()
         guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
-        return _ConnectorSearch(g, g, guess, Counter()), g.induced(guess.out).components()
+        return _ConnectorSearch(g, guess, -1, Counter()), g.induced(guess.out).components()
 
     def test_connectors_closing_a_cycle_are_rejected(self):
         # 4 and 5 both glue the two edges: 0-4-2-3-5-1-0 is a cycle
@@ -170,18 +177,36 @@ class TestSolveVc:
             assert report.extras["guess_rejected_at_verify"] == 0
             assert report.extras["forest_check_failures"] == 0
 
+    def test_every_checked_assignment_is_counted(self):
+        rejects = ("forest_check_failures", "assignments_rejected_structure",
+                   "assignments_rejected_partial", "guess_rejected_at_verify")
+        for seed in range(25):
+            g = gnp(7, 0.4, seed=seed)
+            _, report = solve_vc(g)
+            rejected = sum(report.extras[name] for name in rejects)
+            assert report.nodes_explored == report.extras["assignments_tried"] >= rejected, seed
+
     def test_every_viable_guess_goes_through_find_connectors(self, monkeypatch):
         searched = []
 
-        def recorded(g, pristine, guess, counters):
+        def recorded(g, guess, beat, counters):
             searched.append(guess)
-            return find_connectors(g, pristine, guess, counters)
+            return find_connectors(g, guess, beat, counters)
 
         monkeypatch.setattr(vcsolver, "find_connectors", recorded)
         for g in (apex_pair(6), cycle(5), gnp(8, 0.4, seed=300)):
             searched.clear()
             _, report = solve_vc(g)
             assert len(searched) == report.extras["viable_cover_guesses"] > 0
+
+    def test_sparse_gnp_20_reaches_the_optimum_in_few_assignments(self):
+        # the search stops at the last connector count that can beat the
+        # best, so guesses that cannot win are refuted without walking
+        # every count up to min(|free|, |comps|)
+        g = gnp(20, 0.15, seed=4)
+        sol, report = solve_vc(g)
+        assert len(sol.vertices) == opt_exact(g) == 8
+        assert report.extras["assignments_tried"] <= 10_000
 
     def test_winning_guess_is_reported(self):
         _, report = solve_vc(apex_pair(6))
