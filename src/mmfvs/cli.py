@@ -54,19 +54,21 @@ def _solution_text(g: Graph, vertices: frozenset[int]) -> str:
     return "".join(f"{rank[v]}\n" for v in sorted(vertices))
 
 
+_REQUIRED = {"ksolver": "k", "approx": "epsilon", "ppt-check": "k"}
+
+
+def _algo_params(args: argparse.Namespace) -> dict[str, object]:
+    """The given --k and --epsilon; a ValueError when the one the algorithm needs is missing."""
+    params = {name: value for name in ("k", "epsilon") if (value := getattr(args, name)) is not None}
+    needed = _REQUIRED.get(args.algo)
+    if needed and needed not in params:
+        raise ValueError(f"{args.algo} needs --{needed}")
+    return params
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    params = _algo_params(args)
     g = _load_instance(args.instance)
-    params: dict[str, object] = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
-    if args.algo == "ksolver" and args.k is None:
-        print("ksolver needs --k", file=sys.stderr)
-        return EXIT_ERROR
-    if args.algo == "approx" and args.epsilon is None:
-        print("approx needs --epsilon", file=sys.stderr)
-        return EXIT_ERROR
     record = run_one(Path(args.instance).name, g, args.algo, params, timeout=args.timeout)
     if record.error:
         print(f"error: {record.error}", file=sys.stderr)
@@ -133,16 +135,12 @@ def _cmd_reduce_ppt(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    params = _algo_params(args)
     corpus = sorted(Path(args.corpus).glob("*.mmfvs"))
     if not corpus:
         print(f"no *.mmfvs instances under {args.corpus}", file=sys.stderr)
         return EXIT_ERROR
     instances = [(path.name, parse_instance(path.read_text())) for path in corpus]
-    params: dict[str, object] = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
     records = run_batch(
         instances, args.algo, params, threads=args.threads, timeout=args.timeout
     )

@@ -9,14 +9,17 @@ forest and must join the solution.  The search for Z (`find_connectors`,
 run on each settled guess) guesses how the components group into trees (a
 partition), how each group is assembled from blocks joined by one
 connector each, and which cross edges hook the blocks together; candidates
-for each connector are pinned down by exact adjacency counts.  Guesses are
-enumerated with fewer connectors first, up to the last count that can
-beat the best so far, so the first assignment that verifies is the largest
-solution the cover guess can give.  Nothing is trusted from the search
-state: a candidate solution is kept only after a minimality check (one
-union-find sweep over the 2-core, the same one that checks the cover
-side's private cycles), and the one that becomes the new best is then
-certified in full on the input graph (`verify.is_minimal_fvs`).
+for each connector are pinned down by exact adjacency counts, grouped once
+per block by the blocks they meet, and a group of s components takes at
+most s - 1 connectors (`_splits`).  Guesses are enumerated with fewer
+connectors first, up to the last count that can beat the best so far, so
+the first assignment that verifies is the largest solution the cover guess
+can give; it comes back with the tree count of its final forest.  Nothing
+is trusted from the search state: a candidate solution is kept only after
+a minimality check (one union-find sweep over the 2-core, the same one
+that checks the cover side's private cycles), and the one that becomes the
+new best is then certified in full on the input graph
+(`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -38,7 +41,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from mmfvs.graph import Forest, Graph, peel, settle
@@ -49,18 +52,6 @@ from mmfvs.verify import (
     min_vertex_cover,
     partial_minimality_ok,
 )
-
-
-@dataclass(frozen=True)
-class GuessState:
-    """A fully resolved inner guess: how one cover-side guess builds its forest."""
-
-    cover_in: frozenset[int]
-    cover_out: frozenset[int]
-    comp_partition: tuple[tuple[frozenset[int], ...], ...]
-    sub_partitions: tuple[tuple[tuple[frozenset[int], ...], ...], ...]
-    cross_edges: tuple[tuple[tuple[int, int], ...], ...]
-    connectors: tuple[tuple[int, ...], ...]
 
 
 def set_partitions(
@@ -126,12 +117,6 @@ def cross_edge_choices(size: int) -> Iterator[tuple[frozenset[int], ...]]:
             yield tuple(frozenset(t) for t in targets)
 
 
-def _oriented_tree_edges(targets: Sequence[frozenset[int]]) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (src, dst) for src in range(len(targets)) for dst in sorted(targets[src])
-    )
-
-
 @dataclass(frozen=True)
 class CoverGuess:
     """One cover-side guess, reduced by `graph.settle`.
@@ -160,16 +145,22 @@ def settle_guess(
 def _splits(sizes: Sequence[int], left: int) -> Iterator[tuple[int, ...]]:
     """Ways to spend `left` connectors over parts of these sizes, in order.
 
-    A part of one component takes zero or one connector, a larger part at
-    least one, and no part more than it has components.
+    A part of s components takes at least one connector when s > 1 and at
+    most s - 1.  A settled free vertex has at least two neighbours in the
+    committed-out forest, none of them outside its part, and as the
+    connector of a block it meets each component of that block once and
+    each of its target blocks once.  With c blocks the targets are the c - 1
+    tree edges, so summing over the blocks gives s + c - 1 >= 2c, that is
+    c <= s - 1.  A larger count never had a candidate.
     """
     if not sizes:
         if left == 0:
             yield ()
         return
-    for s in range(0 if sizes[0] == 1 else 1, min(sizes[0], left) + 1):
-        for rest in _splits(sizes[1:], left - s):
-            yield (s, *rest)
+    s = sizes[0]
+    for c in range(min(s - 1, 1), min(s - 1, left) + 1):
+        for rest in _splits(sizes[1:], left - c):
+            yield (c, *rest)
 
 
 class _ConnectorSearch:
@@ -187,10 +178,8 @@ class _ConnectorSearch:
         self.free_nbrs = [(x, g.neighbors(x) & guess.out) for x in sorted(guess.free)]
         self.most = len(guess.cover_in) + len(guess.inside) + len(guess.free) - beat - 1
 
-    def _part_plans(
-        self, part: tuple[frozenset[int], ...], connectors: int
-    ) -> list[tuple[tuple, tuple, list[list[int]]]]:
-        """(blocks, targets, per-block candidates) choices for one part.
+    def _part_plans(self, part: tuple[frozenset[int], ...], connectors: int) -> list[list[list[int]]]:
+        """The plans of one part, each a list of per-block candidate lists.
 
         A part without connectors is one component and one plan with no
         blocks.  Otherwise its components are grouped into one block per
@@ -199,49 +188,44 @@ class _ConnectorSearch:
         is adjacent to exactly one vertex of every component of its block
         and has no committed-out neighbor outside the part; under a target
         choice it also has exactly one neighbor in each target block and
-        none in the other blocks.
+        none in the other blocks.  Each block's candidates are grouped once
+        by the set of other blocks they meet, once each, so a target choice
+        looks its candidates up; a plan is kept when every block has some.
         """
         if connectors == 0:
-            return [((), (), [])]
+            return [[]]
         part_union = frozenset().union(*part)
         local = [(x, nb) for x, nb in self.free_nbrs if nb <= part_union]
         plans = []
         for raw in set_partitions(range(len(part)), connectors):
-            blocks = tuple(tuple(part[i] for i in block) for block in raw)
-            unions = [frozenset().union(*block) for block in blocks]
+            unions = [frozenset().union(*(part[i] for i in block)) for block in raw]
             base = [
-                [(x, nb) for x, nb in local if all(len(nb & comp) == 1 for comp in block)]
-                for block in blocks
+                [(x, nb) for x, nb in local if all(len(nb & part[i]) == 1 for i in block)]
+                for block in raw
             ]
             if not all(base):
                 continue
-            for targets in cross_edge_choices(len(blocks)):
+            by_targets: list[dict[frozenset[int], list[int]]] = [{} for _ in raw]
+            for b, cands in enumerate(base):
+                for x, nb in cands:
+                    met = [o for o in range(len(raw)) if o != b and nb & unions[o]]
+                    if all(len(nb & unions[o]) == 1 for o in met):
+                        by_targets[b].setdefault(frozenset(met), []).append(x)
+            for targets in cross_edge_choices(len(raw)):
                 self.counters["structure_guesses"] += 1
-                cands = [
-                    [
-                        x for x, nb in base[b]
-                        if all(
-                            len(nb & unions[o]) == (1 if o in targets[b] else 0)
-                            for o in range(len(blocks)) if o != b
-                        )
-                    ]
-                    for b in range(len(blocks))
-                ]
+                cands = [groups.get(t) for groups, t in zip(by_targets, targets)]
                 if all(cands):
-                    plans.append((blocks, targets, cands))
+                    plans.append(cands)
         return plans
 
-    def _try_assignment(
-        self, comps: list[frozenset[int]], partition: Sequence[Sequence[int]],
-        plans: Sequence[tuple], connectors: tuple[int, ...]
-    ) -> tuple[frozenset[int], GuessState] | None:
+    def _try_assignment(self, trees: int, connectors: tuple[int, ...]) -> frozenset[int] | None:
         guess = self.guess
         z = frozenset(connectors)
         # one union-find over the final forest answers acyclicity, the tree
         # count and the cycle closers below
         forest = Forest(self.g)
         acyclic = forest.extend(guess.out | z, stop_at_cycle=True)
-        if not acyclic or forest.trees() != len(partition):
+        if not acyclic or forest.trees() != trees:
             self.counters["forest_check_failures"] += 1
             return None
         # every leftover independent vertex must close a cycle with one of
@@ -262,20 +246,12 @@ class _ConnectorSearch:
         if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - guess.cover_in)):
             self.counters["guess_rejected_at_verify"] += 1
             return None
-        picks = iter(connectors)
-        return solution, GuessState(
-            cover_in=guess.cover_in,
-            cover_out=guess.cover_out,
-            comp_partition=tuple(tuple(comps[i] for i in part) for part in partition),
-            sub_partitions=tuple(blocks for blocks, _, _ in plans),
-            cross_edges=tuple(_oriented_tree_edges(targets) for _, targets, _ in plans),
-            connectors=tuple(tuple(islice(picks, len(blocks))) for blocks, _, _ in plans),
-        )
+        return solution
 
     def _assignments(
         self, parts: list[tuple[frozenset[int], ...]], split: tuple[int, ...]
-    ) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-        """(plans, connectors) for one split, distinct connectors only.
+    ) -> Iterator[tuple[int, ...]]:
+        """Connectors for one split, distinct ones only.
 
         Each part's plans are built once; a part with none ends the split.
         """
@@ -286,45 +262,47 @@ class _ConnectorSearch:
                 return
             per_part.append(plans)
         for plans in product(*per_part):
-            for connectors in product(*(slot for plan in plans for slot in plan[2])):
+            for connectors in product(*(slot for plan in plans for slot in plan)):
                 if len(set(connectors)) == len(connectors):
-                    yield plans, connectors
+                    yield connectors
 
-    def search(self) -> tuple[frozenset[int], GuessState] | None:
+    def search(self) -> tuple[frozenset[int], int] | None:
         if self.most < 0:
             return None
         comps = self.g.induced(self.guess.out).components()
         if not self.guess.free:
             self.counters["assignments_tried"] += 1
-            return self._try_assignment(comps, [[i] for i in range(len(comps))],
-                                        [((), (), [])] * len(comps), ())
+            solution = self._try_assignment(len(comps), ())
+            return None if solution is None else (solution, len(comps))
         # Fewer connectors first: each one shrinks the solution by one, so
         # the first verified hit is this guess's maximum.  Zero connectors
         # cannot work here: a surviving independent vertex meets every
         # committed-out component at most once, so it would have no private
-        # cycle in the unglued forest.
-        for z_total in range(1, min(len(self.guess.free), len(comps), self.most) + 1):
+        # cycle in the unglued forest.  A part of s components takes at most
+        # s - 1 connectors (`_splits`), so no count reaches len(comps).
+        for z_total in range(1, min(len(self.guess.free), len(comps) - 1, self.most) + 1):
             for partition in set_partitions(range(len(comps))):
                 self.counters["comp_partitions"] += 1
                 parts = [tuple(comps[i] for i in part) for part in partition]
                 for split in _splits([len(p) for p in parts], z_total):
-                    for plans, connectors in self._assignments(parts, split):
+                    for connectors in self._assignments(parts, split):
                         self.counters["assignments_tried"] += 1
-                        result = self._try_assignment(comps, partition, plans, connectors)
-                        if result is not None:
-                            return result
+                        solution = self._try_assignment(len(parts), connectors)
+                        if solution is not None:
+                            return solution, len(parts)
         return None
 
 
 def find_connectors(
     g: Graph, guess: CoverGuess, beat: int, counters: Counter[str]
-) -> tuple[frozenset[int], GuessState] | None:
-    """(solution, GuessState) for one settled guess of g, or None.
+) -> tuple[frozenset[int], int] | None:
+    """(solution, trees) for one settled guess of g, or None.
 
     g is a 2-core and `guess` one that `cover_guesses` yields on it; the
     solution is the largest minimal fvs of g larger than `beat` (-1 takes
-    any) the guess gives, without a certificate.  The search returns the
-    first connector count z = 1, 2, ... that verifies, of size |cover_in| +
+    any) the guess gives, without a certificate, and `trees` the number of
+    trees of its final forest g[out | Z].  The search returns the first
+    connector count z = 1, 2, ... that verifies, of size |cover_in| +
     |inside| + |free| - z, and tries only the z whose size exceeds `beat`.
     If the uncapped search's first verified z is one of them, the capped
     one tries the same counts in the same order and returns the same
@@ -452,7 +430,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
 
     cover = min_vertex_cover(reduced)
     best: Solution | None = None
-    best_state: GuessState | None = None
+    best_trees = 0
 
     def can_win(size: int) -> bool:
         # a result replaces the best only when it is strictly larger
@@ -463,7 +441,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         if found is None:
             continue
         # only a new best gets a certificate
-        solution, best_state = found
+        solution, best_trees = found
         certificate = is_minimal_fvs(g, solution)
         if certificate is None:
             raise VerificationError("a checked connector solution got no certificate")
@@ -484,8 +462,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
             "cover_size": len(cover),
             "cover": tuple(sorted(cover)),
             **{name: counters[name] for name in _REPORTED},
-            "winning_trees": len(best_state.comp_partition),
-            "winning_guess": best_state,
+            "winning_trees": best_trees,
         },
     )
     return best, report

@@ -274,15 +274,15 @@ def members_have_private_cycles(
     Same predicate as full minimality verification but restricted to a
     subset of the solution, which is what partial-solution checks need.
     Members are answered together from one union-find over g - solution;
-    a probed vertex outside `solution` gets its own sweep.
+    a probed vertex outside `solution` is a ValueError.
     """
     probed = sorted(probed)
-    inside = [w for w in probed if w in solution]
-    if inside:
-        forest = Forest.without(g, solution)
-        if not all(forest.closes_cycle(w) for w in inside):
-            return False
-    return all(has_private_cycle(g, w, solution) for w in probed if w not in solution)
+    if not solution.issuperset(probed):
+        raise ValueError(f"probed vertices {sorted(set(probed) - solution)} are not in the solution")
+    if not probed:
+        return True
+    forest = Forest.without(g, solution)
+    return all(forest.closes_cycle(w) for w in probed)
 
 
 def certificate_is_valid(

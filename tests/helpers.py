@@ -8,6 +8,7 @@ from itertools import combinations
 from mmfvs.graph import Graph, is_acyclic_without
 from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
+from mmfvs.vcsolver import cross_edge_choices, set_partitions
 from mmfvs.verify import is_fvs, private_cycle
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
@@ -224,3 +225,40 @@ def neighborhood_components(g: Graph, c_out, u: int) -> frozenset[int]:
     return frozenset(
         min(comp) for comp in g.induced(c_out).components() if g.neighbors(u) & comp
     )
+
+
+def part_plans_reference(free_nbrs, part, connectors: int, counters) -> list[list[list[int]]]:
+    """The connector search's plans for one part, its candidates filtered anew per target choice.
+
+    `free_nbrs` lists (free vertex, its committed-out neighbours) ascending;
+    `counters` counts the target choices tried in "structure_guesses".
+    """
+    if connectors == 0:
+        return [[]]
+    part_union = frozenset().union(*part)
+    local = [(x, nb) for x, nb in free_nbrs if nb <= part_union]
+    plans = []
+    for raw in set_partitions(range(len(part)), connectors):
+        blocks = [[part[i] for i in block] for block in raw]
+        unions = [frozenset().union(*block) for block in blocks]
+        base = [
+            [(x, nb) for x, nb in local if all(len(nb & comp) == 1 for comp in block)]
+            for block in blocks
+        ]
+        if not all(base):
+            continue
+        for targets in cross_edge_choices(len(blocks)):
+            counters["structure_guesses"] += 1
+            cands = [
+                [
+                    x for x, nb in base[b]
+                    if all(
+                        len(nb & unions[o]) == (1 if o in targets[b] else 0)
+                        for o in range(len(blocks)) if o != b
+                    )
+                ]
+                for b in range(len(blocks))
+            ]
+            if all(cands):
+                plans.append(cands)
+    return plans

@@ -31,6 +31,7 @@ class TestSolve:
     def test_ksolver_requires_k(self, tmp_path, capsys):
         instance = write_apex(tmp_path)
         assert main(["solve", str(instance), "--algo", "ksolver"]) == 2
+        assert "ksolver needs --k" in capsys.readouterr().err
 
     def test_malformed_instance(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmfvs"
@@ -124,6 +125,17 @@ class TestBench:
         main(["bench", "--corpus", str(corpus), "--algo", "ksolver", "--k", "3",
               "--report", str(r2)])
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_missing_algorithm_parameter_stops_before_any_instance(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.mmfvs").write_text(write_instance(apex_pair(6)))
+        report = tmp_path / "report.jsonl"
+        for algo, flag in (("ksolver", "--k"), ("approx", "--epsilon"), ("ppt-check", "--k")):
+            code = main(["bench", "--corpus", str(corpus), "--algo", algo, "--report", str(report)])
+            assert code == 2, algo
+            assert f"{algo} needs {flag}" in capsys.readouterr().err
+            assert not report.exists(), algo
 
     def test_empty_corpus_errors(self, tmp_path):
         corpus = tmp_path / "corpus"

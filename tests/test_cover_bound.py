@@ -10,7 +10,10 @@ least what the unbounded search gives, the unsettled bound is at least
 both settled ones, the memory agrees with `partial_minimality_ok` in any
 query order and saves exactly the sweeps it should, and each solver cuts
 exactly the guesses whose settled bound is at most its best so far while
-settling exactly the splits whose unsettled bound beats it.
+settling exactly the splits whose unsettled bound beats it.  On the same
+settled guesses, the connector search's part plans are checked against a
+per-target-choice filter, and a part of s components is checked to have
+no plan with s connectors.
 """
 
 import random
@@ -25,6 +28,7 @@ from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Forest, Graph, peel
 from mmfvs.instances import generate
 from mmfvs.vcsolver import (
+    _ConnectorSearch,
     _search_bound,
     _WrongSides,
     find_connectors,
@@ -33,7 +37,7 @@ from mmfvs.vcsolver import (
 )
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
 
-from helpers import gnp
+from helpers import gnp, part_plans_reference
 
 
 @cache
@@ -123,6 +127,42 @@ def test_a_capped_connector_search_returns_the_uncapped_result_or_none():
                     assert capped is None, (g, cover_in, beat)
                     dropped += uncapped is not None
     assert kept > 0 and dropped > 0
+
+
+def connector_searches():
+    """(search, components of g[out]) for every settled guess with a free vertex."""
+    for g in corpus():
+        reduced, cover = vc_setting(g)
+        for cover_in, cover_out in forest_splits(reduced, cover):
+            guess = settle_guess(reduced, cover_in, cover_out, Counter())
+            if guess.free:
+                comps = reduced.induced(guess.out).components()
+                yield _ConnectorSearch(reduced, guess, -1, Counter()), comps
+
+
+def test_a_part_of_s_components_has_no_plan_with_s_connectors():
+    # the invariant that lets `_splits` stop at s - 1 connectors per part
+    parts = 0
+    for search, comps in connector_searches():
+        for s in range(1, 5):
+            for part in combinations(comps, s):
+                assert search._part_plans(part, s) == [], (search.guess, part)
+                parts += 1
+    assert parts > 1000
+
+
+def test_grouped_part_plans_match_the_per_target_filter():
+    plans = 0
+    for search, comps in connector_searches():
+        for s in range(2, 5):
+            for part in combinations(comps, s):
+                for c in range(1, s):
+                    expected, counted = Counter(), search.counters.copy()
+                    reference = part_plans_reference(search.free_nbrs, part, c, expected)
+                    assert search._part_plans(part, c) == reference, (search.guess, part, c)
+                    assert search.counters - counted == expected
+                    plans += len(reference)
+    assert plans > 0
 
 
 def test_greedy_candidates_stay_within_the_greedy_bound():

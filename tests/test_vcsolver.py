@@ -2,7 +2,7 @@ from collections import Counter
 from itertools import product
 
 from mmfvs import vcsolver
-from mmfvs.graph import Graph
+from mmfvs.graph import Graph, peel
 from mmfvs.ksolver import opt_exact
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -56,7 +56,8 @@ class TestEnumerators:
 
     def test_splits_are_the_filtered_product_in_order(self):
         for sizes in [(), (1,), (3,), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2), (4, 1)]:
-            ranges = [range(0 if size == 1 else 1, size + 1) for size in sizes]
+            # a part of s components takes 1 to s - 1 connectors, none if s = 1
+            ranges = [range(min(size - 1, 1), size) for size in sizes]
             for total in range(sum(sizes) + 2):
                 expected = [c for c in product(*ranges) if sum(c) == total]
                 assert list(_splits(sizes, total)) == expected, (sizes, total)
@@ -77,20 +78,19 @@ class TestFindConnectors:
         # committed-out path 0-1-2; independent 3 and 4 each see two of its
         # vertices, so the cycle rule forces both and no connector is needed
         g = Graph(range(5), [(0, 1), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
-        solution, state = connectors_of(g, frozenset(), frozenset({0, 1, 2}))
+        solution, trees = connectors_of(g, frozenset(), frozenset({0, 1, 2}))
         assert solution == {3, 4}
         # with 3 and 4 inside, the path peels away: no tree, no connector
-        assert state.comp_partition == state.connectors == ()
+        assert trees == 0
 
     def test_unique_connector_between_two_components(self):
         # committed-out edges (0,1) and (2,3); vertex 4 touches one vertex
         # of each and is the only way to glue them into a single tree, in
         # which vertex 5 then closes its private cycle
         g = two_edges_and_two_connectors()
-        solution, state = connectors_of(g, frozenset(), frozenset({0, 1, 2, 3}))
+        solution, trees = connectors_of(g, frozenset(), frozenset({0, 1, 2, 3}))
         assert solution == {5}
-        assert state.connectors == ((4,),)
-        assert len(state.comp_partition) == 1
+        assert trees == 1
 
 
 class TestConnectorSafetyChecks:
@@ -99,20 +99,18 @@ class TestConnectorSafetyChecks:
     def search(self):
         g = two_edges_and_two_connectors()
         guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
-        return _ConnectorSearch(g, guess, -1, Counter()), g.induced(guess.out).components()
+        return _ConnectorSearch(g, guess, -1, Counter())
 
     def test_connectors_closing_a_cycle_are_rejected(self):
         # 4 and 5 both glue the two edges: 0-4-2-3-5-1-0 is a cycle
-        search, comps = self.search()
-        blocks = ((comps[0],), (comps[1],))
-        plan = (blocks, (frozenset({1}), frozenset()), [[4, 5], [4, 5]])
-        assert search._try_assignment(comps, [[0, 1]], [plan], (4, 5)) is None
+        search = self.search()
+        assert search._try_assignment(1, (4, 5)) is None
         assert search.counters["forest_check_failures"] == 1
 
     def test_connectors_leaving_the_wrong_tree_count_are_rejected(self):
         # 4 glues both edges into one tree, but the partition asks for two
-        search, comps = self.search()
-        assert search._try_assignment(comps, [[0], [1]], [((), (), [])] * 2, (4,)) is None
+        search = self.search()
+        assert search._try_assignment(2, (4,)) is None
         assert search.counters["forest_check_failures"] == 1
 
 
@@ -208,11 +206,25 @@ class TestSolveVc:
         assert len(sol.vertices) == opt_exact(g) == 8
         assert report.extras["assignments_tried"] <= 10_000
 
-    def test_winning_guess_is_reported(self):
+    def test_trees_count_the_final_forest(self):
+        # the connectors are the free vertices the solution leaves out
+        found = 0
+        for seed in range(25):
+            g = gnp(8, 0.4, seed=300 + seed)
+            g = g.delete(peel(g, g.vertices))
+            for guess in cover_guesses(g, min_vertex_cover(g), Counter(), _search_bound,
+                                       lambda size: True):
+                result = find_connectors(g, guess, -1, Counter())
+                if result is None:
+                    continue
+                solution, trees = result
+                forest = g.induced(guess.out | (guess.free - solution))
+                assert trees == len(forest.components()), (seed, guess)
+                found += 1
+        assert found > 0
+        # the hubs force every other vertex in, and then peel away: no tree
         _, report = solve_vc(apex_pair(6))
-        guess = report.extras["winning_guess"]
-        assert guess is not None
-        assert guess.cover_in | guess.cover_out <= {0, 1}
+        assert report.extras["winning_trees"] == 0
 
     def test_certifies_only_a_new_best(self, monkeypatch):
         # a cover guess whose solution is no larger than the best so far
