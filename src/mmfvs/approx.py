@@ -4,10 +4,13 @@ For one guessed cover side, every independent vertex is driven either into
 the solution or into the growing outside forest: a vertex moves outside
 only when doing so keeps the committed cover vertices minimal, and each
 move merges at least two outside trees, so at most vc vertices are ever
-moved and the best guess misses the optimum by at most vc.  Asking the
-solution-size solver whether the optimum reaches vc/eps first turns that
-additive loss into a (1 - eps) factor: below the threshold the exact
-optimum is computed outright.
+moved and the best guess misses the optimum by at most vc.  Knowing
+whether the optimum reaches vc/eps turns that additive loss into a
+(1 - eps) factor: below the threshold the exact optimum is computed
+outright.  That question is answered by the cheapest fact that settles
+it: a threshold above the degree-sum bound `ksolver.opt_upper_bound`
+means no, before any greedy work; a verified greedy best of at least the
+threshold means yes; only otherwise is the solution-size solver asked.
 
 The cover-side guesses come settled from `vcsolver.cover_guesses`, by
 `graph.settle`, the fixpoint of the round of degree and cycle rules
@@ -27,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from mmfvs.graph import Graph, cycle_closers, settle
-from mmfvs.ksolver import opt_exact_solution, solve_k
+from mmfvs.ksolver import opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import CoverGuess, cover_guesses
 from mmfvs.verify import (
@@ -101,8 +104,9 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     cover = min_vertex_cover(g)
     vc = len(cover)
     threshold = max(1, math.ceil(vc / epsilon))
-    gate = solve_k(g, threshold)
-    if not gate.is_yes:
+
+    def exact_route(nodes_explored: int) -> ApproxResult:
+        # the optimum is below the threshold: compute it outright
         opt, sol = opt_exact_solution(g)
         return ApproxResult(
             sol,
@@ -110,13 +114,17 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             SolveReport(
                 outcome="yes",
                 solution=sol,
-                nodes_explored=gate.nodes_explored,
+                nodes_explored=nodes_explored,
                 reductions_fired={},
                 max_depth=0,
                 wall_time=time.perf_counter() - start,
                 extras={"vc": vc, "threshold": threshold, "opt": opt},
             ),
         )
+
+    if threshold > opt_upper_bound(g):
+        # solve_k would refuse it too, before trying any guess
+        return exact_route(0)
 
     best: Solution | None = None
     moved_of_best = 0
@@ -146,6 +154,11 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         verified += 1
         best = Solution(candidate, certificate)
         moved_of_best = len(moved)
+    if best is None or len(best.vertices) < threshold:
+        # a verified best of size >= threshold already proves opt >= threshold
+        gate = solve_k(g, threshold)
+        if not gate.is_yes:
+            return exact_route(gate.nodes_explored)
     mode = "greedy"
     if best is None:
         # no guess survived verification; fall back to the exact route so

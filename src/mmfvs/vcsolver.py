@@ -301,7 +301,8 @@ def find_connectors(
     g is a 2-core and `guess` one that `cover_guesses` yields on it; the
     solution is the largest minimal fvs of g larger than `beat` (-1 takes
     any) the guess gives, without a certificate, and `trees` the number of
-    trees of its final forest g[out | Z].  The search returns the first
+    trees of its final forest g[out | Z], where `out` is what `graph.settle`
+    kept of the committed-out side.  The search returns the first
     connector count z = 1, 2, ... that verifies, of size |cover_in| +
     |inside| + |free| - z, and tries only the z whose size exceeds `beat`.
     If the uncapped search's first verified z is one of them, the capped
@@ -419,7 +420,16 @@ _REPORTED = (
 
 
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
-    """A largest minimal fvs, by guessing its intersection with a cover."""
+    """A largest minimal fvs, by guessing its intersection with a cover.
+
+    The extra `winning_trees` is the tree count `find_connectors` gave the
+    best: the trees of the settled forest on the 2-core, not those of
+    G - solution.  Vertices off the 2-core, and committed-out vertices
+    that `graph.settle` peeled once the forced vertices joined the
+    solution, belong to no tree.  On the apex pair with n = 6 (hubs 0 and
+    1, both adjacent to 2..5) it reads 0, while G - {2, 3, 4, 5} is the
+    edge {0, 1}, one tree.
+    """
     start = time.perf_counter()
     counters: Counter[str] = Counter()
     # vertices of degree <= 1 sit on no cycle and join no minimal fvs, so

@@ -6,7 +6,7 @@ import pytest
 from mmfvs import approx
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
-from mmfvs.ksolver import opt_exact
+from mmfvs.ksolver import opt_exact, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -189,3 +189,59 @@ class TestApproxSolve:
                 assert size >= -(-(1 - eps) * opt // 1), (seed, eps)
                 if result.mode == "greedy":
                     assert result.report.extras["max_moved"] <= vc
+
+
+class TestGate:
+    """approx_solve asks solve_k(g, threshold) only when nothing cheaper answers it."""
+
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(g, k):
+            report = solve_k(g, k)
+            calls.append((k, report))
+            return report
+
+        monkeypatch.setattr(approx, "solve_k", recorded)
+        return calls
+
+    def test_threshold_past_the_degree_bound_goes_exact_without_the_gate(self, gate_calls):
+        for g in (path(5), gnp(8, 0.4, seed=3)):
+            result = approx_solve(g, 0.5)
+            assert result.report.extras["threshold"] > opt_upper_bound(g)
+            assert gate_calls == []
+            assert result.mode == "exact"
+            assert result.report.nodes_explored == 0
+            assert result.report.extras["opt"] == opt_exact(g)
+
+    def test_greedy_best_at_the_threshold_skips_the_gate(self, gate_calls):
+        result = approx_solve(apex_pair(6), 0.5)
+        assert gate_calls == []
+        assert result.mode == "greedy"
+        assert len(result.solution.vertices) >= result.report.extras["threshold"]
+
+    def test_gate_no_takes_the_exact_route_with_its_nodes(self, gate_calls):
+        g = gnp(5, 0.5, seed=1)
+        result = approx_solve(g, 0.9)
+        threshold = result.report.extras["threshold"]
+        assert threshold <= opt_upper_bound(g)
+        [(k, gate)] = gate_calls
+        assert k == threshold and not gate.is_yes
+        assert result.mode == "exact"
+        assert result.report.nodes_explored == gate.nodes_explored > 0
+        assert result.report.extras["opt"] == opt_exact(g) < threshold
+
+    def test_gate_yes_below_the_threshold_keeps_the_greedy_best(self, gate_calls, monkeypatch):
+        # without the cover_in = {} guess the greedy best of apex_pair(6) is
+        # one hub, below the threshold 4 = opt, so only the gate can say yes
+        every_guess = approx.cover_guesses
+        monkeypatch.setattr(
+            approx, "cover_guesses", lambda *args: (s for s in every_guess(*args) if s.cover_in)
+        )
+        result = approx_solve(apex_pair(6), 0.5)
+        [(k, gate)] = gate_calls
+        assert k == result.report.extras["threshold"] == 4 and gate.is_yes
+        assert result.mode == "greedy"
+        assert len(result.solution.vertices) == 1
+        assert result.report.nodes_explored == 0
