@@ -61,6 +61,54 @@ def _json_safe(mapping: Mapping[str, object]) -> dict[str, object]:
     return out
 
 
+def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str, object]) -> None:
+    """Run one algorithm on g and fill in `record`'s answer fields."""
+    if algorithm == "bruteforce":
+        res = opt_mmfvs_brute(g, cap=int(params.get("cap", 20)))
+        record.outcome = "yes"
+        record.size = res.opt_value
+        record.verified = is_minimal_fvs(g, res.witness) is not None
+        record.stats = {"enumerated": res.enumerated}
+        record.stats["solution"] = sorted(res.witness)
+    elif algorithm == "ksolver":
+        report = solve_k(g, int(params["k"]))
+        record.outcome = report.outcome
+        record.stats = {
+            "nodes_explored": report.nodes_explored,
+            "max_depth": report.max_depth,
+            "guesses_tried": report.extras.get("guesses_tried", 0),
+        }
+        if report.is_yes:
+            if report.solution is None:
+                raise VerificationError("ksolver said yes without a witness")
+            record.size = len(report.solution.vertices)
+            record.verified = is_minimal_fvs(g, report.solution.vertices) is not None
+            record.stats["solution"] = sorted(report.solution.vertices)
+    elif algorithm == "vcsolver":
+        sol, report = solve_vc(g)
+        record.outcome = "yes"
+        record.size = len(sol.vertices)
+        record.verified = is_minimal_fvs(g, sol.vertices) is not None
+        record.stats = _json_safe(report.extras)
+        record.stats["solution"] = sorted(sol.vertices)
+    elif algorithm == "approx":
+        result = approx_solve(g, float(params["epsilon"]))
+        record.outcome = "yes"
+        record.size = len(result.solution.vertices)
+        record.verified = is_minimal_fvs(g, result.solution.vertices) is not None
+        record.stats = {"mode": result.mode, **_json_safe(result.report.extras)}
+        record.stats["solution"] = sorted(result.solution.vertices)
+    elif algorithm == "ppt-check":
+        same = check_ppt_equivalence(g, int(params["k"]), cap=int(params.get("cap", 20)))
+        record.outcome = "yes" if same else "no"
+        record.verified = same
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    # a yes with an unverifiable solution must never leave the runner
+    if record.verified is False and algorithm != "ppt-check":
+        raise VerificationError(f"{algorithm} emitted a solution that fails verification")
+
+
 def run_one(
     name: str,
     g: Graph,
@@ -68,61 +116,29 @@ def run_one(
     params: Mapping[str, object] | None = None,
     timeout: float | None = None,
 ) -> RunRecord:
+    """One solver call as a record; errors, and a SIGALRM after `timeout` seconds, are recorded.
+
+    The alarm is armed inside the guarded region, and the timer is off
+    before either handler runs; an alarm that lands anywhere up to the
+    disarm, the disarm included, makes the record read "timeout", and the
+    previous SIGALRM handler is restored in every case.
+    """
     params = dict(params or {})
     record = RunRecord(
         instance=name, algorithm=algorithm, params=_json_safe(params),
         outcome="error", size=None, verified=None,
     )
     started = time.perf_counter()
-    old_handler = None
-    if timeout:
-        old_handler = signal.signal(signal.SIGALRM, _alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
+    old_handler = signal.getsignal(signal.SIGALRM) if timeout else None
     try:
-        if algorithm == "bruteforce":
-            res = opt_mmfvs_brute(g, cap=int(params.get("cap", 20)))
-            record.outcome = "yes"
-            record.size = res.opt_value
-            record.verified = is_minimal_fvs(g, res.witness) is not None
-            record.stats = {"enumerated": res.enumerated}
-            record.stats["solution"] = sorted(res.witness)
-        elif algorithm == "ksolver":
-            report = solve_k(g, int(params["k"]))
-            record.outcome = report.outcome
-            record.stats = {
-                "nodes_explored": report.nodes_explored,
-                "max_depth": report.max_depth,
-                "guesses_tried": report.extras.get("guesses_tried", 0),
-            }
-            if report.is_yes:
-                if report.solution is None:
-                    raise VerificationError("ksolver said yes without a witness")
-                record.size = len(report.solution.vertices)
-                record.verified = is_minimal_fvs(g, report.solution.vertices) is not None
-                record.stats["solution"] = sorted(report.solution.vertices)
-        elif algorithm == "vcsolver":
-            sol, report = solve_vc(g)
-            record.outcome = "yes"
-            record.size = len(sol.vertices)
-            record.verified = is_minimal_fvs(g, sol.vertices) is not None
-            record.stats = _json_safe(report.extras)
-            record.stats["solution"] = sorted(sol.vertices)
-        elif algorithm == "approx":
-            result = approx_solve(g, float(params["epsilon"]))
-            record.outcome = "yes"
-            record.size = len(result.solution.vertices)
-            record.verified = is_minimal_fvs(g, result.solution.vertices) is not None
-            record.stats = {"mode": result.mode, **_json_safe(result.report.extras)}
-            record.stats["solution"] = sorted(result.solution.vertices)
-        elif algorithm == "ppt-check":
-            same = check_ppt_equivalence(g, int(params["k"]), cap=int(params.get("cap", 20)))
-            record.outcome = "yes" if same else "no"
-            record.verified = same
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        # a yes with an unverifiable solution must never leave the runner
-        if record.verified is False and algorithm != "ppt-check":
-            raise VerificationError(f"{algorithm} emitted a solution that fails verification")
+        try:
+            if timeout:
+                signal.signal(signal.SIGALRM, _alarm)
+                signal.setitimer(signal.ITIMER_REAL, timeout)
+            _solve_into(record, g, algorithm, params)
+        finally:
+            if timeout:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
     except _Timeout:
         record.outcome = "error"
         record.error = "timeout"
@@ -131,7 +147,6 @@ def run_one(
         record.error = f"{type(exc).__name__}: {exc}"
     finally:
         if timeout:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old_handler)
     record.wall_time = time.perf_counter() - started
     return record

@@ -54,6 +54,14 @@ def _solution_text(g: Graph, vertices: frozenset[int]) -> str:
     return "".join(f"{rank[v]}\n" for v in sorted(vertices))
 
 
+def _seconds(text: str) -> float:
+    """A positive number of seconds, for --timeout."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number of seconds")
+    return seconds
+
+
 _REQUIRED = {"ksolver": "k", "approx": "epsilon", "ppt-check": "k"}
 
 
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", choices=[a for a in ALGORITHMS if a != "ppt-check"], required=True)
     solve.add_argument("--k", type=int)
     solve.add_argument("--epsilon", type=float)
-    solve.add_argument("--timeout", type=float)
+    solve.add_argument("--timeout", type=_seconds)
     solve.add_argument("--output", help="write the solution (one id per line) here")
     solve.set_defaults(func=_cmd_solve)
 
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int)
     bench.add_argument("--epsilon", type=float)
     bench.add_argument("--threads", type=int, default=1)
-    bench.add_argument("--timeout", type=float)
+    bench.add_argument("--timeout", type=_seconds)
     bench.add_argument("--report", default="bench-report.jsonl")
     bench.add_argument("--timings", action="store_true", help="include wall times in the report")
     bench.set_defaults(func=_cmd_bench)

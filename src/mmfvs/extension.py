@@ -43,6 +43,7 @@ from mmfvs.verify import (
     is_minimal_fvs,
     members_have_private_cycles,
     private_cycle,
+    spanning_forest,
 )
 
 RULE_STRIP = "strip_acyclic_fringe"
@@ -63,10 +64,7 @@ class _Node:
     id to the original ids it stands for; both lift witnesses back to the
     input graph.  A child shares `search`, `removed` and `expansions` with
     its parent; a node that needs another value assigns a new object and
-    never changes the shared one.  `forest_known` says that `forbidden`
-    already induces a forest: a child that commits nothing outside inherits
-    a subset of its parent's checked forbidden side (reduction only peels
-    it, and contraction merges free vertices only).
+    never changes the shared one.
     """
 
     search: Graph
@@ -76,7 +74,6 @@ class _Node:
     k: int
     removed: frozenset[int] = frozenset()
     expansions: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    forest_known: bool = False
 
     def live(self) -> set[int]:
         return self.required | self.forbidden | self.free
@@ -93,7 +90,6 @@ class _Node:
             self.k - len(inside),
             self.removed,
             self.expansions,
-            not outside,
         )
 
 
@@ -258,32 +254,18 @@ def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
 # -- branching ----------------------------------------------------------------
 
 
-def _deepest_free_leaf(node: _Node) -> tuple[int, dict[int, int | None]]:
-    """Deepest leaf over all free trees (roots at minimum ids, ties by id)."""
-    free = node.free
-    parent: dict[int, int | None] = {}
-    depth: dict[int, int] = {}
-    seen: set[int] = set()
-    for root in sorted(free):
-        if root in seen:
-            continue
-        parent[root] = None
-        depth[root] = 0
-        seen.add(root)
-        frontier = [root]
-        while frontier:
-            nxt: list[int] = []
-            for x in frontier:
-                for y in sorted(node.search.neighbors(x) & free):
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    nxt.append(y)
-            frontier = nxt
-    best = min(depth, key=lambda v: (-depth[v], v))
-    return best, parent
+def _deepest_free_leaf(node: _Node) -> tuple[int, dict[int, int]]:
+    """Deepest leaf over all free trees (roots at minimum ids, ties by id).
+
+    The free vertices induce a forest (required | forbidden is an fvs, and
+    contraction keeps it one), so `verify.spanning_forest` labels it; a
+    root is its own parent.
+    """
+    labels = spanning_forest(node.search, node.search.vertices - node.free)
+    if labels is None:
+        raise VerificationError("the free vertices close a cycle")
+    _, parent, depth = labels
+    return min(depth, key=lambda v: (-depth[v], v)), parent
 
 
 def _detached_free(ctx: _Context, node: _Node, x: int) -> bool:
@@ -300,7 +282,7 @@ def _detached_free(ctx: _Context, node: _Node, x: int) -> bool:
     return all(not (ctx.pristine.neighbors(rep) & node.removed) for rep in node.originals_of(x))
 
 
-def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int | None]) -> list[_Node]:
+def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int]) -> list[_Node]:
     forbidden_nbrs = node.search.neighbors(v) & node.forbidden
     if len(forbidden_nbrs) >= 2:
         # Deepest leaf touching several forbidden trees: either it is in the
@@ -310,7 +292,7 @@ def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int | Non
     if len(forbidden_nbrs) != 1:
         raise VerificationError("fringe stripping left a free leaf without a forbidden neighbor")
     pi = parent[v]
-    if pi is None:
+    if pi == v:
         raise VerificationError("a free leaf with one forbidden neighbor has no parent")
     live = node.live()
     pi_degree = len(node.search.neighbors(pi) & (node.forbidden | node.free))
@@ -387,7 +369,7 @@ def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
     """
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
-    if not node.forest_known and not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
+    if not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
         return None
     _reduce(node, ctx.fired)
     if node.k > len(node.free):

@@ -132,9 +132,6 @@ class Graph:
 
     # -- structure ----------------------------------------------------------
 
-    def is_forest(self) -> bool:
-        return is_acyclic_without(self, ())
-
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by their minimum vertex id."""
         seen: set[int] = set()

@@ -32,8 +32,7 @@ fixpoint of the round (`graph.peel`, then `graph.cycle_closers`) that the
 extension search and the approximation scheme run too, and bounded
 again: here the cover side, the forced vertices and every free vertex but
 the one connector the search must pick.  Only a guess that survives both
-cuts has its cover side checked for private cycles, and a side
-containing one found wrong is wrong without a sweep.
+cuts has its cover side checked for private cycles.
 """
 
 from __future__ import annotations
@@ -313,28 +312,6 @@ def find_connectors(
     return _ConnectorSearch(g, guess, beat, counters).search()
 
 
-class _WrongSides:
-    """Cover sides on which some member loses every private cycle.
-
-    `cover_in in wrong` is `not partial_minimality_ok(g, cover_in)`.  If w
-    of S has no cycle in G - (S - w), it has none in the subgraph
-    G - (T - w) for any T containing S either, so a superset of a side
-    found wrong is answered without a sweep.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.known: list[frozenset[int]] = []
-
-    def __contains__(self, cover_in: frozenset[int]) -> bool:
-        if any(wrong <= cover_in for wrong in self.known):
-            return True
-        if not cover_in or partial_minimality_ok(self.g, cover_in):
-            return False
-        self.known.append(cover_in)
-        return True
-
-
 def cover_guesses(
     g: Graph,
     cover: frozenset[int],
@@ -362,8 +339,8 @@ def cover_guesses(
     The independents are grouped by their neighbourhood in the cover, so
     |L| is a sum over the classes.  A split that passes is settled
     (`settle_guess`) and asked again with `bound`, and only a guess that
-    can still win is checked for the private cycles of its cover_in side
-    (`_WrongSides`).
+    can still win has the private cycles of its cover_in side checked, one
+    sweep each (`verify.partial_minimality_ok`).
 
     `tally` counts every split in "cover_guesses", both bounds' cuts in
     "guesses_cut_by_bound", the private-cycle rejects in
@@ -376,7 +353,6 @@ def cover_guesses(
     classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
     # only edges inside the cover decide whether cover_out is a forest
     cover_graph = g.induced(cover)
-    wrong = _WrongSides(g)
     for size in range(len(ordered) + 1):
         for picked in combinations(ordered, size):
             tally["cover_guesses"] += 1
@@ -393,7 +369,7 @@ def cover_guesses(
             if not can_win(bound(guess)):
                 tally["guesses_cut_by_bound"] += 1
                 continue
-            if cover_in in wrong:
+            if cover_in and not partial_minimality_ok(g, cover_in):
                 # no minimal fvs meets the cover in exactly this set
                 tally["wrong_cover_guesses"] += 1
                 continue

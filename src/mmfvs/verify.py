@@ -14,9 +14,10 @@ neighbors outside S share a tree, so one O(m alpha(m)) sweep serves the
 whole set; with the sweep's acyclicity it answers `is_minimal`, the
 boolean form of minimality.  `is_minimal_fvs` instead walks g - S once,
 rejecting a cycle and labelling every vertex with its tree, parent and
-depth; each member's private cycle is then the tree path between two of
-its neighbors, found by climbing to their lowest common ancestor, with no
-search.
+depth (`spanning_forest`, the one BFS forest walk, which the extension
+search also branches on); each member's private cycle is then the tree
+path between two of its neighbors, found by climbing to their lowest
+common ancestor, with no search.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def has_private_cycle(g: Graph, v: int, banned: frozenset[int]) -> bool:
     return Forest.without(g, banned | {v}).closes_cycle(v)
 
 
-def _spanning_forest(
+def spanning_forest(
     g: Graph, s: frozenset[int]
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]] | None:
     """Tree, parent and depth of every vertex of g - s, or None on a cycle.
@@ -154,7 +155,7 @@ def is_minimal_fvs(g: Graph, s: Iterable[int]) -> Certificate | None:
     checked for such a u before any path is built.
     """
     s = _members_of(g, s)
-    labels = _spanning_forest(g, s)
+    labels = spanning_forest(g, s)
     if labels is None:
         return None
     tree, parent, depth = labels

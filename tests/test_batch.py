@@ -1,3 +1,6 @@
+import signal
+
+from mmfvs import batch
 from mmfvs.batch import render_report, run_batch, run_one, summarize
 from mmfvs.instances import generate
 
@@ -39,6 +42,26 @@ class TestRunBatch:
     def test_timeout_is_recorded(self):
         record = run_one("slow", gnp(18, 0.5, seed=3), "bruteforce", {"cap": 20}, timeout=0.01)
         assert record.outcome == "error" and record.error == "timeout"
+
+    def test_an_alarm_at_once_is_recorded_and_the_handler_restored(self):
+        before = signal.getsignal(signal.SIGALRM)
+        record = run_one("c5", generate("cycle", {"n": 5}), "vcsolver", timeout=1e-9)
+        assert record.outcome == "error" and record.error == "timeout"
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_an_alarm_landing_in_the_disarm_is_recorded(self, monkeypatch):
+        real = signal.setitimer
+
+        def late(which, seconds):
+            real(which, seconds)
+            if seconds == 0:
+                raise batch._Timeout()  # as if the alarm fired just before the disarm
+
+        monkeypatch.setattr(signal, "setitimer", late)
+        before = signal.getsignal(signal.SIGALRM)
+        record = run_one("c5", generate("cycle", {"n": 5}), "vcsolver", timeout=60)
+        assert record.outcome == "error" and record.error == "timeout"
+        assert signal.getsignal(signal.SIGALRM) is before
 
     def test_thread_pool_matches_serial(self):
         corpus = [(f"r{s}", gnp(7, 0.45, seed=s)) for s in range(6)]

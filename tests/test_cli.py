@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mmfvs.cli import main
 from mmfvs.instances import parse_instance, write_instance
 
@@ -32,6 +34,19 @@ class TestSolve:
         instance = write_apex(tmp_path)
         assert main(["solve", str(instance), "--algo", "ksolver"]) == 2
         assert "ksolver needs --k" in capsys.readouterr().err
+
+    def test_an_alarm_at_once_is_a_timeout_error(self, tmp_path, capsys):
+        instance = write_apex(tmp_path)
+        assert main(["solve", str(instance), "--algo", "vcsolver", "--timeout", "1e-9"]) == 2
+        assert "error: timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["0", "-1"])
+    def test_a_non_positive_timeout_is_refused(self, tmp_path, capsys, seconds):
+        instance = write_apex(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            main(["solve", str(instance), "--algo", "vcsolver", "--timeout", seconds])
+        assert refused.value.code == 2
+        assert "positive number of seconds" in capsys.readouterr().err
 
     def test_malformed_instance(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmfvs"

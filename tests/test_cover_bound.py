@@ -3,14 +3,13 @@
 `cover_guesses` bounds each split before settling it by |cover_in| + |L|,
 L the independents with two or more neighbours outside cover_in, then
 settles it, asks the caller's bound, and only then tests the split's
-private cycles, answering supersets of a known-wrong cover side from
-memory.  Checked here on seeded random, apex-pair and reduction-output
-graphs, on every split whose cover_out side is a forest: each bound is at
-least what the unbounded search gives, the unsettled bound is at least
-both settled ones, the memory agrees with `partial_minimality_ok` in any
-query order and saves exactly the sweeps it should, and each solver cuts
+private cycles, one sweep per cover side.  Checked here on seeded random,
+apex-pair and reduction-output graphs, on every split whose cover_out
+side is a forest: each bound is at least what the unbounded search gives,
+the unsettled bound is at least both settled ones, each solver cuts
 exactly the guesses whose settled bound is at most its best so far while
-settling exactly the splits whose unsettled bound beats it.  On the same
+settling exactly the splits whose unsettled bound beats it, and only the
+non-empty sides of the splits that pass both bounds are swept.  On the same
 settled guesses, the connector search's part plans are checked against a
 per-target-choice filter, and a part of s components is checked to have
 no plan with s connectors.
@@ -30,7 +29,6 @@ from mmfvs.instances import generate
 from mmfvs.vcsolver import (
     _ConnectorSearch,
     _search_bound,
-    _WrongSides,
     find_connectors,
     settle_guess,
     solve_vc,
@@ -188,46 +186,14 @@ def test_the_unsettled_bound_covers_both_settled_bounds():
     assert tight > 0
 
 
-def test_wrong_sides_agree_with_the_sweep_in_any_order():
-    rng = random.Random(5)
-    for g in corpus():
-        reduced, cover = vc_setting(g)
-        queries = list(splits(cover))
-        for order in (queries, rng.sample(queries, len(queries)), queries[::-1]):
-            wrong = _WrongSides(reduced)
-            for cover_in, _ in order:
-                assert (cover_in in wrong) == (not partial_minimality_ok(reduced, cover_in)), (
-                    g, cover_in,
-                )
-
-
-def test_wrong_sides_sweep_only_sides_with_no_wrong_subset(monkeypatch):
-    sweeps = []
-
-    def counted(g, in_set):
-        sweeps.append(frozenset(in_set))
-        return partial_minimality_ok(g, in_set)
-
-    monkeypatch.setattr(vcsolver, "partial_minimality_ok", counted)
-    remembered = 0
-    for g in corpus():
-        reduced, cover = vc_setting(g)
-        sides = [cover_in for cover_in, _ in splits(cover)]
-        wrong_sides = [s for s in sides if s and not partial_minimality_ok(reduced, s)]
-        expected = [s for s in sides if s and not any(w < s for w in wrong_sides)]
-        sweeps.clear()
-        wrong = _WrongSides(reduced)
-        for cover_in in sides:
-            cover_in in wrong
-        assert sweeps == expected, g
-        remembered += len(wrong_sides) - len(wrong.known)
-    assert remembered > 0
-
-
 def replay_vc(g):
-    """`solve_vc`'s optimum, bound cuts, wrong sides and settled sides, by unbounded searches."""
+    """`solve_vc`'s optimum, bound cuts, wrong sides, settled sides and swept sides.
+
+    Found by unbounded searches; a side is swept when its split passes
+    both bounds and it is not empty.
+    """
     reduced, cover = vc_setting(g)
-    best, cut, wrong, settles = None, 0, 0, []
+    best, cut, wrong, settles, swept = None, 0, 0, [], []
     for cover_in, cover_out in forest_splits(reduced, cover):
         if best is None or live_bound(reduced, cover, cover_in) > best:
             settles.append(cover_in)
@@ -235,13 +201,15 @@ def replay_vc(g):
         if best is not None and _search_bound(guess) <= best:
             cut += 1
             continue
-        if cover_in and not partial_minimality_ok(reduced, cover_in):
-            wrong += 1
-            continue
+        if cover_in:
+            swept.append(cover_in)
+            if not partial_minimality_ok(reduced, cover_in):
+                wrong += 1
+                continue
         found = find_connectors(reduced, guess, -1, Counter())
         if found is not None and (best is None or len(found[0]) > best):
             best = len(found[0])
-    return best, cut, wrong, settles
+    return best, cut, wrong, settles, swept
 
 
 def replay_greedy(g):
@@ -268,7 +236,7 @@ def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
     cuts = wrongs = unsettled = 0
     for g in corpus():
         # the replay's unbounded searches settle too, so record only the solve
-        best, cut, wrong, settles = replay_vc(g)
+        best, cut, wrong, settles, _ = replay_vc(g)
         settled.clear()
         solution, report = solve_vc(g)
         extras = report.extras
@@ -282,6 +250,26 @@ def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
         wrongs += wrong
         unsettled += splits_in - len(settles)
     assert cuts > 0 and wrongs > 0 and unsettled > 0
+
+
+def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
+    sweeps = []
+
+    def counted(g, in_set):
+        sweeps.append(frozenset(in_set))
+        return partial_minimality_ok(g, in_set)
+
+    monkeypatch.setattr(vcsolver, "partial_minimality_ok", counted)
+    swept = cut = 0
+    for g in corpus():
+        _, cut_here, _, _, expected = replay_vc(g)
+        sweeps.clear()
+        solve_vc(g)
+        assert sweeps == expected, g
+        assert len(set(sweeps)) == len(sweeps), g
+        swept += len(sweeps)
+        cut += cut_here
+    assert swept > 0 and cut > 0
 
 
 def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):

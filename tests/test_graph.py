@@ -65,7 +65,7 @@ class TestContract:
     def test_c5_contracts_to_c4(self):
         h, _ = cycle(5).contract(0, 1)
         assert len(h) == 4 and h.edge_count() == 4
-        assert not h.is_forest()
+        assert not is_acyclic_without(h, ())
         assert all(h.degree(v) == 2 for v in h.vertices)
 
     def test_six_cycle_with_pendant(self):
@@ -121,13 +121,13 @@ class TestInduced:
 
 class TestForestAndComponents:
     def test_tree_is_forest(self):
-        assert path(5).is_forest()
+        assert is_acyclic_without(path(5), ())
 
     def test_triangle_is_not(self):
-        assert not cycle(3).is_forest()
+        assert not is_acyclic_without(cycle(3), ())
 
     def test_apex_pair_minus_independents(self):
-        assert apex_pair(6).delete({2, 3, 4, 5}).is_forest()
+        assert is_acyclic_without(apex_pair(6).delete({2, 3, 4, 5}), ())
 
     def test_components_edgeless(self):
         assert Graph([0, 1, 2]).components() == [{0}, {1}, {2}]
@@ -144,7 +144,7 @@ class TestForestAndComponents:
     def test_forest_iff_edge_count(self, g):
         comps = g.components()
         assert sum(len(c) for c in comps) == len(g)
-        assert g.is_forest() == (g.edge_count() == len(g) - len(comps))
+        assert is_acyclic_without(g, ()) == (g.edge_count() == len(g) - len(comps))
 
 
 class TestCycleThrough:
@@ -181,4 +181,4 @@ class TestAcyclicWithout:
         for seed in range(10):
             g = gnp(7, 0.4, seed=seed)
             for removed in [set(), {0}, {1, 3}, {0, 2, 5}, set(g.vertices)]:
-                assert is_acyclic_without(g, removed) == g.delete(removed).is_forest()
+                assert is_acyclic_without(g, removed) == is_acyclic_without(g.delete(removed), ())

@@ -111,7 +111,7 @@ class TestTreePathCertificates:
         rng = random.Random(404)
         forests = disconnected = certified = 0
         for g in random_graphs(2000, seed=404):
-            forests += g.is_forest()
+            forests += is_fvs(g, ())
             disconnected += len(g.components()) > 1
             w = greedy_minimal_fvs(g)
             rest = sorted(g.vertices - w)
