@@ -86,10 +86,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_NO
     solution = frozenset(record.stats.get("solution", ()))
     print(f"yes size={record.size} verified={str(record.verified).lower()}")
-    if args.output:
-        _emit(_solution_text(g, solution), args.output)
-    else:
-        sys.stdout.write(_solution_text(g, solution))
+    _emit(_solution_text(g, solution), args.output)
     return EXIT_YES
 
 

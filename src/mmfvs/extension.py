@@ -130,7 +130,7 @@ def _contract(node: _Node) -> int:
         if not fired:
             node.search = node.search.induced(node.live())
             node.expansions = dict(node.expansions)
-        node.search, _ = node.search.contract(u, v)
+        node.search = node.search.contract(u, v)
         node.expansions[u] = node.expansions.pop(u, (u,)) + node.expansions.pop(v, (v,))
         node.free.discard(v)
         fired += 1
@@ -164,11 +164,8 @@ def _reduce(node: _Node, fired: dict[str, int]) -> None:
 
 
 class _Context:
-    def __init__(self, pristine: Graph, required: frozenset[int], forbidden: frozenset[int], k: int):
+    def __init__(self, pristine: Graph):
         self.pristine = pristine
-        self.required0 = required
-        self.forbidden0 = forbidden
-        self.k0 = k
         self.nodes = 0
         self.max_depth = 0
         self.fired: dict[str, int] = {}
@@ -225,8 +222,16 @@ def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
     accepts only if the pruned set passes full verification on the
     original graph.  Contracted committed ids are resolved by trying their
     original ids in order and keeping the first combination that verifies.
+
+    A pruned set always keeps the call's commitments and its k.  Only free
+    ids are ever contracted, so the initially required ids are in `base`,
+    and pruning drops only vertices of start - base.  An initially
+    forbidden id stays forbidden or deleted, and `addable` excludes both.
+    Each unit of k spent commits one more id inside, which adds one
+    original to `base`.  `solve_extension` checks all three again on the
+    witness it emits.
     """
-    fixed = [v for v in sorted(node.required) if v not in node.expansions]
+    fixed =[v for v in sorted(node.required) if v not in node.expansions]
     merged = [v for v in sorted(node.required) if v in node.expansions]
     excluded = set(node.removed)
     for v in node.forbidden | node.required:
@@ -241,10 +246,6 @@ def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
             continue
         for order in _prune_orders(ctx, base, start - base):
             candidate = prune_to_minimal(ctx.pristine, start, order)
-            if not ctx.required0 <= candidate or candidate & ctx.forbidden0:
-                continue
-            if len(candidate - ctx.required0) < ctx.k0:
-                continue
             certificate = is_minimal_fvs(ctx.pristine, candidate)
             if certificate is not None:
                 return Solution(candidate, certificate)
@@ -414,7 +415,7 @@ def solve_extension(
         raise ValueError("required and forbidden together must form an fvs")
 
     start = time.perf_counter()
-    ctx = _Context(g, required, forbidden, k)
+    ctx = _Context(g)
     # gamma: the number of trees in the forbidden-side forest
     gamma_root = len(g.induced(forbidden).components()) if forbidden else 0
     root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k)

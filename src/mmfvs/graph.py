@@ -110,12 +110,11 @@ class Graph:
             raise KeyError(f"unknown vertices: {sorted(missing)}")
         return Graph._from_adj({v: self._adj[v] & kept for v in kept})
 
-    def contract(self, u: int, v: int) -> tuple[Graph, dict[int, frozenset[int]]]:
+    def contract(self, u: int, v: int) -> Graph:
         """Contract the edge (u, v); the merged vertex keeps the smaller id.
 
         Requires disjoint neighborhoods (beyond the edge itself), so the
-        result has exactly one edge and one vertex fewer.  Returns the new
-        graph and a record {merged_id: {u, v}} for lifting solutions back.
+        result has exactly one edge and one vertex fewer.
         """
         if not self.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge")
@@ -128,7 +127,7 @@ class Graph:
         for w in new_nbrs:
             adj[w] = (adj[w] - {u, v}) | {merged}
         adj[merged] = frozenset(new_nbrs)
-        return Graph._from_adj(adj), {merged: frozenset((u, v))}
+        return Graph._from_adj(adj)
 
     # -- structure ----------------------------------------------------------
 

@@ -9,17 +9,17 @@ forest and must join the solution.  The search for Z (`find_connectors`,
 run on each settled guess) guesses how the components group into trees (a
 partition), how each group is assembled from blocks joined by one
 connector each, and which cross edges hook the blocks together; candidates
-for each connector are pinned down by exact adjacency counts, grouped once
-per block by the blocks they meet, and a group of s components takes at
-most s - 1 connectors (`_splits`).  Guesses are enumerated with fewer
-connectors first, up to the last count that can beat the best so far, so
-the first assignment that verifies is the largest solution the cover guess
-can give; it comes back with the tree count of its final forest.  Nothing
-is trusted from the search state: a candidate solution is kept only after
-a minimality check (one union-find sweep over the 2-core, the same one
-that checks the cover side's private cycles), and the one that becomes the
-new best is then certified in full on the input graph
-(`verify.is_minimal_fvs`).
+for each connector are pinned down by exact adjacency counts and grouped
+once per block by the blocks they meet, the block trees are read off those
+target sets, and a group of s components takes at most s - 1 connectors
+(`_splits`).  Guesses are enumerated with fewer connectors first, up to
+the last count that can beat the best so far, so the first assignment that
+verifies is the largest solution the cover guess can give; it comes back
+with the tree count of its final forest.  Nothing is trusted from the
+search state: a candidate solution is kept only after a minimality check
+(one union-find sweep over the 2-core, the same one that checks the cover
+side's private cycles), and the one that becomes the new best is then
+certified in full on the input graph (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -79,43 +79,6 @@ def set_partitions(
     return grow(0, [])
 
 
-def labeled_trees(size: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labeled trees on `size` nodes (edge lists), by Pruefer decoding."""
-    if size == 1:
-        yield ()
-        return
-    for seq in product(range(size), repeat=size - 2):
-        degree = [1] * size
-        for x in seq:
-            degree[x] += 1
-        edges: list[tuple[int, int]] = []
-        work = list(degree)
-        for x in seq:
-            leaf = min(v for v in range(size) if work[v] == 1)
-            edges.append((leaf, x))
-            work[leaf] -= 1
-            work[x] -= 1
-        last = [v for v in range(size) if work[v] == 1]
-        edges.append((last[0], last[1]))
-        yield tuple(edges)
-
-
-def cross_edge_choices(size: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """Per-block target sets for every oriented spanning tree over blocks.
-
-    A cross edge (connector of block a -> some vertex of block b) is one
-    orientation of a tree edge {a, b}; size - 1 such edges joining all
-    blocks are exactly the oriented labeled trees.
-    """
-    for tree in labeled_trees(size):
-        for mask in range(1 << (size - 1)):
-            targets: list[set[int]] = [set() for _ in range(size)]
-            for bit, (a, b) in enumerate(tree):
-                src, dst = (a, b) if not mask >> bit & 1 else (b, a)
-                targets[src].add(dst)
-            yield tuple(frozenset(t) for t in targets)
-
-
 @dataclass(frozen=True)
 class CoverGuess:
     """One cover-side guess, reduced by `graph.settle`.
@@ -126,7 +89,6 @@ class CoverGuess:
     """
 
     cover_in: frozenset[int]
-    cover_out: frozenset[int]
     out: frozenset[int]
     free: frozenset[int]
     inside: frozenset[int]
@@ -138,7 +100,7 @@ def settle_guess(
     """The guess (cover_in, cover_out) with `graph.settle` run to fixpoint."""
     out, free, inside = set(cover_out), set(g.vertices - cover_in - cover_out), set()
     settle(g, out, free, inside, tally)
-    return CoverGuess(cover_in, cover_out, frozenset(out), frozenset(free), frozenset(inside))
+    return CoverGuess(cover_in, frozenset(out), frozenset(free), frozenset(inside))
 
 
 def _splits(sizes: Sequence[int], left: int) -> Iterator[tuple[int, ...]]:
@@ -162,6 +124,26 @@ def _splits(sizes: Sequence[int], left: int) -> Iterator[tuple[int, ...]]:
             yield (c, *rest)
 
 
+def _joins_one_tree(targets: Sequence[frozenset[int]]) -> bool:
+    """Whether the edges b -> t, for t in targets[b], join all blocks into one tree.
+
+    They must number one fewer than the blocks and reach every block; an
+    edge given both ways counts twice but reaches only once.
+    """
+    if sum(map(len, targets)) != len(targets) - 1:
+        return False
+    near = [set(t) for t in targets]
+    for b, t in enumerate(targets):
+        for o in t:
+            near[o].add(b)
+    reached, stack = {0}, [0]
+    while stack:
+        new = near[stack.pop()] - reached
+        reached |= new
+        stack.extend(new)
+    return len(reached) == len(targets)
+
+
 class _ConnectorSearch:
     """Connector search state for one settled cover-side guess.
 
@@ -182,14 +164,23 @@ class _ConnectorSearch:
 
         A part without connectors is one component and one plan with no
         blocks.  Otherwise its components are grouped into one block per
-        connector, and the blocks are joined by an oriented tree of cross
-        edges (`cross_edge_choices`).  A candidate for a block's connector
-        is adjacent to exactly one vertex of every component of its block
-        and has no committed-out neighbor outside the part; under a target
-        choice it also has exactly one neighbor in each target block and
-        none in the other blocks.  Each block's candidates are grouped once
-        by the set of other blocks they meet, once each, so a target choice
-        looks its candidates up; a plan is kept when every block has some.
+        connector.  A candidate for a block's connector is adjacent to
+        exactly one vertex of every component of its block, has no
+        committed-out neighbor outside the part, and meets the blocks of its
+        target set once each and no other block.  Each block's candidates
+        are grouped once by target set, and the block trees are read off
+        them: a choice of one such set per block (larger sets first, then by
+        sorted members, in product order) is a plan when its edges b -> t
+        join the blocks into one tree (`_joins_one_tree`).
+        `structure_guesses` counts the choices tried.
+
+        The plan order decides only which assignment inside one (connector
+        count, component partition, split) is tried first, so the first
+        triple with a verified assignment, the solution size and
+        `winning_trees` do not depend on it; only which connector set of
+        that count comes back does.  With two blocks the order is ({1}, {})
+        before ({}, {0}), as decoding the oriented labeled trees from their
+        Pruefer sequences gives.
         """
         if connectors == 0:
             return [[]]
@@ -210,11 +201,11 @@ class _ConnectorSearch:
                     met = [o for o in range(len(raw)) if o != b and nb & unions[o]]
                     if all(len(nb & unions[o]) == 1 for o in met):
                         by_targets[b].setdefault(frozenset(met), []).append(x)
-            for targets in cross_edge_choices(len(raw)):
+            ordered = [sorted(groups, key=lambda t: (-len(t), sorted(t))) for groups in by_targets]
+            for targets in product(*ordered):
                 self.counters["structure_guesses"] += 1
-                cands = [groups.get(t) for groups, t in zip(by_targets, targets)]
-                if all(cands):
-                    plans.append(cands)
+                if _joins_one_tree(targets):
+                    plans.append([groups[t] for groups, t in zip(by_targets, targets)])
         return plans
 
     def _try_assignment(self, trees: int, connectors: tuple[int, ...]) -> frozenset[int] | None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from mmfvs.graph import Graph, is_acyclic_without
 from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
-from mmfvs.vcsolver import cross_edge_choices, set_partitions
+from mmfvs.vcsolver import set_partitions
 from mmfvs.verify import is_fvs, private_cycle
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
@@ -230,8 +230,14 @@ def neighborhood_components(g: Graph, c_out, u: int) -> frozenset[int]:
 def part_plans_reference(free_nbrs, part, connectors: int, counters) -> list[list[list[int]]]:
     """The connector search's plans for one part, its candidates filtered anew per target choice.
 
+    Every block takes every subset of the other blocks as its targets,
+    larger set first, then by sorted members, and the choices run in
+    product order.  A choice is a plan when every block has a candidate
+    whose hits on the other blocks are the indicator of its targets and the
+    edges block -> target form one tree (n - 1 edges, one component).
     `free_nbrs` lists (free vertex, its committed-out neighbours) ascending;
-    `counters` counts the target choices tried in "structure_guesses".
+    `counters` counts in "structure_guesses" the choices where every block
+    has a candidate.
     """
     if connectors == 0:
         return [[]]
@@ -240,6 +246,7 @@ def part_plans_reference(free_nbrs, part, connectors: int, counters) -> list[lis
     plans = []
     for raw in set_partitions(range(len(part)), connectors):
         blocks = [[part[i] for i in block] for block in raw]
+        n = len(blocks)
         unions = [frozenset().union(*block) for block in blocks]
         base = [
             [(x, nb) for x, nb in local if all(len(nb & comp) == 1 for comp in block)]
@@ -247,18 +254,28 @@ def part_plans_reference(free_nbrs, part, connectors: int, counters) -> list[lis
         ]
         if not all(base):
             continue
-        for targets in cross_edge_choices(len(blocks)):
-            counters["structure_guesses"] += 1
+        subsets = [
+            sorted(
+                (frozenset(t) for r in range(n) for t in combinations(sorted(set(range(n)) - {b}), r)),
+                key=lambda t: (-len(t), sorted(t)),
+            )
+            for b in range(n)
+        ]
+        for targets in product(*subsets):
             cands = [
                 [
                     x for x, nb in base[b]
                     if all(
                         len(nb & unions[o]) == (1 if o in targets[b] else 0)
-                        for o in range(len(blocks)) if o != b
+                        for o in range(n) if o != b
                     )
                 ]
-                for b in range(len(blocks))
+                for b in range(n)
             ]
-            if all(cands):
+            if not all(cands):
+                continue
+            counters["structure_guesses"] += 1
+            edges = [(b, t) for b in range(n) for t in targets[b]]
+            if len(edges) == n - 1 and len(Graph(range(n), edges).components()) == 1:
                 plans.append(cands)
     return plans

@@ -5,7 +5,9 @@ are solved by brute force and by every exact solver, which must agree on
 the optimum and on `solve_k` just at and just past it; `approx_solve` must
 meet its (1 - eps) * opt guarantee with a verified solution.  So the
 rules that refute large k (the degree-sum bound, the free-vertex cut) are
-checked past the exhaustive corpus too.
+checked past the exhaustive corpus too.  Sparse gnp graphs of 18-22
+vertices check `solve_vc` against `opt_exact` where the connector search
+joins three or more blocks into one tree.
 """
 
 import math
@@ -13,9 +15,10 @@ import random
 
 import pytest
 
+from mmfvs import vcsolver
 from mmfvs.approx import approx_solve
 from mmfvs.instances import generate
-from mmfvs.ksolver import opt_exact_solution, solve_k
+from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import is_minimal_fvs
@@ -62,3 +65,29 @@ def test_exact_solvers_and_approx_match_brute_force(family):
             if len(vertices) < math.ceil((1 - eps) * opt) or is_minimal_fvs(g, vertices) is None:
                 mismatches.append((i, "approx", eps, len(vertices), opt))
     assert not mismatches, mismatches[:5]
+
+
+def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypatch):
+    # sparse graphs of 18-22 vertices, where some parts glue three or more
+    # blocks into one tree, which the corpora above never do
+    largest = []
+    part_plans = vcsolver._ConnectorSearch._part_plans
+
+    def recorded(self, part, connectors):
+        plans = part_plans(self, part, connectors)
+        largest.append(max(map(len, plans), default=0))
+        return plans
+
+    monkeypatch.setattr(vcsolver._ConnectorSearch, "_part_plans", recorded)
+    rng = random.Random(11)
+    mismatches, larger_trees = [], 0
+    for i in range(24):
+        n = rng.randint(18, 22)
+        g = generate("gnp", {"n": n, "p": rng.uniform(2.6, 3.2) / n}, seed=rng.randrange(1 << 30))
+        largest.clear()
+        sol, _ = solve_vc(g)
+        if len(sol.vertices) != opt_exact(g) or is_minimal_fvs(g, sol.vertices) is None:
+            mismatches.append(i)
+        larger_trees += max(largest, default=0) >= 3
+    assert not mismatches, mismatches
+    assert larger_trees > 0

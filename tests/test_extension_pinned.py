@@ -13,7 +13,9 @@ import hashlib
 import random
 from functools import cache
 
+from mmfvs import extension
 from mmfvs.extension import solve_extension
+from mmfvs.graph import prune_to_minimal
 from mmfvs.verify import greedy_minimal_fvs
 
 from helpers import gnp, subdivided
@@ -77,3 +79,30 @@ def test_answers_match_the_pinned_digest():
 def test_reports_match_the_pinned_digest():
     _, counters, _ = digests()
     assert counters == COUNTERS
+
+
+def test_every_pruned_candidate_keeps_the_commitments_and_k(monkeypatch):
+    # witness completion keeps no filter for these three facts: every
+    # candidate it prunes holds the required set, avoids the forbidden set
+    # and has at least k vertices beyond the required set
+    pruned = []
+
+    def recorded(g, start, order):
+        candidate = prune_to_minimal(g, start, order)
+        pruned.append(candidate)
+        return candidate
+
+    monkeypatch.setattr(extension, "prune_to_minimal", recorded)
+    checked = 0
+    for g in corpus():
+        w = greedy_minimal_fvs(g)
+        for required, forbidden in bipartitions(w):
+            for k in range(5):
+                pruned.clear()
+                solve_extension(g, required, forbidden, k)
+                for candidate in pruned:
+                    assert required <= candidate, (required, candidate)
+                    assert not candidate & forbidden, (forbidden, candidate)
+                    assert len(candidate - required) >= k, (required, k, candidate)
+                checked += len(pruned)
+    assert checked > 0

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 from mmfvs import vcsolver
 from mmfvs.graph import Graph, peel
@@ -8,12 +8,11 @@ from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
     _ConnectorSearch,
+    _joins_one_tree,
     _search_bound,
     _splits,
     cover_guesses,
-    cross_edge_choices,
     find_connectors,
-    labeled_trees,
     set_partitions,
     settle_guess,
     solve_vc,
@@ -43,16 +42,16 @@ class TestEnumerators:
                 expected = [p for p in every if len(p) == blocks]
                 assert list(set_partitions(items, blocks)) == expected, (n, blocks)
 
-    def test_labeled_tree_counts_follow_cayley(self):
-        for n in (1, 2, 3, 4, 5):
-            count = sum(1 for _ in labeled_trees(n))
-            assert count == max(1, n ** (n - 2))
-
-    def test_cross_edge_choices_count(self):
-        # labeled trees times one orientation bit per tree edge
-        for n in (1, 2, 3, 4):
-            count = sum(1 for _ in cross_edge_choices(n))
-            assert count == max(1, n ** (n - 2)) * (1 << max(0, n - 1))
+    def test_block_trees_are_the_oriented_labeled_trees(self):
+        # of all choices of a target subset per block, the trees are
+        # Cayley's c^(c - 2) labeled trees, one orientation bit per edge
+        for c in range(1, 5):
+            subsets = [
+                [frozenset(t) for r in range(c) for t in combinations(sorted(set(range(c)) - {b}), r)]
+                for b in range(c)
+            ]
+            accepted = sum(_joins_one_tree(targets) for targets in product(*subsets))
+            assert accepted == max(1, c ** (c - 2)) * 2 ** (c - 1), c
 
     def test_splits_are_the_filtered_product_in_order(self):
         for sizes in [(), (1,), (3,), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2), (4, 1)]:
@@ -114,6 +113,22 @@ class TestConnectorSafetyChecks:
         assert search.counters["forest_check_failures"] == 1
 
 
+class TestPartPlans:
+    def test_two_blocks_take_the_larger_target_set_first(self):
+        # committed-out vertices 0-3 are four components.  For the blocks
+        # {0, 1} and {2, 3}, 4 and 5 glue 0 and 1 (5 also meets 2), 6 and 7
+        # glue 2 and 3 (7 also meets 0), so both orientations of the edge
+        # between the blocks have candidates, and ({1}, {}) comes first.
+        # The other plans come from the blocks ({0, 1, 2}, {3}) and
+        # ({0, 2, 3}, {1}).
+        edges = [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (7, 0)]
+        g = Graph(range(8), edges)
+        guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
+        search = _ConnectorSearch(g, guess, -1, Counter())
+        part = tuple(g.induced(guess.out).components())
+        assert search._part_plans(part, 2) == [[[5], [6]], [[5], [6]], [[4], [7]], [[7], [4]]]
+
+
 class TestCoverGuesses:
     def test_split_with_a_cycle_in_cover_out_is_never_yielded(self):
         # every vertex of a triangle is in this cover; cover_out = all three
@@ -124,7 +139,6 @@ class TestCoverGuesses:
         assert tally["cover_guesses"] == 8
         assert guesses
         assert all(guess.cover_in for guess in guesses)
-        assert all(guess.cover_out == cover - guess.cover_in for guess in guesses)
 
 
 class TestSolveVc:
