@@ -42,16 +42,27 @@ class TestEnumerators:
                 expected = [p for p in every if len(p) == blocks]
                 assert list(set_partitions(items, blocks)) == expected, (n, blocks)
 
-    def test_block_trees_are_the_oriented_labeled_trees(self):
-        # of all choices of a target subset per block, the trees are
-        # Cayley's c^(c - 2) labeled trees, one orientation bit per edge
-        for c in range(1, 5):
+    def test_labeled_tree_counts_follow_cayley(self):
+        # of the (c - 1)-edge sets of the complete graph on c blocks, each
+        # edge given low to high, Cayley's c^(c - 2) join the blocks into a tree
+        for c in (1, 2, 3, 4, 5, 6):
+            pairs = list(combinations(range(c), 2))
+            count = 0
+            for edges in combinations(pairs, c - 1):
+                targets = [frozenset(hi for lo, hi in edges if lo == b) for b in range(c)]
+                count += _joins_one_tree(targets)
+            assert count == max(1, c ** (c - 2)), c
+
+    def test_cross_edge_choices_count(self):
+        # of all choices of a target subset per block: the labeled trees
+        # times one orientation bit per tree edge
+        for c in (1, 2, 3, 4):
             subsets = [
                 [frozenset(t) for r in range(c) for t in combinations(sorted(set(range(c)) - {b}), r)]
                 for b in range(c)
             ]
             accepted = sum(_joins_one_tree(targets) for targets in product(*subsets))
-            assert accepted == max(1, c ** (c - 2)) * 2 ** (c - 1), c
+            assert accepted == max(1, c ** (c - 2)) * (1 << max(0, c - 1)), c
 
     def test_splits_are_the_filtered_product_in_order(self):
         for sizes in [(), (1,), (3,), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2), (4, 1)]:
