@@ -4,9 +4,15 @@ To decide whether some minimal fvs has at least k vertices, greedily build
 a minimal fvs W: if it is already large enough we are done, and otherwise
 every target solution meets W in one of its subsets, so the extension
 solver is run once per bipartition guess of W.  Before guessing, a k above
-the degree-sum bound of `opt_upper_bound` is refused outright.  The exact
-optimum follows by sweeping k upward from |W| + 1 until the first refusal
-or the bound, whichever comes first.
+the degree-sum bound of `opt_upper_bound` is refused outright.
+
+The exact optimum takes one of two routes (`opt_exact_solution`).  When
+the vertex cover number tau is small next to |W| or to the room the bound
+leaves above W, the vertex-cover solver `vcsolver.solve_vc` gives opt and
+one `solve_k(g, opt)` gives the witness.  Otherwise k sweeps upward from
+|W| + 1 until the first refusal or the bound, whichever comes first.  Both
+routes return the same witness; on the first, maximality rests on
+`solve_vc` being exact.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from itertools import combinations
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, peel
 from mmfvs.report import Solution, SolveReport
-from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
+from mmfvs.vcsolver import solve_vc
+from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
 
 
 def _certified_greedy(g: Graph, w: frozenset[int]) -> Solution:
@@ -108,15 +115,53 @@ def solve_k(g: Graph, k: int) -> SolveReport:
 def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     """Largest minimal fvs size along with a witness.
 
-    The greedy minimal fvs W answers every k <= |W| at once, so the sweep
-    starts at k = |W| + 1 and stops at the first no, which is valid
-    because yes-instances are downward closed in k.  It never asks past
-    `opt_upper_bound`, so an optimum equal to the bound needs no final no.
+    The greedy minimal fvs W answers every k <= |W| at once, and when |W|
+    reaches `opt_upper_bound` it is optimal, so it is returned before tau
+    is computed.  Otherwise tau = |min_vertex_cover(g)| picks the route:
+
+    - tau <= |W| + 4 or tau <= bound - |W|: opt comes from `solve_vc`.  An
+      opt of |W| returns W; any other opt returns `solve_k(g, opt)`'s
+      witness, which must be a yes with exactly opt vertices or the call
+      raises `VerificationError`.
+    - Otherwise the sweep asks `solve_k` at k = |W| + 1, |W| + 2, ... and
+      stops at the first no, which is valid because yes-instances are
+      downward closed in k.  It never asks past the bound, so an optimum
+      equal to the bound needs no final no.
+
+    Both routes return the same (opt, vertices, certificate): the sweep
+    keeps the witness of its last yes, which is `solve_k(g, opt)` (or W
+    when the first ask says no), and `solve_k` is deterministic.  The
+    first route drops the sweep's yes calls below opt and its closing no
+    at opt + 1, the exhaustive call; maximality there rests on `solve_vc`
+    being exact, while `solve_k` confirms independently that opt is
+    reached.
+
+    The rule was fitted on sums of per-graph best-of-3 times, sweep
+    against `solve_vc`-routed: 1,000 small-exact graphs 2.56 -> 1.61 s;
+    300 cover-vc graphs 158.8 -> 39.9 s (2 s cap per call, 44 -> 9
+    capped); reduction outputs of base n = 10, p = 0.4, seeds 0-2,
+    21.8 -> 0.022 s; 200 gnp graphs with n = 9-13, 1.03 -> 0.59 s; 60
+    sparse gnp graphs with n = 22-30, p = U(1.5, 3)/n, 6.62 -> 6.39 s.
+    Routing every graph costs 19.5 s on that sparse family, and a plain
+    tau <= 10 cap 7.0 s; on 12 sparse gnp graphs with n = 33-42 the rule
+    keeps the sweep for all.
     """
     w = greedy_minimal_fvs(g)
     best = _certified_greedy(g, w)
+    bound = opt_upper_bound(g)
+    if len(w) == bound:
+        return len(w), best
+    tau = len(min_vertex_cover(g))
+    if tau <= len(w) + 4 or tau <= bound - len(w):
+        opt = len(solve_vc(g)[0].vertices)
+        if opt == len(w):
+            return opt, best
+        report = solve_k(g, opt)
+        if not report.is_yes or report.solution is None or len(report.solution.vertices) != opt:
+            raise VerificationError(f"solve_k(g, {opt}) gave no witness of solve_vc's optimum")
+        return opt, report.solution
     opt = len(w)
-    for k in range(opt + 1, opt_upper_bound(g) + 1):
+    for k in range(opt + 1, bound + 1):
         report = solve_k(g, k)
         if not report.is_yes:
             break

@@ -6,7 +6,7 @@ import pytest
 from mmfvs import approx
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
-from mmfvs.ksolver import opt_exact, opt_upper_bound, solve_k
+from mmfvs.ksolver import opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -173,7 +173,7 @@ class TestApproxSolve:
         result = approx_solve(g, 0.5)
         assert result.mode == "exact"
         assert is_minimal_fvs(g, result.solution.vertices) is not None
-        assert len(result.solution.vertices) == opt_exact(g)
+        assert len(result.solution.vertices) == opt_mmfvs_brute(g).opt_value
         assert "opt" not in result.report.extras
 
     def test_guarantees_on_random_corpus(self):
@@ -213,7 +213,7 @@ class TestGate:
             assert gate_calls == []
             assert result.mode == "exact"
             assert result.report.nodes_explored == 0
-            assert result.report.extras["opt"] == opt_exact(g)
+            assert result.report.extras["opt"] == opt_mmfvs_brute(g).opt_value
 
     def test_greedy_best_at_the_threshold_skips_the_gate(self, gate_calls):
         result = approx_solve(apex_pair(6), 0.5)
@@ -230,7 +230,7 @@ class TestGate:
         assert k == threshold and not gate.is_yes
         assert result.mode == "exact"
         assert result.report.nodes_explored == gate.nodes_explored > 0
-        assert result.report.extras["opt"] == opt_exact(g) < threshold
+        assert result.report.extras["opt"] == opt_mmfvs_brute(g).opt_value < threshold
 
     def test_gate_yes_below_the_threshold_keeps_the_greedy_best(self, gate_calls, monkeypatch):
         # without the cover_in = {} guess the greedy best of apex_pair(6) is

@@ -6,22 +6,30 @@ the optimum and on `solve_k` just at and just past it; `approx_solve` must
 meet its (1 - eps) * opt guarantee with a verified solution.  So the
 rules that refute large k (the degree-sum bound, the free-vertex cut) are
 checked past the exhaustive corpus too.  Sparse gnp graphs of 18-22
-vertices check `solve_vc` against `opt_exact` where the connector search
-joins three or more blocks into one tree.
+vertices check `solve_vc` against the `solve_k` sweep from k = 0 where the
+connector search joins three or more blocks into one tree; `opt_exact`
+itself may answer through `solve_vc` there, so it is no independent
+oracle.  A hypothesis test draws connected graphs of at most 9 vertices
+and shrinks any disagreement to a minimal one.
 """
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfvs import vcsolver
 from mmfvs.approx import approx_solve
+from mmfvs.graph import Graph
 from mmfvs.instances import generate
-from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
+from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import is_minimal_fvs
+
+from helpers import opt_exact_sweep_reference
 
 
 def gnp_graphs(count, seed):
@@ -86,8 +94,35 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
         g = generate("gnp", {"n": n, "p": rng.uniform(2.6, 3.2) / n}, seed=rng.randrange(1 << 30))
         largest.clear()
         sol, _ = solve_vc(g)
-        if len(sol.vertices) != opt_exact(g) or is_minimal_fvs(g, sol.vertices) is None:
+        if len(sol.vertices) != opt_exact_sweep_reference(g)[0] or is_minimal_fvs(g, sol.vertices) is None:
             mismatches.append(i)
         larger_trees += max(largest, default=0) >= 3
     assert not mismatches, mismatches
     assert larger_trees > 0
+
+
+@st.composite
+def connected_graphs(draw, max_n=9):
+    # a random tree keeps the graph connected, and the extra edges close cycles
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), tree + extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_exact_solvers_agree_on_shrinkable_graphs(g):
+    opt = opt_mmfvs_brute(g).opt_value
+    found, witness = opt_exact_solution(g)
+    assert found == len(witness.vertices) == opt
+    cover_sol, _ = solve_vc(g)
+    assert len(cover_sol.vertices) == opt
+    assert solve_k(g, opt).is_yes and not solve_k(g, opt + 1).is_yes
+    ref_opt, ref_witness = opt_exact_sweep_reference(g)
+    assert (found, witness.vertices, witness.certificate) == (
+        ref_opt, ref_witness.vertices, ref_witness.certificate
+    )
+    vertices = approx_solve(g, 0.5).solution.vertices
+    assert len(vertices) >= math.ceil(0.5 * opt) and is_minimal_fvs(g, vertices) is not None

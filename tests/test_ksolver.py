@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from mmfvs import ksolver
 from mmfvs.graph import Graph
+from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
-from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
+from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
 
 from helpers import (
     apex_pair,
@@ -15,6 +19,21 @@ from helpers import (
     path,
     random_graphs,
 )
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the solve_vc and solve_k calls that ksolver makes by name."""
+    counts = {"solve_vc": 0, "solve_k": 0}
+    for name in counts:
+        real = getattr(ksolver, name)
+
+        def recorded(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ksolver, name, recorded)
+    return counts
 
 
 class TestOptUpperBound:
@@ -129,11 +148,58 @@ class TestOptExact:
             at_bound += opt == opt_upper_bound(g)
         assert at_bound > 0
 
-    def test_equals_the_sweep_from_zero(self):
-        # starting at |greedy W| + 1 skips only the k that W answers itself
-        for g in random_graphs(300, seed=31, max_n=11):
+    def test_equals_the_sweep_from_zero(self, calls):
+        # starting at |greedy W| + 1 skips only the k that W answers itself,
+        # and the solve_vc route returns the sweep's witness too
+        rng = random.Random(41)
+        routed = [
+            *(generate("apexpair", {"n": n}) for n in range(9, 14)),
+            *(
+                generate("reduction-output", {"n": rng.randint(2, 4), "p": rng.uniform(0.3, 0.9), "k": 0},
+                         seed=rng.randrange(1 << 30))
+                for _ in range(20)
+            ),
+        ]
+        for g in [*random_graphs(300, seed=31, max_n=11), *routed]:
             opt, sol = opt_exact_solution(g)
             ref_opt, ref_sol = opt_exact_sweep_reference(g)
             assert (opt, sol.vertices, sol.certificate) == (
                 ref_opt, ref_sol.vertices, ref_sol.certificate
             )
+        # the apex pairs (|W| = 1, tau = 2) take the solve_vc route at least
+        assert calls["solve_vc"] >= 5
+
+
+class TestRoute:
+    """opt_exact_solution asks solve_vc when the vertex cover is small."""
+
+    def test_reduction_output_takes_solve_vc(self, calls):
+        # tau = 7 against |W| = 3 and a bound of 21: the sweep took seconds here
+        g = generate("reduction-output", {"n": 10, "p": 0.4, "k": 0}, seed=0)
+        w, bound, tau = greedy_minimal_fvs(g), opt_upper_bound(g), len(min_vertex_cover(g))
+        assert (len(w), bound, tau) == (3, 21, 7)
+        opt, sol = opt_exact_solution(g)
+        assert opt == len(sol.vertices) == 18
+        assert is_minimal_fvs(g, sol.vertices) is not None
+        assert calls["solve_vc"] == 1 and calls["solve_k"] <= 1
+
+    def test_sparse_graph_keeps_the_sweep(self, calls):
+        # tau = 10 is above both |W| + 4 = 7 and bound - |W| = 5
+        g = gnp(24, 2.0 / 24, seed=1)
+        w, bound, tau = greedy_minimal_fvs(g), opt_upper_bound(g), len(min_vertex_cover(g))
+        assert (len(w), bound, tau) == (3, 8, 10)
+        opt, sol = opt_exact_solution(g)
+        assert calls["solve_vc"] == 0
+        # yes at 4 and 5, then the closing no at 6
+        assert calls["solve_k"] == 3
+        ref_opt, ref_sol = opt_exact_sweep_reference(g)
+        assert (opt, sol.vertices, sol.certificate) == (5, ref_sol.vertices, ref_sol.certificate)
+        assert ref_opt == 5
+
+    def test_greedy_at_the_bound_computes_no_cover(self, calls, monkeypatch):
+        # a call to the cover would raise TypeError
+        monkeypatch.setattr(ksolver, "min_vertex_cover", None)
+        # K_5's greedy W already has the bound's 3 vertices
+        opt, sol = opt_exact_solution(complete(5))
+        assert opt == len(sol.vertices) == 3
+        assert calls == {"solve_vc": 0, "solve_k": 0}

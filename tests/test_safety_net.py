@@ -48,6 +48,12 @@ record = batch.run_one("triangle", triangle, "vcsolver")
 if record.outcome != "error" or not record.error.startswith("VerificationError"):
     sys.exit(f"run_one passed an unverified solution: {record}")
 
+# a vertex-cover optimum above the true one: C4 (tau = 2, |W| = 1, bound 2)
+# takes the solve_vc route, and its optimum is 1, not 2
+square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+ksolver.solve_vc = lambda g: (Solution(frozenset({0, 2}), {}), None)
+expect_failure(lambda: ksolver.opt_exact_solution(square), "opt_exact_solution")
+
 ksolver.is_minimal_fvs = no_certificate
 expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
 

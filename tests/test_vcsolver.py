@@ -3,7 +3,6 @@ from itertools import combinations, product
 
 from mmfvs import vcsolver
 from mmfvs.graph import Graph, peel
-from mmfvs.ksolver import opt_exact
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
@@ -18,7 +17,7 @@ from mmfvs.vcsolver import (
     solve_vc,
 )
 
-from helpers import apex_pair, cycle, disjoint_triangles, gnp, path
+from helpers import apex_pair, cycle, disjoint_triangles, gnp, opt_exact_sweep_reference, path
 
 
 class TestEnumerators:
@@ -228,7 +227,7 @@ class TestSolveVc:
         # every count up to min(|free|, |comps|)
         g = gnp(20, 0.15, seed=4)
         sol, report = solve_vc(g)
-        assert len(sol.vertices) == opt_exact(g) == 8
+        assert len(sol.vertices) == opt_exact_sweep_reference(g)[0] == 8
         assert report.extras["assignments_tried"] <= 10_000
 
     def test_trees_count_the_final_forest(self):
