@@ -8,11 +8,10 @@ the degree-sum bound of `opt_upper_bound` is refused outright.
 
 The exact optimum takes one of two routes (`opt_exact_solution`).  When
 the vertex cover number tau is small next to |W| or to the room the bound
-leaves above W, the vertex-cover solver `vcsolver.solve_vc` gives opt and
-one `solve_k(g, opt)` gives the witness.  Otherwise k sweeps upward from
-|W| + 1 until the first refusal or the bound, whichever comes first.  Both
-routes return the same witness; on the first, maximality rests on
-`solve_vc` being exact.
+leaves above W, the vertex-cover solver `vcsolver.solve_vc` gives opt,
+and its solution, certified again here, is the witness; maximality there
+rests on `solve_vc` being exact.  Otherwise k sweeps upward from |W| + 1
+until the first refusal or the bound, whichever comes first.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
 
 
-def _certified_greedy(g: Graph, w: frozenset[int]) -> Solution:
-    certificate = is_minimal_fvs(g, w)
+def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
+    certificate = is_minimal_fvs(g, s)
     if certificate is None:
-        raise VerificationError("greedy fvs is not a minimal fvs")
-    return Solution(w, certificate)
+        raise VerificationError(f"{source} is not a minimal fvs")
+    return Solution(s, certificate)
 
 
 def opt_upper_bound(g: Graph) -> int:
@@ -66,7 +65,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     if len(w) >= k:
         return SolveReport(
             outcome="yes",
-            solution=_certified_greedy(g, w),
+            solution=_certified(g, w, "greedy fvs"),
             nodes_explored=0,
             reductions_fired={},
             max_depth=0,
@@ -119,22 +118,19 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     reaches `opt_upper_bound` it is optimal, so it is returned before tau
     is computed.  Otherwise tau = |min_vertex_cover(g)| picks the route:
 
-    - tau <= |W| + 4 or tau <= bound - |W|: opt comes from `solve_vc`.  An
-      opt of |W| returns W; any other opt returns `solve_k(g, opt)`'s
-      witness, which must be a yes with exactly opt vertices or the call
-      raises `VerificationError`.
+    - tau <= |W| + 4 or tau <= bound - |W|: opt and the witness come from
+      `solve_vc`, whose opt must lie in [|W|, bound].  An opt of |W|
+      returns W; any other returns `solve_vc`'s solution once
+      `is_minimal_fvs` certifies it on g.  Either check failing raises
+      `VerificationError`.
     - Otherwise the sweep asks `solve_k` at k = |W| + 1, |W| + 2, ... and
       stops at the first no, which is valid because yes-instances are
       downward closed in k.  It never asks past the bound, so an optimum
       equal to the bound needs no final no.
 
-    Both routes return the same (opt, vertices, certificate): the sweep
-    keeps the witness of its last yes, which is `solve_k(g, opt)` (or W
-    when the first ask says no), and `solve_k` is deterministic.  The
-    first route drops the sweep's yes calls below opt and its closing no
-    at opt + 1, the exhaustive call; maximality there rests on `solve_vc`
-    being exact, while `solve_k` confirms independently that opt is
-    reached.
+    Both routes return the same opt, but on the first a witness larger
+    than W is `solve_vc`'s, not the sweep's: the certified solution proves
+    opt is reached, and maximality rests on `solve_vc` being exact.
 
     The rule was fitted on sums of per-graph best-of-3 times, sweep
     against `solve_vc`-routed: 1,000 small-exact graphs 2.56 -> 1.61 s;
@@ -144,22 +140,23 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     sparse gnp graphs with n = 22-30, p = U(1.5, 3)/n, 6.62 -> 6.39 s.
     Routing every graph costs 19.5 s on that sparse family, and a plain
     tau <= 10 cap 7.0 s; on 12 sparse gnp graphs with n = 33-42 the rule
-    keeps the sweep for all.
+    keeps the sweep for all.  The routed times include a since-dropped
+    call, `solve_k(g, opt)`, that rebuilt the sweep's witness; the
+    thresholds are left as fitted.
     """
     w = greedy_minimal_fvs(g)
-    best = _certified_greedy(g, w)
+    best = _certified(g, w, "greedy fvs")
     bound = opt_upper_bound(g)
     if len(w) == bound:
         return len(w), best
     tau = len(min_vertex_cover(g))
     if tau <= len(w) + 4 or tau <= bound - len(w):
-        opt = len(solve_vc(g)[0].vertices)
-        if opt == len(w):
-            return opt, best
-        report = solve_k(g, opt)
-        if not report.is_yes or report.solution is None or len(report.solution.vertices) != opt:
-            raise VerificationError(f"solve_k(g, {opt}) gave no witness of solve_vc's optimum")
-        return opt, report.solution
+        found = solve_vc(g)[0].vertices
+        if not len(w) <= len(found) <= bound:
+            raise VerificationError(f"solve_vc's optimum {len(found)} lies outside [{len(w)}, {bound}]")
+        if len(found) == len(w):
+            return len(w), best
+        return len(found), _certified(g, found, "solve_vc's solution")
     opt = len(w)
     for k in range(opt + 1, bound + 1):
         report = solve_k(g, k)

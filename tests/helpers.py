@@ -6,10 +6,10 @@ import random
 from itertools import combinations, product
 
 from mmfvs.graph import Graph, is_acyclic_without
-from mmfvs.ksolver import solve_k
+from mmfvs.ksolver import opt_upper_bound, solve_k
 from mmfvs.report import Solution
-from mmfvs.vcsolver import set_partitions
-from mmfvs.verify import is_fvs, private_cycle
+from mmfvs.vcsolver import set_partitions, solve_vc
+from mmfvs.verify import greedy_minimal_fvs, is_fvs, min_vertex_cover, private_cycle
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
 # whose source alone keys the cached corpus
@@ -114,6 +114,24 @@ def opt_exact_sweep_reference(g: Graph) -> tuple[int, Solution]:
             break
         best, opt = report.solution, k
     return opt, best
+
+
+def opt_exact_witness_reference(g: Graph, sweep_witness: Solution) -> Solution:
+    """The witness `opt_exact_solution` returns, given the k-sweep's.
+
+    Its rule restated: where the greedy W lies below `opt_upper_bound` and
+    tau <= |W| + 4 or tau <= bound - |W|, a `solve_vc` solution larger than
+    W is the witness.  Everywhere else it is the sweep's, which is W itself
+    when the optimum is |W|.
+    """
+    w = greedy_minimal_fvs(g)
+    bound = opt_upper_bound(g)
+    tau = len(min_vertex_cover(g))
+    if len(w) < bound and (tau <= len(w) + 4 or tau <= bound - len(w)):
+        found = solve_vc(g)[0]
+        if len(found.vertices) > len(w):
+            return found
+    return sweep_witness
 
 
 def peel_reference(g: Graph, live) -> set[int]:

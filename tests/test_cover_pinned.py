@@ -23,8 +23,10 @@ from mmfvs.vcsolver import solve_vc
 from helpers import gnp
 
 # (solver calls, greedy-mode approx results, sha256 of the answers); the
-# answers are those from before cover guesses were cut by a bound
-ANSWERS = (660, 200, "28cacdb55eb770eee91d94ff4436ee9d876f74bd5999621c5d7124ad48cadc4d")
+# answers are those from before cover guesses were cut by a bound, except
+# 57 exact-mode approx answers of the same size that now carry the witness
+# `opt_exact_solution` takes from `solve_vc`
+ANSWERS = (660, 200, "616598fee908167567ee829da1d59b5160ba991eae98806fcef111cb1c2dff3e")
 
 
 def corpus():

@@ -29,7 +29,7 @@ from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import is_minimal_fvs
 
-from helpers import opt_exact_sweep_reference
+from helpers import opt_exact_sweep_reference, opt_exact_witness_reference
 
 
 def gnp_graphs(count, seed):
@@ -121,6 +121,7 @@ def test_exact_solvers_agree_on_shrinkable_graphs(g):
     assert len(cover_sol.vertices) == opt
     assert solve_k(g, opt).is_yes and not solve_k(g, opt + 1).is_yes
     ref_opt, ref_witness = opt_exact_sweep_reference(g)
+    ref_witness = opt_exact_witness_reference(g, ref_witness)
     assert (found, witness.vertices, witness.certificate) == (
         ref_opt, ref_witness.vertices, ref_witness.certificate
     )

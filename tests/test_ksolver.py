@@ -16,6 +16,7 @@ from helpers import (
     disjoint_triangles,
     gnp,
     opt_exact_sweep_reference,
+    opt_exact_witness_reference,
     path,
     random_graphs,
 )
@@ -149,8 +150,8 @@ class TestOptExact:
         assert at_bound > 0
 
     def test_equals_the_sweep_from_zero(self, calls):
-        # starting at |greedy W| + 1 skips only the k that W answers itself,
-        # and the solve_vc route returns the sweep's witness too
+        # starting at |greedy W| + 1 skips only the k that W answers itself;
+        # the solve_vc route reaches the same opt, with solve_vc's witness
         rng = random.Random(41)
         routed = [
             *(generate("apexpair", {"n": n}) for n in range(9, 14)),
@@ -163,6 +164,7 @@ class TestOptExact:
         for g in [*random_graphs(300, seed=31, max_n=11), *routed]:
             opt, sol = opt_exact_solution(g)
             ref_opt, ref_sol = opt_exact_sweep_reference(g)
+            ref_sol = opt_exact_witness_reference(g, ref_sol)
             assert (opt, sol.vertices, sol.certificate) == (
                 ref_opt, ref_sol.vertices, ref_sol.certificate
             )
@@ -181,7 +183,8 @@ class TestRoute:
         opt, sol = opt_exact_solution(g)
         assert opt == len(sol.vertices) == 18
         assert is_minimal_fvs(g, sol.vertices) is not None
-        assert calls["solve_vc"] == 1 and calls["solve_k"] <= 1
+        # opt = 18 > |W|, so the witness is solve_vc's: no solve_k call at all
+        assert calls["solve_vc"] == 1 and calls["solve_k"] == 0
 
     def test_sparse_graph_keeps_the_sweep(self, calls):
         # tau = 10 is above both |W| + 4 = 7 and bound - |W| = 5

@@ -17,7 +17,7 @@ if __debug__:
 from mmfvs import approx, batch, extension, ksolver, vcsolver
 from mmfvs.graph import Graph
 from mmfvs.report import Solution
-from mmfvs.verify import VerificationError
+from mmfvs.verify import VerificationError, is_minimal_fvs
 
 triangle = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
 # two hubs over four independents: approx_solve takes the greedy route
@@ -53,6 +53,13 @@ if record.outcome != "error" or not record.error.startswith("VerificationError")
 square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
 ksolver.solve_vc = lambda g: (Solution(frozenset({0, 2}), {}), None)
 expect_failure(lambda: ksolver.opt_exact_solution(square), "opt_exact_solution")
+
+# a vertex-cover optimum below the greedy W: two triangles on hub 4 give
+# W = {0, 2} (tau = 3, bound 3), and solve_vc returns the minimal fvs {4}
+butterfly = Graph(range(5), [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
+hub = frozenset({4})
+ksolver.solve_vc = lambda g: (Solution(hub, is_minimal_fvs(g, hub)), None)
+expect_failure(lambda: ksolver.opt_exact_solution(butterfly), "opt_exact_solution below W")
 
 ksolver.is_minimal_fvs = no_certificate
 expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
