@@ -6,20 +6,17 @@ outside the solution consists of the committed-out cover vertices plus a
 set Z of independent "connector" vertices gluing their components into
 trees; every other surviving independent vertex closes a cycle with that
 forest and must join the solution.  The search for Z (`find_connectors`,
-run on each settled guess) guesses how the components group into trees (a
-partition), how each group is assembled from blocks joined by one
-connector each, and which cross edges hook the blocks together; candidates
-for each connector are pinned down by exact adjacency counts and grouped
-once per block by the blocks they meet, the block trees are read off those
-target sets, and a group of s components takes at most s - 1 connectors
-(`_splits`).  Guesses are enumerated with fewer connectors first, up to
-the last count that can beat the best so far, so the first assignment that
-verifies is the largest solution the cover guess can give; it comes back
-with the tree count of its final forest.  Nothing is trusted from the
-search state: a candidate solution is kept only after a minimality check
-(one union-find sweep over the 2-core, the same one that checks the cover
-side's private cycles), and the one that becomes the new best is then
-certified in full on the input graph (`verify.is_minimal_fvs`).
+run on each settled guess) picks connectors directly, at most one from
+each class of free vertices with the same neighbourhood, fewer first and
+only while the result can beat the best so far, skipping any pick that
+closes a cycle.  The first pick that verifies is the largest solution the
+cover guess can give; it comes back with the tree count of its final
+forest.  In the worst case this enumeration is 2^O(vc^2), above the
+paper's 2^O(vc log vc).  Nothing is trusted from the search state: a
+candidate solution is kept only after a minimality check (one union-find
+sweep over the 2-core, the same one that checks the cover side's private
+cycles), and the one that becomes the new best is then certified in full
+on the input graph (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -40,8 +37,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from itertools import combinations
+from typing import Callable, Iterator
 
 from mmfvs.graph import Forest, Graph, peel, settle
 from mmfvs.report import Solution, SolveReport
@@ -51,32 +48,6 @@ from mmfvs.verify import (
     min_vertex_cover,
     partial_minimality_ok,
 )
-
-
-def set_partitions(
-    items: Sequence[int], blocks: int | None = None
-) -> Iterator[list[tuple[int, ...]]]:
-    """Partitions of `items`, into exactly `blocks` blocks when given.
-
-    Restricted-growth strings in lexicographic order: each item joins an
-    earlier block, in order, or opens a new one last.  Blocks come out
-    ordered by first element, so enumeration order is canonical and
-    deterministic.  A prefix whose items left cannot fill `blocks` is cut.
-    """
-    n = len(items)
-
-    def grow(i: int, parts: list[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
-        if blocks is not None and len(parts) + n - i < blocks:
-            return
-        if i == n:
-            yield parts
-            return
-        for b, part in enumerate(parts):
-            yield from grow(i + 1, [*parts[:b], (*part, items[i]), *parts[b + 1:]])
-        if blocks is None or len(parts) < blocks:
-            yield from grow(i + 1, [*parts, (items[i],)])
-
-    return grow(0, [])
 
 
 @dataclass(frozen=True)
@@ -103,184 +74,36 @@ def settle_guess(
     return CoverGuess(cover_in, frozenset(out), frozenset(free), frozenset(inside))
 
 
-def _splits(sizes: Sequence[int], left: int) -> Iterator[tuple[int, ...]]:
-    """Ways to spend `left` connectors over parts of these sizes, in order.
-
-    A part of s components takes at least one connector when s > 1 and at
-    most s - 1.  A settled free vertex has at least two neighbours in the
-    committed-out forest, none of them outside its part, and as the
-    connector of a block it meets each component of that block once and
-    each of its target blocks once.  With c blocks the targets are the c - 1
-    tree edges, so summing over the blocks gives s + c - 1 >= 2c, that is
-    c <= s - 1.  A larger count never had a candidate.
-    """
-    if not sizes:
-        if left == 0:
-            yield ()
-        return
-    s = sizes[0]
-    for c in range(min(s - 1, 1), min(s - 1, left) + 1):
-        for rest in _splits(sizes[1:], left - c):
-            yield (c, *rest)
-
-
-def _joins_one_tree(targets: Sequence[frozenset[int]]) -> bool:
-    """Whether the edges b -> t, for t in targets[b], join all blocks into one tree.
-
-    They must number one fewer than the blocks and reach every block; an
-    edge given both ways counts twice but reaches only once.
-    """
-    if sum(map(len, targets)) != len(targets) - 1:
-        return False
-    near = [set(t) for t in targets]
-    for b, t in enumerate(targets):
-        for o in t:
-            near[o].add(b)
-    reached, stack = {0}, [0]
-    while stack:
-        new = near[stack.pop()] - reached
-        reached |= new
-        stack.extend(new)
-    return len(reached) == len(targets)
-
-
-class _ConnectorSearch:
-    """Connector search state for one settled cover-side guess.
-
-    `free_nbrs` lists the free independents ascending, each with its
-    neighbors in the committed-out forest, and `most` is the largest
-    connector count whose result is larger than `beat`.
-    """
-
-    def __init__(self, g: Graph, guess: CoverGuess, beat: int, counters: Counter[str]):
-        self.g = g
-        self.guess = guess
-        self.counters = counters
-        self.free_nbrs = [(x, g.neighbors(x) & guess.out) for x in sorted(guess.free)]
-        self.most = len(guess.cover_in) + len(guess.inside) + len(guess.free) - beat - 1
-
-    def _part_plans(self, part: tuple[frozenset[int], ...], connectors: int) -> list[list[list[int]]]:
-        """The plans of one part, each a list of per-block candidate lists.
-
-        A part without connectors is one component and one plan with no
-        blocks.  Otherwise its components are grouped into one block per
-        connector.  A candidate for a block's connector is adjacent to
-        exactly one vertex of every component of its block, has no
-        committed-out neighbor outside the part, and meets the blocks of its
-        target set once each and no other block.  Each block's candidates
-        are grouped once by target set, and the block trees are read off
-        them: a choice of one such set per block (larger sets first, then by
-        sorted members, in product order) is a plan when its edges b -> t
-        join the blocks into one tree (`_joins_one_tree`).
-        `structure_guesses` counts the choices tried.
-
-        The plan order decides only which assignment inside one (connector
-        count, component partition, split) is tried first, so the first
-        triple with a verified assignment, the solution size and
-        `winning_trees` do not depend on it; only which connector set of
-        that count comes back does.  With two blocks the order is ({1}, {})
-        before ({}, {0}), as decoding the oriented labeled trees from their
-        Pruefer sequences gives.
-        """
-        if connectors == 0:
-            return [[]]
-        part_union = frozenset().union(*part)
-        local = [(x, nb) for x, nb in self.free_nbrs if nb <= part_union]
-        plans = []
-        for raw in set_partitions(range(len(part)), connectors):
-            unions = [frozenset().union(*(part[i] for i in block)) for block in raw]
-            base = [
-                [(x, nb) for x, nb in local if all(len(nb & part[i]) == 1 for i in block)]
-                for block in raw
-            ]
-            if not all(base):
-                continue
-            by_targets: list[dict[frozenset[int], list[int]]] = [{} for _ in raw]
-            for b, cands in enumerate(base):
-                for x, nb in cands:
-                    met = [o for o in range(len(raw)) if o != b and nb & unions[o]]
-                    if all(len(nb & unions[o]) == 1 for o in met):
-                        by_targets[b].setdefault(frozenset(met), []).append(x)
-            ordered = [sorted(groups, key=lambda t: (-len(t), sorted(t))) for groups in by_targets]
-            for targets in product(*ordered):
-                self.counters["structure_guesses"] += 1
-                if _joins_one_tree(targets):
-                    plans.append([groups[t] for groups, t in zip(by_targets, targets)])
-        return plans
-
-    def _try_assignment(self, trees: int, connectors: tuple[int, ...]) -> frozenset[int] | None:
-        guess = self.guess
-        z = frozenset(connectors)
-        # one union-find over the final forest answers acyclicity, the tree
-        # count and the cycle closers below
-        forest = Forest(self.g)
-        acyclic = forest.extend(guess.out | z, stop_at_cycle=True)
-        if not acyclic or forest.trees() != trees:
-            self.counters["forest_check_failures"] += 1
-            return None
-        # every leftover independent vertex must close a cycle with one of
-        # the final trees, or it cannot be a minimal member of the solution
-        leftover = guess.free - z
-        if not all(forest.closes_cycle(x) for x in leftover):
-            self.counters["assignments_rejected_structure"] += 1
-            return None
-        solution = guess.cover_in | guess.inside | leftover
-        # one sweep over g - solution answers both checks: the cover side's
-        # private cycles, then the rest of `verify.is_minimal` (acyclicity
-        # and the private cycles of the other members).  g is a 2-core: the
-        # peeled vertices lie on no cycle, so every answer is the input's.
-        rest = Forest.without(self.g, solution)
-        if not all(rest.closes_cycle(w) for w in guess.cover_in):
-            self.counters["assignments_rejected_partial"] += 1
-            return None
-        if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - guess.cover_in)):
-            self.counters["guess_rejected_at_verify"] += 1
-            return None
-        return solution
-
-    def _assignments(
-        self, parts: list[tuple[frozenset[int], ...]], split: tuple[int, ...]
-    ) -> Iterator[tuple[int, ...]]:
-        """Connectors for one split, distinct ones only.
-
-        Each part's plans are built once; a part with none ends the split.
-        """
-        per_part = []
-        for part, connectors in zip(parts, split):
-            plans = self._part_plans(part, connectors)
-            if not plans:
-                return
-            per_part.append(plans)
-        for plans in product(*per_part):
-            for connectors in product(*(slot for plan in plans for slot in plan)):
-                if len(set(connectors)) == len(connectors):
-                    yield connectors
-
-    def search(self) -> tuple[frozenset[int], int] | None:
-        if self.most < 0:
-            return None
-        comps = self.g.induced(self.guess.out).components()
-        if not self.guess.free:
-            self.counters["assignments_tried"] += 1
-            solution = self._try_assignment(len(comps), ())
-            return None if solution is None else (solution, len(comps))
-        # Fewer connectors first: each one shrinks the solution by one, so
-        # the first verified hit is this guess's maximum.  Zero connectors
-        # cannot work here: a surviving independent vertex meets every
-        # committed-out component at most once, so it would have no private
-        # cycle in the unglued forest.  A part of s components takes at most
-        # s - 1 connectors (`_splits`), so no count reaches len(comps).
-        for z_total in range(1, min(len(self.guess.free), len(comps) - 1, self.most) + 1):
-            for partition in set_partitions(range(len(comps))):
-                self.counters["comp_partitions"] += 1
-                parts = [tuple(comps[i] for i in part) for part in partition]
-                for split in _splits([len(p) for p in parts], z_total):
-                    for connectors in self._assignments(parts, split):
-                        self.counters["assignments_tried"] += 1
-                        solution = self._try_assignment(len(parts), connectors)
-                        if solution is not None:
-                            return solution, len(parts)
+def _try_assignment(
+    g: Graph, guess: CoverGuess, connectors: tuple[int, ...], counters: Counter[str]
+) -> tuple[frozenset[int], int] | None:
+    """(solution, trees of g[out | Z]) when the connectors Z give a minimal fvs of g."""
+    z = frozenset(connectors)
+    # one union-find over the final forest answers acyclicity, the tree
+    # count and the cycle closers below
+    forest = Forest(g)
+    if not forest.extend(guess.out | z, stop_at_cycle=True):
+        counters["forest_check_failures"] += 1
         return None
+    # every leftover independent vertex must close a cycle with one of
+    # the final trees, or it cannot be a minimal member of the solution
+    leftover = guess.free - z
+    if not all(forest.closes_cycle(x) for x in leftover):
+        counters["assignments_rejected_structure"] += 1
+        return None
+    solution = guess.cover_in | guess.inside | leftover
+    # one sweep over g - solution answers both checks: the cover side's
+    # private cycles, then the rest of `verify.is_minimal` (acyclicity
+    # and the private cycles of the other members).  g is a 2-core: the
+    # peeled vertices lie on no cycle, so every answer is the input's.
+    rest = Forest.without(g, solution)
+    if not all(rest.closes_cycle(w) for w in guess.cover_in):
+        counters["assignments_rejected_partial"] += 1
+        return None
+    if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - guess.cover_in)):
+        counters["guess_rejected_at_verify"] += 1
+        return None
+    return solution, forest.trees()
 
 
 def find_connectors(
@@ -292,15 +115,67 @@ def find_connectors(
     solution is the largest minimal fvs of g larger than `beat` (-1 takes
     any) the guess gives, without a certificate, and `trees` the number of
     trees of its final forest g[out | Z], where `out` is what `graph.settle`
-    kept of the committed-out side.  The search returns the first
-    connector count z = 1, 2, ... that verifies, of size |cover_in| +
-    |inside| + |free| - z, and tries only the z whose size exceeds `beat`.
-    If the uncapped search's first verified z is one of them, the capped
-    one tries the same counts in the same order and returns the same
-    result; if not, that result is no larger than `beat`, and every count
-    tried here failed there too.
+    kept of the committed-out side and Z the connectors.
+
+    Z holds at most one free vertex of each twin class, the lowest id of
+    the free vertices with the same whole neighbourhood in g: swapping two
+    twins is an automorphism of g that fixes the guess, and two twins in Z
+    would close a 4-cycle through two committed-out neighbours they share.
+    (Twins by their committed-out neighbours alone can differ on cover_in
+    and so on whose private cycle survives.)  Connector counts z = 1, 2,
+    ... are tried in turn, each over the z-subsets of the representatives
+    in lexicographic order; a representative is skipped as soon as two of
+    its committed-out neighbours lie in one tree of g[out | chosen so far].
+    Every full pick goes through `_try_assignment`, and the first that
+    passes is returned, of size |cover_in| + |inside| + |free| - z.  Each
+    connector joins two or more trees, so z stops at one below the
+    component count of g[out], and at the last z whose size exceeds `beat`.
+    If the uncapped search's first verified z is one of those, the capped
+    one tries the same picks in the same order and returns the same result;
+    if not, that result is no larger than `beat`, and every pick tried here
+    failed there too.  With at most 2^vc twin classes and z < vc, the
+    enumeration is 2^O(vc^2) in the worst case, not the paper's
+    2^O(vc log vc).
     """
-    return _ConnectorSearch(g, guess, beat, counters).search()
+    most = len(guess.cover_in) + len(guess.inside) + len(guess.free) - beat - 1
+    if most < 0:
+        return None
+    if not guess.free:
+        counters["assignments_tried"] += 1
+        return _try_assignment(g, guess, (), counters)
+    comps = g.induced(guess.out).components()
+    tree_of = {v: t for t, comp in enumerate(comps) for v in comp}
+    twins: dict[frozenset[int], int] = {}
+    for x in sorted(guess.free):
+        twins.setdefault(g.neighbors(x), x)
+    reps = [(x, [tree_of[u] for u in g.neighbors(x) & guess.out]) for x in sorted(twins.values())]
+
+    def picks(start: int, size: int, label: list[int]) -> Iterator[tuple[int, ...]]:
+        # label[t] names the tree of g[out | chosen] that component t lies in
+        if size == 0:
+            yield ()
+            return
+        for i in range(start, len(reps) - size + 1):
+            x, hit = reps[i]
+            joined = {label[t] for t in hit}
+            if len(joined) < len(hit):
+                continue
+            low = min(joined)
+            merged = [low if tree in joined else tree for tree in label]
+            for rest in picks(i + 1, size - 1, merged):
+                yield (x, *rest)
+
+    # Fewer connectors first: each one shrinks the solution by one, so the
+    # first verified hit is this guess's maximum.  Zero connectors cannot
+    # work here: a settled free vertex meets every committed-out component
+    # at most once, so it would have no private cycle in the unglued forest.
+    for z in range(1, min(len(reps), len(comps) - 1, most) + 1):
+        for connectors in picks(0, z, list(range(len(comps)))):
+            counters["assignments_tried"] += 1
+            found = _try_assignment(g, guess, connectors, counters)
+            if found is not None:
+                return found
+    return None
 
 
 def cover_guesses(
@@ -378,7 +253,10 @@ def _search_bound(guess: CoverGuess) -> int:
     return len(guess.cover_in) + len(guess.inside) + max(len(guess.free) - 1, 0)
 
 
-# search counters that `solve_vc` reports under their own names
+# search counters that `solve_vc` reports under their own names;
+# "comp_partitions" and "structure_guesses" counted the partition search
+# that `find_connectors` replaced and are retired: always 0, kept until the
+# benchmark's trace stops reading them
 _REPORTED = (
     "cover_guesses", "guesses_cut_by_bound", "viable_cover_guesses", "comp_partitions",
     "structure_guesses", "assignments_tried", "assignments_rejected_partial",

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 from mmfvs.graph import Graph, is_acyclic_without
 from mmfvs.ksolver import opt_upper_bound, solve_k
 from mmfvs.report import Solution
-from mmfvs.vcsolver import set_partitions, solve_vc
+from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import greedy_minimal_fvs, is_fvs, min_vertex_cover, private_cycle
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
@@ -243,57 +243,3 @@ def neighborhood_components(g: Graph, c_out, u: int) -> frozenset[int]:
     return frozenset(
         min(comp) for comp in g.induced(c_out).components() if g.neighbors(u) & comp
     )
-
-
-def part_plans_reference(free_nbrs, part, connectors: int, counters) -> list[list[list[int]]]:
-    """The connector search's plans for one part, its candidates filtered anew per target choice.
-
-    Every block takes every subset of the other blocks as its targets,
-    larger set first, then by sorted members, and the choices run in
-    product order.  A choice is a plan when every block has a candidate
-    whose hits on the other blocks are the indicator of its targets and the
-    edges block -> target form one tree (n - 1 edges, one component).
-    `free_nbrs` lists (free vertex, its committed-out neighbours) ascending;
-    `counters` counts in "structure_guesses" the choices where every block
-    has a candidate.
-    """
-    if connectors == 0:
-        return [[]]
-    part_union = frozenset().union(*part)
-    local = [(x, nb) for x, nb in free_nbrs if nb <= part_union]
-    plans = []
-    for raw in set_partitions(range(len(part)), connectors):
-        blocks = [[part[i] for i in block] for block in raw]
-        n = len(blocks)
-        unions = [frozenset().union(*block) for block in blocks]
-        base = [
-            [(x, nb) for x, nb in local if all(len(nb & comp) == 1 for comp in block)]
-            for block in blocks
-        ]
-        if not all(base):
-            continue
-        subsets = [
-            sorted(
-                (frozenset(t) for r in range(n) for t in combinations(sorted(set(range(n)) - {b}), r)),
-                key=lambda t: (-len(t), sorted(t)),
-            )
-            for b in range(n)
-        ]
-        for targets in product(*subsets):
-            cands = [
-                [
-                    x for x, nb in base[b]
-                    if all(
-                        len(nb & unions[o]) == (1 if o in targets[b] else 0)
-                        for o in range(n) if o != b
-                    )
-                ]
-                for b in range(n)
-            ]
-            if not all(cands):
-                continue
-            counters["structure_guesses"] += 1
-            edges = [(b, t) for b in range(n) for t in targets[b]]
-            if len(edges) == n - 1 and len(Graph(range(n), edges).components()) == 1:
-                plans.append(cands)
-    return plans

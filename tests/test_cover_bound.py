@@ -10,9 +10,8 @@ the unsettled bound is at least both settled ones, each solver cuts
 exactly the guesses whose settled bound is at most its best so far while
 settling exactly the splits whose unsettled bound beats it, and only the
 non-empty sides of the splits that pass both bounds are swept.  On the same
-settled guesses, the connector search's part plans are checked against a
-per-target-choice filter, and a part of s components is checked to have
-no plan with s connectors.
+settled guesses, the connector search is checked against every connector
+set of the free vertices.
 """
 
 import random
@@ -26,16 +25,10 @@ from mmfvs import vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Forest, Graph, peel
 from mmfvs.instances import generate
-from mmfvs.vcsolver import (
-    _ConnectorSearch,
-    _search_bound,
-    find_connectors,
-    settle_guess,
-    solve_vc,
-)
+from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
 
-from helpers import gnp, part_plans_reference
+from helpers import gnp
 
 
 @cache
@@ -127,44 +120,28 @@ def test_a_capped_connector_search_returns_the_uncapped_result_or_none():
     assert kept > 0 and dropped > 0
 
 
-def connector_searches():
-    """(search, components of g[out]) for every settled guess with a free vertex."""
+def test_connector_search_matches_every_subset_of_the_free_vertices():
+    # the search takes one free vertex per twin class and skips picks that
+    # close a cycle; against every connector set of the free vertices, it
+    # must still find the largest minimal fvs each guess gives
+    compared = 0
     for g in corpus():
         reduced, cover = vc_setting(g)
         for cover_in, cover_out in forest_splits(reduced, cover):
             guess = settle_guess(reduced, cover_in, cover_out, Counter())
-            if guess.free:
-                comps = reduced.induced(guess.out).components()
-                yield _ConnectorSearch(reduced, guess, -1, Counter()), comps
-
-
-def test_a_part_of_s_components_has_no_plan_with_s_connectors():
-    # the invariant that lets `_splits` stop at s - 1 connectors per part
-    parts = 0
-    for search, comps in connector_searches():
-        for s in range(1, 5):
-            for part in combinations(comps, s):
-                assert search._part_plans(part, s) == [], (search.guess, part)
-                parts += 1
-    assert parts > 1000
-
-
-def test_grouped_part_plans_match_the_per_target_filter():
-    plans = guesses = 0
-    for search, comps in connector_searches():
-        for s in range(2, 5):
-            for part in combinations(comps, s):
-                for c in range(1, s):
-                    expected, counted = Counter(), search.counters.copy()
-                    reference = part_plans_reference(search.free_nbrs, part, c, expected)
-                    assert search._part_plans(part, c) == reference, (search.guess, part, c)
-                    assert search.counters - counted == expected
-                    plans += len(reference)
-                    guesses += expected["structure_guesses"]
-    assert plans > 0
-    # one per choice of target sets that all have candidates, trees or not;
-    # counting every oriented tree over blocks with candidates gave 602
-    assert guesses == 555
+            if not guess.free:
+                continue
+            base = guess.cover_in | guess.inside
+            sizes = [
+                len(base) + len(guess.free) - z
+                for z in range(len(guess.free) + 1)
+                for connectors in combinations(sorted(guess.free), z)
+                if is_minimal(reduced, base | (guess.free - frozenset(connectors)))
+            ]
+            found = find_connectors(reduced, guess, -1, Counter())
+            assert (found and len(found[0])) == max(sizes, default=None), (g, cover_in)
+            compared += found is not None
+    assert compared > 300
 
 
 def test_greedy_candidates_stay_within_the_greedy_bound():

@@ -76,17 +76,19 @@ def test_exact_solvers_and_approx_match_brute_force(family):
 
 
 def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypatch):
-    # sparse graphs of 18-22 vertices, where some parts glue three or more
-    # blocks into one tree, which the corpora above never do
+    # sparse graphs of 18-22 vertices, where some winning connector sets
+    # put three or more connectors into one tree of g[out | Z]
     largest = []
-    part_plans = vcsolver._ConnectorSearch._part_plans
+    search = vcsolver.find_connectors
 
-    def recorded(self, part, connectors):
-        plans = part_plans(self, part, connectors)
-        largest.append(max(map(len, plans), default=0))
-        return plans
+    def recorded(g, guess, beat, counters):
+        found = search(g, guess, beat, counters)
+        if found is not None:
+            z = guess.free - found[0]
+            largest.extend(len(tree & z) for tree in g.induced(guess.out | z).components())
+        return found
 
-    monkeypatch.setattr(vcsolver._ConnectorSearch, "_part_plans", recorded)
+    monkeypatch.setattr(vcsolver, "find_connectors", recorded)
     rng = random.Random(11)
     mismatches, larger_trees = [], 0
     for i in range(24):

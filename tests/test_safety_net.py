@@ -77,7 +77,7 @@ vcsolver.is_minimal_fvs = no_certificate
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc certifying its best")
 
 # a connector search that fails even the empty cover guess leaves no answer
-vcsolver._ConnectorSearch.search = lambda self: None
+vcsolver.find_connectors = lambda g, guess, beat, counters: None
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc")
 """
 

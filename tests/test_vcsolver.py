@@ -1,75 +1,19 @@
 from collections import Counter
-from itertools import combinations, product
 
 from mmfvs import vcsolver
 from mmfvs.graph import Graph, peel
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
-    _ConnectorSearch,
-    _joins_one_tree,
     _search_bound,
-    _splits,
+    _try_assignment,
     cover_guesses,
     find_connectors,
-    set_partitions,
     settle_guess,
     solve_vc,
 )
 
 from helpers import apex_pair, cycle, disjoint_triangles, gnp, opt_exact_sweep_reference, path
-
-
-class TestEnumerators:
-    def test_set_partition_counts_are_bell_numbers(self):
-        for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-            assert sum(1 for _ in set_partitions(list(range(n)))) == bell
-
-    def test_partitions_are_canonical_and_distinct(self):
-        seen = set()
-        for blocks in set_partitions([4, 7, 9]):
-            key = tuple(tuple(b) for b in blocks)
-            assert key not in seen
-            seen.add(key)
-            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
-
-    def test_exact_block_partitions_are_the_filtered_enumeration_in_order(self):
-        for n in range(7):
-            items = [3 * i + 1 for i in range(n)]
-            every = list(set_partitions(items))
-            for blocks in range(n + 2):
-                expected = [p for p in every if len(p) == blocks]
-                assert list(set_partitions(items, blocks)) == expected, (n, blocks)
-
-    def test_labeled_tree_counts_follow_cayley(self):
-        # of the (c - 1)-edge sets of the complete graph on c blocks, each
-        # edge given low to high, Cayley's c^(c - 2) join the blocks into a tree
-        for c in (1, 2, 3, 4, 5, 6):
-            pairs = list(combinations(range(c), 2))
-            count = 0
-            for edges in combinations(pairs, c - 1):
-                targets = [frozenset(hi for lo, hi in edges if lo == b) for b in range(c)]
-                count += _joins_one_tree(targets)
-            assert count == max(1, c ** (c - 2)), c
-
-    def test_cross_edge_choices_count(self):
-        # of all choices of a target subset per block: the labeled trees
-        # times one orientation bit per tree edge
-        for c in (1, 2, 3, 4):
-            subsets = [
-                [frozenset(t) for r in range(c) for t in combinations(sorted(set(range(c)) - {b}), r)]
-                for b in range(c)
-            ]
-            accepted = sum(_joins_one_tree(targets) for targets in product(*subsets))
-            assert accepted == max(1, c ** (c - 2)) * (1 << max(0, c - 1)), c
-
-    def test_splits_are_the_filtered_product_in_order(self):
-        for sizes in [(), (1,), (3,), (1, 1, 1), (2, 1, 3), (1, 2, 1, 2), (4, 1)]:
-            # a part of s components takes 1 to s - 1 connectors, none if s = 1
-            ranges = [range(min(size - 1, 1), size) for size in sizes]
-            for total in range(sum(sizes) + 2):
-                expected = [c for c in product(*ranges) if sum(c) == total]
-                assert list(_splits(sizes, total)) == expected, (sizes, total)
 
 
 def connectors_of(g, cover_in, cover_out):
@@ -105,38 +49,13 @@ class TestFindConnectors:
 class TestConnectorSafetyChecks:
     """`_try_assignment` rejects final forests the search never proposes."""
 
-    def search(self):
-        g = two_edges_and_two_connectors()
-        guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
-        return _ConnectorSearch(g, guess, -1, Counter())
-
     def test_connectors_closing_a_cycle_are_rejected(self):
         # 4 and 5 both glue the two edges: 0-4-2-3-5-1-0 is a cycle
-        search = self.search()
-        assert search._try_assignment(1, (4, 5)) is None
-        assert search.counters["forest_check_failures"] == 1
-
-    def test_connectors_leaving_the_wrong_tree_count_are_rejected(self):
-        # 4 glues both edges into one tree, but the partition asks for two
-        search = self.search()
-        assert search._try_assignment(2, (4,)) is None
-        assert search.counters["forest_check_failures"] == 1
-
-
-class TestPartPlans:
-    def test_two_blocks_take_the_larger_target_set_first(self):
-        # committed-out vertices 0-3 are four components.  For the blocks
-        # {0, 1} and {2, 3}, 4 and 5 glue 0 and 1 (5 also meets 2), 6 and 7
-        # glue 2 and 3 (7 also meets 0), so both orientations of the edge
-        # between the blocks have candidates, and ({1}, {}) comes first.
-        # The other plans come from the blocks ({0, 1, 2}, {3}) and
-        # ({0, 2, 3}, {1}).
-        edges = [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (7, 0)]
-        g = Graph(range(8), edges)
+        g = two_edges_and_two_connectors()
         guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
-        search = _ConnectorSearch(g, guess, -1, Counter())
-        part = tuple(g.induced(guess.out).components())
-        assert search._part_plans(part, 2) == [[[5], [6]], [[5], [6]], [[4], [7]], [[7], [4]]]
+        counters = Counter()
+        assert _try_assignment(g, guess, (4, 5), counters) is None
+        assert counters["forest_check_failures"] == 1
 
 
 class TestCoverGuesses:
@@ -184,13 +103,23 @@ class TestSolveVc:
             assert len(sol.vertices) == opt_mmfvs_brute(g).opt_value
 
     def test_guess_budget_follows_cover_bound(self):
+        # each viable guess tries distinct connector sets, subsets of its
+        # free vertices, which lie among the n - vc independents
         for seed in range(10):
             g = gnp(8, 0.4, seed=300 + seed)
             _, report = solve_vc(g)
-            vc = report.extras["cover_size"]
-            if vc >= 2:
-                bound = vc**vc * vc ** len(g.vertices) * vc ** (2 * vc)
-                assert report.extras["structure_guesses"] <= bound
+            extras = report.extras
+            bound = extras["viable_cover_guesses"] * 2 ** (len(g.vertices) - extras["cover_size"])
+            assert 0 < extras["assignments_tried"] <= bound, seed
+
+    def test_twins_are_keyed_on_the_whole_neighbourhood(self):
+        # with the cover {0, 2, 4} and 0 on the solution side, the free
+        # vertices 1, 3 and 5 all meet the committed-out side in {2, 4}, but
+        # only 3 and 5 are adjacent to 0; the optimum 3 needs 3 or 5 as the
+        # connector, and keying twins on N(x) & out keeps only 1, giving 2
+        g = Graph(range(6), [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)])
+        sol, _ = solve_vc(g)
+        assert len(sol.vertices) == opt_mmfvs_brute(g).opt_value == 3
 
     def test_verify_safety_net_is_quiet(self):
         for seed in range(15):
