@@ -157,8 +157,8 @@ class Forest:
     Tarjan's set union: the trees are those of the subgraph induced on the
     vertices inserted so far.  `extend` inserts vertices with their edges
     to the vertices already present, `closes_cycle` asks, without
-    inserting, whether a vertex would close a cycle, `acyclic` tells
-    whether the subgraph is still a forest and `trees` counts its trees.
+    inserting, whether a vertex would close a cycle, and `acyclic` tells
+    whether the subgraph is still a forest.
     Union by size plus path compression keeps any sequence of m operations
     at O(m alpha(m)).
     """
@@ -221,10 +221,6 @@ class Forest:
                 if stop_at_cycle:
                     break
         return ok
-
-    def trees(self) -> int:
-        """How many trees the inserted vertices form."""
-        return sum(1 for v, root in self._parent.items() if v == root)
 
     def closes_cycle(self, v: int) -> bool:
         """Do two neighbors of v share a tree?  v must not be present."""

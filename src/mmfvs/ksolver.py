@@ -116,7 +116,8 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
 
     The greedy minimal fvs W answers every k <= |W| at once, and when |W|
     reaches `opt_upper_bound` it is optimal, so it is returned before tau
-    is computed.  Otherwise tau = |min_vertex_cover(g)| picks the route:
+    is computed.  Otherwise tau, the vertex cover number of the 2-core
+    that `solve_vc` searches, picks the route:
 
     - tau <= |W| + 4 or tau <= bound - |W|: opt and the witness come from
       `solve_vc`, whose opt must lie in [|W|, bound].  An opt of |W|
@@ -141,15 +142,15 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     Routing every graph costs 19.5 s on that sparse family, and a plain
     tau <= 10 cap 7.0 s; on 12 sparse gnp graphs with n = 33-42 the rule
     keeps the sweep for all.  The routed times include a since-dropped
-    call, `solve_k(g, opt)`, that rebuilt the sweep's witness; the
-    thresholds are left as fitted.
+    call, `solve_k(g, opt)`, that rebuilt the sweep's witness, and took
+    tau on g, not the 2-core; the thresholds are left as fitted.
     """
     w = greedy_minimal_fvs(g)
     best = _certified(g, w, "greedy fvs")
     bound = opt_upper_bound(g)
     if len(w) == bound:
         return len(w), best
-    tau = len(min_vertex_cover(g))
+    tau = len(min_vertex_cover(g.delete(peel(g, g.vertices))))
     if tau <= len(w) + 4 or tau <= bound - len(w):
         found = solve_vc(g)[0].vertices
         if not len(w) <= len(found) <= bound:

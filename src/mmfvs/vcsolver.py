@@ -9,14 +9,14 @@ forest and must join the solution.  The search for Z (`find_connectors`,
 run on each settled guess) picks connectors directly, at most one from
 each class of free vertices with the same neighbourhood, fewer first and
 only while the result can beat the best so far, skipping any pick that
-closes a cycle.  The first pick that verifies is the largest solution the
-cover guess can give; it comes back with the tree count of its final
-forest.  In the worst case this enumeration is 2^O(vc^2), above the
-paper's 2^O(vc log vc).  Nothing is trusted from the search state: a
-candidate solution is kept only after a minimality check (one union-find
-sweep over the 2-core, the same one that checks the cover side's private
-cycles), and the one that becomes the new best is then certified in full
-on the input graph (`verify.is_minimal_fvs`).
+closes a cycle; the walk's tree labels give each pick's forest, its
+leftover cycle closers and its tree count without a union-find.  The
+first pick that verifies is the largest solution the cover guess can
+give.  In the worst case this enumeration is 2^O(vc^2), above the paper's
+2^O(vc log vc).  A candidate solution is kept only after a minimality
+check (one union-find sweep over the 2-core, the same one that checks the
+cover side's private cycles), and the one that becomes the new best is
+then certified in full on the input graph (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -76,22 +76,9 @@ def settle_guess(
 
 def _try_assignment(
     g: Graph, guess: CoverGuess, connectors: tuple[int, ...], counters: Counter[str]
-) -> tuple[frozenset[int], int] | None:
-    """(solution, trees of g[out | Z]) when the connectors Z give a minimal fvs of g."""
-    z = frozenset(connectors)
-    # one union-find over the final forest answers acyclicity, the tree
-    # count and the cycle closers below
-    forest = Forest(g)
-    if not forest.extend(guess.out | z, stop_at_cycle=True):
-        counters["forest_check_failures"] += 1
-        return None
-    # every leftover independent vertex must close a cycle with one of
-    # the final trees, or it cannot be a minimal member of the solution
-    leftover = guess.free - z
-    if not all(forest.closes_cycle(x) for x in leftover):
-        counters["assignments_rejected_structure"] += 1
-        return None
-    solution = guess.cover_in | guess.inside | leftover
+) -> frozenset[int] | None:
+    """The solution the connectors leave when it is a minimal fvs of g."""
+    solution = guess.cover_in | guess.inside | (guess.free - frozenset(connectors))
     # one sweep over g - solution answers both checks: the cover side's
     # private cycles, then the rest of `verify.is_minimal` (acyclicity
     # and the private cycles of the other members).  g is a 2-core: the
@@ -103,7 +90,7 @@ def _try_assignment(
     if not (rest.acyclic and all(rest.closes_cycle(w) for w in solution - guess.cover_in)):
         counters["guess_rejected_at_verify"] += 1
         return None
-    return solution, forest.trees()
+    return solution
 
 
 def find_connectors(
@@ -122,38 +109,41 @@ def find_connectors(
     twins is an automorphism of g that fixes the guess, and two twins in Z
     would close a 4-cycle through two committed-out neighbours they share.
     (Twins by their committed-out neighbours alone can differ on cover_in
-    and so on whose private cycle survives.)  Connector counts z = 1, 2,
-    ... are tried in turn, each over the z-subsets of the representatives
-    in lexicographic order; a representative is skipped as soon as two of
-    its committed-out neighbours lie in one tree of g[out | chosen so far].
-    Every full pick goes through `_try_assignment`, and the first that
-    passes is returned, of size |cover_in| + |inside| + |free| - z.  Each
-    connector joins two or more trees, so z stops at one below the
-    component count of g[out], and at the last z whose size exceeds `beat`.
-    If the uncapped search's first verified z is one of those, the capped
-    one tries the same picks in the same order and returns the same result;
-    if not, that result is no larger than `beat`, and every pick tried here
-    failed there too.  With at most 2^vc twin classes and z < vc, the
-    enumeration is 2^O(vc^2) in the worst case, not the paper's
-    2^O(vc log vc).
+    and so on whose private cycle survives.)  Connector counts z = 1, 2, ...
+    are tried in turn, each over the z-subsets of the representatives in
+    lexicographic order; a representative is skipped as soon as two of its
+    committed-out neighbours lie in one tree of g[out | chosen so far], so
+    g[out | Z] is a forest.  A full pick whose final labels leave some
+    representative without two components in one tree is rejected;
+    the rest go through `_try_assignment`, and the first that verifies is
+    returned, of size |cover_in| + |inside| + |free| - z, with the number
+    of labels as its tree count.  Each connector joins two or more trees,
+    so z stops at one below the component count of g[out], and at the last
+    z whose size exceeds `beat`.  If the uncapped search's first verified z
+    is one of those, the capped one tries the same picks in the same order
+    and returns the same result; if not, that result is no larger than
+    `beat`, and every pick tried here failed there too.  With at most 2^vc
+    twin classes and z < vc, the enumeration is 2^O(vc^2) in the worst
+    case, not the paper's 2^O(vc log vc).
     """
     most = len(guess.cover_in) + len(guess.inside) + len(guess.free) - beat - 1
     if most < 0:
         return None
+    comps = g.induced(guess.out).components()
     if not guess.free:
         counters["assignments_tried"] += 1
-        return _try_assignment(g, guess, (), counters)
-    comps = g.induced(guess.out).components()
+        solution = _try_assignment(g, guess, (), counters)
+        return None if solution is None else (solution, len(comps))
     tree_of = {v: t for t, comp in enumerate(comps) for v in comp}
     twins: dict[frozenset[int], int] = {}
     for x in sorted(guess.free):
         twins.setdefault(g.neighbors(x), x)
     reps = [(x, [tree_of[u] for u in g.neighbors(x) & guess.out]) for x in sorted(twins.values())]
 
-    def picks(start: int, size: int, label: list[int]) -> Iterator[tuple[int, ...]]:
+    def picks(start: int, size: int, label: list[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         # label[t] names the tree of g[out | chosen] that component t lies in
         if size == 0:
-            yield ()
+            yield (), label
             return
         for i in range(start, len(reps) - size + 1):
             x, hit = reps[i]
@@ -162,19 +152,25 @@ def find_connectors(
                 continue
             low = min(joined)
             merged = [low if tree in joined else tree for tree in label]
-            for rest in picks(i + 1, size - 1, merged):
-                yield (x, *rest)
+            for rest, final in picks(i + 1, size - 1, merged):
+                yield (x, *rest), final
 
     # Fewer connectors first: each one shrinks the solution by one, so the
     # first verified hit is this guess's maximum.  Zero connectors cannot
     # work here: a settled free vertex meets every committed-out component
     # at most once, so it would have no private cycle in the unglued forest.
     for z in range(1, min(len(reps), len(comps) - 1, most) + 1):
-        for connectors in picks(0, z, list(range(len(comps)))):
+        for connectors, label in picks(0, z, list(range(len(comps)))):
             counters["assignments_tried"] += 1
-            found = _try_assignment(g, guess, connectors, counters)
-            if found is not None:
-                return found
+            # each leftover must close a cycle with the final trees, its twins
+            # close the same, a connector's twins a 4-cycle through it, and a
+            # connector's own components all share its label
+            if not all(len({label[t] for t in hit}) < len(hit) for _, hit in reps):
+                counters["assignments_rejected_structure"] += 1
+                continue
+            solution = _try_assignment(g, guess, connectors, counters)
+            if solution is not None:
+                return solution, len(set(label))
     return None
 
 
@@ -255,8 +251,8 @@ def _search_bound(guess: CoverGuess) -> int:
 
 # search counters that `solve_vc` reports under their own names;
 # "comp_partitions" and "structure_guesses" counted the partition search
-# that `find_connectors` replaced and are retired: always 0, kept until the
-# benchmark's trace stops reading them
+# that `find_connectors` replaced, "forest_check_failures" a per-pick check
+# the walk made moot; all retired, always 0 until the trace stops reading them
 _REPORTED = (
     "cover_guesses", "guesses_cut_by_bound", "viable_cover_guesses", "comp_partitions",
     "structure_guesses", "assignments_tried", "assignments_rejected_partial",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from mmfvs.graph import Graph, is_acyclic_without
 from mmfvs.ksolver import opt_upper_bound, solve_k
 from mmfvs.report import Solution
@@ -72,6 +74,17 @@ def random_graphs(count: int, seed: int, max_n: int = 40):
         yield gnp(n, p, seed=rng.randrange(2**32))
 
 
+@st.composite
+def connected_graphs(draw, max_n=9):
+    """Hypothesis strategy: connected graphs with at most max_n vertices."""
+    # a random tree keeps the graph connected, and the extra edges close cycles
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(range(n), tree + extra)
+
+
 def random_subset(g: Graph, rng: random.Random, share: float) -> frozenset[int]:
     return frozenset(v for v in g.sorted_vertices() if rng.random() < share)
 
@@ -120,13 +133,14 @@ def opt_exact_witness_reference(g: Graph, sweep_witness: Solution) -> Solution:
     """The witness `opt_exact_solution` returns, given the k-sweep's.
 
     Its rule restated: where the greedy W lies below `opt_upper_bound` and
-    tau <= |W| + 4 or tau <= bound - |W|, a `solve_vc` solution larger than
-    W is the witness.  Everywhere else it is the sweep's, which is W itself
-    when the optimum is |W|.
+    tau, the vertex cover number of the 2-core, is at most |W| + 4 or
+    bound - |W|, a `solve_vc` solution larger than W is the witness.
+    Everywhere else it is the sweep's, which is W itself when the optimum
+    is |W|.
     """
     w = greedy_minimal_fvs(g)
     bound = opt_upper_bound(g)
-    tau = len(min_vertex_cover(g))
+    tau = len(min_vertex_cover(g.delete(peel_reference(g, g.vertices))))
     if len(w) < bound and (tau <= len(w) + 4 or tau <= bound - len(w)):
         found = solve_vc(g)[0]
         if len(found.vertices) > len(w):

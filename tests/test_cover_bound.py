@@ -10,8 +10,9 @@ the unsettled bound is at least both settled ones, each solver cuts
 exactly the guesses whose settled bound is at most its best so far while
 settling exactly the splits whose unsettled bound beats it, and only the
 non-empty sides of the splits that pass both bounds are swept.  On the same
-settled guesses, the connector search is checked against every connector
-set of the free vertices.
+settled guesses, and on hypothesis-drawn connected graphs that shrink any
+mismatch, the connector search is checked against every connector set of
+the free vertices.
 """
 
 import random
@@ -20,6 +21,7 @@ from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from mmfvs import vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
@@ -28,7 +30,7 @@ from mmfvs.instances import generate
 from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
 
-from helpers import gnp
+from helpers import connected_graphs, gnp
 
 
 @cache
@@ -120,28 +122,49 @@ def test_a_capped_connector_search_returns_the_uncapped_result_or_none():
     assert kept > 0 and dropped > 0
 
 
-def test_connector_search_matches_every_subset_of_the_free_vertices():
-    # the search takes one free vertex per twin class and skips picks that
-    # close a cycle; against every connector set of the free vertices, it
-    # must still find the largest minimal fvs each guess gives
+def connector_search_matches_every_subset(g):
+    """Check every forest-passing split of g; the number of results found.
+
+    The search takes one free vertex per twin class and skips picks that
+    close a cycle; against every connector set of the free vertices, it
+    must still find the largest minimal fvs each guess gives, and count
+    the trees of its final forest g[out | Z].  Its tree-label check must
+    reject every pick that leaves a free vertex closing no cycle, so the
+    minimality sweep after it never rejects one: the rest of g - solution
+    hangs off the forest g[out | Z] without closing a cycle.
+    """
     compared = 0
-    for g in corpus():
-        reduced, cover = vc_setting(g)
-        for cover_in, cover_out in forest_splits(reduced, cover):
-            guess = settle_guess(reduced, cover_in, cover_out, Counter())
-            if not guess.free:
-                continue
-            base = guess.cover_in | guess.inside
-            sizes = [
-                len(base) + len(guess.free) - z
-                for z in range(len(guess.free) + 1)
-                for connectors in combinations(sorted(guess.free), z)
-                if is_minimal(reduced, base | (guess.free - frozenset(connectors)))
-            ]
-            found = find_connectors(reduced, guess, -1, Counter())
-            assert (found and len(found[0])) == max(sizes, default=None), (g, cover_in)
-            compared += found is not None
-    assert compared > 300
+    reduced, cover = vc_setting(g)
+    for cover_in, cover_out in forest_splits(reduced, cover):
+        guess = settle_guess(reduced, cover_in, cover_out, Counter())
+        if not guess.free:
+            continue
+        base = guess.cover_in | guess.inside
+        sizes = [
+            len(base) + len(guess.free) - z
+            for z in range(len(guess.free) + 1)
+            for connectors in combinations(sorted(guess.free), z)
+            if is_minimal(reduced, base | (guess.free - frozenset(connectors)))
+        ]
+        counters = Counter()
+        found = find_connectors(reduced, guess, -1, counters)
+        assert (found and len(found[0])) == max(sizes, default=None), (g, cover_in)
+        assert counters["guess_rejected_at_verify"] == 0, (g, cover_in)
+        if found is not None:
+            z = guess.free - found[0]
+            assert found[1] == len(reduced.induced(guess.out | z).components()), (g, cover_in)
+            compared += 1
+    return compared
+
+
+def test_connector_search_matches_every_subset_of_the_free_vertices():
+    assert sum(connector_search_matches_every_subset(g) for g in corpus()) > 300
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_connector_search_matches_every_subset_on_shrinkable_graphs(g):
+    connector_search_matches_every_subset(g)
 
 
 def test_greedy_candidates_stay_within_the_greedy_bound():

@@ -18,18 +18,16 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mmfvs import vcsolver
 from mmfvs.approx import approx_solve
-from mmfvs.graph import Graph
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import is_minimal_fvs
 
-from helpers import opt_exact_sweep_reference, opt_exact_witness_reference
+from helpers import connected_graphs, opt_exact_sweep_reference, opt_exact_witness_reference
 
 
 def gnp_graphs(count, seed):
@@ -101,16 +99,6 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
         larger_trees += max(largest, default=0) >= 3
     assert not mismatches, mismatches
     assert larger_trees > 0
-
-
-@st.composite
-def connected_graphs(draw, max_n=9):
-    # a random tree keeps the graph connected, and the extra edges close cycles
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
-    extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(range(n), tree + extra)
 
 
 @settings(max_examples=200, deadline=None)

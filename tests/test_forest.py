@@ -59,14 +59,6 @@ class TestForest:
         assert forest.closes_cycle(0)
         assert forest.acyclic
 
-    def test_trees_match_the_component_count(self):
-        rng = random.Random(11)
-        for g in random_graphs(300, seed=11):
-            kept = random_subset(g, rng, rng.random())
-            forest = Forest(g)
-            if forest.extend(sorted(kept), stop_at_cycle=True):
-                assert forest.trees() == len(g.induced(kept).components())
-
     def test_is_acyclic_without_matches_edge_count(self):
         # a graph is a forest iff |E| = |V| - number of components
         rng = random.Random(7)

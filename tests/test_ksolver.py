@@ -199,6 +199,26 @@ class TestRoute:
         assert (opt, sol.vertices, sol.certificate) == (5, ref_sol.vertices, ref_sol.certificate)
         assert ref_opt == 5
 
+    def test_tau_is_the_two_core_cover(self, calls, monkeypatch):
+        # the apex pair with n = 7 plus a pendant path of three vertices at
+        # each of 2, 3 and 4: tau is 8 on the whole graph, above |W| + 4 = 5
+        # and bound - |W| = 4, but 2 on the 2-core that solve_vc searches
+        seen = []
+
+        def recorded(h):
+            seen.append(h)
+            return min_vertex_cover(h)
+
+        monkeypatch.setattr(ksolver, "min_vertex_cover", recorded)
+        pendants = [(2, 7), (7, 8), (8, 9), (3, 10), (10, 11), (11, 12), (4, 13), (13, 14), (14, 15)]
+        g = Graph(range(16), list(apex_pair(7).edges()) + pendants)
+        assert (len(greedy_minimal_fvs(g)), opt_upper_bound(g), len(min_vertex_cover(g))) == (1, 5, 8)
+        opt, sol = opt_exact_solution(g)
+        assert seen and all(min(h.degree(v) for v in h.vertices) >= 2 for h in seen)
+        assert calls["solve_vc"] == 1
+        assert opt == len(sol.vertices) == opt_mmfvs_brute(g).opt_value == 5
+        assert is_minimal_fvs(g, sol.vertices) is not None
+
     def test_greedy_at_the_bound_computes_no_cover(self, calls, monkeypatch):
         # a call to the cover would raise TypeError
         monkeypatch.setattr(ksolver, "min_vertex_cover", None)

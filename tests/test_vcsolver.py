@@ -47,7 +47,12 @@ class TestFindConnectors:
 
 
 class TestConnectorSafetyChecks:
-    """`_try_assignment` rejects final forests the search never proposes."""
+    """`_try_assignment`'s sweep over g - solution rejects connectors the search never picks.
+
+    The search never picks a connector set that closes a cycle, so there is
+    no separate forest check: the acyclicity half of the sweep rejects it,
+    and the retired `forest_check_failures` stays 0.
+    """
 
     def test_connectors_closing_a_cycle_are_rejected(self):
         # 4 and 5 both glue the two edges: 0-4-2-3-5-1-0 is a cycle
@@ -55,7 +60,8 @@ class TestConnectorSafetyChecks:
         guess = settle_guess(g, frozenset(), frozenset({0, 1, 2, 3}), Counter())
         counters = Counter()
         assert _try_assignment(g, guess, (4, 5), counters) is None
-        assert counters["forest_check_failures"] == 1
+        assert counters["guess_rejected_at_verify"] == 1
+        assert counters["forest_check_failures"] == 0
 
 
 class TestCoverGuesses:
