@@ -5,12 +5,15 @@ the solution or into the growing outside forest: a vertex moves outside
 only when doing so keeps the committed cover vertices minimal, and each
 move merges at least two outside trees, so at most vc vertices are ever
 moved and the best guess misses the optimum by at most vc.  Knowing
-whether the optimum reaches vc/eps turns that additive loss into a
-(1 - eps) factor: below the threshold the exact optimum is computed
-outright.  That question is answered by the cheapest fact that settles
-it: a threshold above the degree-sum bound `ksolver.opt_upper_bound`
-means no, before any greedy work; a verified greedy best of at least the
-threshold means yes; only otherwise is the solution-size solver asked.
+whether the optimum reaches the threshold vc/eps turns that additive
+loss into a (1 - eps) factor, and `approx_solve` has one exit for each
+answer.  A verified greedy best of at least the threshold proves yes and
+is returned.  Otherwise the exact optimum, which is always a valid
+answer, comes from `ksolver.opt_exact_solution`; while best >= opt - vc
+holds, that route runs only with opt < threshold + vc, so its cost stays
+10^O(vc/eps).  A threshold above the degree-sum bound
+`ksolver.opt_upper_bound` is out of every candidate's reach, so the
+greedy is skipped there.
 
 The cover-side guesses come settled from `vcsolver.cover_guesses`, by
 `graph.settle`, the fixpoint of the round of degree and cycle rules
@@ -30,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from mmfvs.graph import Graph, cycle_closers, settle
-from mmfvs.ksolver import opt_exact_solution, opt_upper_bound, solve_k
+from mmfvs.ksolver import opt_exact_solution, opt_upper_bound
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import CoverGuess, cover_guesses
 from mmfvs.verify import (
@@ -95,7 +98,15 @@ class ApproxResult:
 
 
 def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
-    """A verified minimal fvs of size at least (1 - epsilon) * opt."""
+    """A verified minimal fvs of size at least (1 - epsilon) * opt.
+
+    The greedy runs over the cover guesses only when threshold =
+    ceil(vc / epsilon) is at most `opt_upper_bound(g)`.  A verified best
+    of at least the threshold proves opt >= vc / epsilon, so its additive
+    loss opt - best <= vc is at most epsilon * opt: mode "greedy".  Any
+    other call returns `opt_exact_solution(g)` in mode "exact", with
+    `nodes_explored` 0 and the extras vc, threshold and opt.
+    """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     start = time.perf_counter()
@@ -104,27 +115,6 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     cover = min_vertex_cover(g)
     vc = len(cover)
     threshold = max(1, math.ceil(vc / epsilon))
-
-    def exact_route(nodes_explored: int) -> ApproxResult:
-        # the optimum is below the threshold: compute it outright
-        opt, sol = opt_exact_solution(g)
-        return ApproxResult(
-            sol,
-            "exact",
-            SolveReport(
-                outcome="yes",
-                solution=sol,
-                nodes_explored=nodes_explored,
-                reductions_fired={},
-                max_depth=0,
-                wall_time=time.perf_counter() - start,
-                extras={"vc": vc, "threshold": threshold, "opt": opt},
-            ),
-        )
-
-    if threshold > opt_upper_bound(g):
-        # solve_k would refuse it too, before trying any guess
-        return exact_route(0)
 
     best: Solution | None = None
     moved_of_best = 0
@@ -135,36 +125,43 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         # a candidate replaces the best only when it is strictly larger
         return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(g, cover, counters, _greedy_bound, can_win):
-        candidate, moved = _run_greedy(g, guess, counters, conflict_sizes)
-        if len(moved) > vc:
-            raise VerificationError("a greedy move merged no outside trees")
-        max_moved = max(max_moved, len(moved))
-        if best is not None and len(candidate) <= len(best.vertices):
-            # cannot win: the boolean check counts it, no certificate is built
-            if is_minimal(g, candidate):
-                verified += 1
-            else:
+    # past the degree-sum bound no candidate can reach the threshold
+    if threshold <= opt_upper_bound(g):
+        for guess in cover_guesses(g, cover, counters, _greedy_bound, can_win):
+            candidate, moved = _run_greedy(g, guess, counters, conflict_sizes)
+            if len(moved) > vc:
+                raise VerificationError("a greedy move merged no outside trees")
+            max_moved = max(max_moved, len(moved))
+            if best is not None and len(candidate) <= len(best.vertices):
+                # cannot win: the boolean check counts it, no certificate is built
+                if is_minimal(g, candidate):
+                    verified += 1
+                else:
+                    discarded += 1
+                continue
+            certificate = is_minimal_fvs(g, candidate)
+            if certificate is None:
                 discarded += 1
-            continue
-        certificate = is_minimal_fvs(g, candidate)
-        if certificate is None:
-            discarded += 1
-            continue
-        verified += 1
-        best = Solution(candidate, certificate)
-        moved_of_best = len(moved)
+                continue
+            verified += 1
+            best = Solution(candidate, certificate)
+            moved_of_best = len(moved)
     if best is None or len(best.vertices) < threshold:
-        # a verified best of size >= threshold already proves opt >= threshold
-        gate = solve_k(g, threshold)
-        if not gate.is_yes:
-            return exact_route(gate.nodes_explored)
-    mode = "greedy"
-    if best is None:
-        # no guess survived verification; fall back to the exact route so
-        # the contract (a verified minimal fvs) always holds
-        opt, best = opt_exact_solution(g)
-        mode = "exact"
+        # no verified best proves opt >= threshold: solve outright
+        opt, sol = opt_exact_solution(g)
+        return ApproxResult(
+            sol,
+            "exact",
+            SolveReport(
+                outcome="yes",
+                solution=sol,
+                nodes_explored=0,
+                reductions_fired={},
+                max_depth=0,
+                wall_time=time.perf_counter() - start,
+                extras={"vc": vc, "threshold": threshold, "opt": opt},
+            ),
+        )
     report = SolveReport(
         outcome="yes",
         solution=best,
@@ -188,4 +185,4 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "conflict_histogram": dict(conflict_sizes),
         },
     )
-    return ApproxResult(best, mode, report)
+    return ApproxResult(best, "greedy", report)

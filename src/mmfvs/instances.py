@@ -67,11 +67,11 @@ def parse_instance(text: str) -> Graph:
     return Graph(range(n), edges)
 
 
-def write_instance(g: Graph, tag: str = "mmfvs", comments: Iterable[str] = ()) -> str:
+def write_instance(g: Graph, comments: Iterable[str] = ()) -> str:
     """Serialize a graph; vertices are ranked by ascending id onto 1..n."""
     rank = {v: i + 1 for i, v in enumerate(g.sorted_vertices())}
     lines = [f"c {comment}" for comment in comments]
-    lines.append(f"p {tag} {len(g)} {g.edge_count()}")
+    lines.append(f"p mmfvs {len(g)} {g.edge_count()}")
     lines.extend(f"e {rank[u]} {rank[v]}" for u, v in sorted(g.edges()))
     return "\n".join(lines) + "\n"
 

@@ -6,7 +6,7 @@ import pytest
 from mmfvs import approx
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
-from mmfvs.ksolver import opt_upper_bound, solve_k
+from mmfvs.ksolver import opt_upper_bound
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -174,7 +174,7 @@ class TestApproxSolve:
         assert result.mode == "exact"
         assert is_minimal_fvs(g, result.solution.vertices) is not None
         assert len(result.solution.vertices) == opt_mmfvs_brute(g).opt_value
-        assert "opt" not in result.report.extras
+        assert result.report.extras == {"vc": 2, "threshold": 4, "opt": 4}
 
     def test_guarantees_on_random_corpus(self):
         for seed in range(40):
@@ -192,56 +192,55 @@ class TestApproxSolve:
 
 
 class TestGate:
-    """approx_solve asks solve_k(g, threshold) only when nothing cheaper answers it."""
+    """approx_solve returns the greedy best at or above the threshold, else the exact optimum."""
 
     @pytest.fixture
-    def gate_calls(self, monkeypatch):
-        calls = []
+    def greedy_guesses(self, monkeypatch):
+        guesses = []
+        every_guess = approx.cover_guesses
 
-        def recorded(g, k):
-            report = solve_k(g, k)
-            calls.append((k, report))
-            return report
+        def recorded(*args):
+            for guess in every_guess(*args):
+                guesses.append(guess)
+                yield guess
 
-        monkeypatch.setattr(approx, "solve_k", recorded)
-        return calls
+        monkeypatch.setattr(approx, "cover_guesses", recorded)
+        return guesses
 
-    def test_threshold_past_the_degree_bound_goes_exact_without_the_gate(self, gate_calls):
+    def test_threshold_past_the_degree_bound_goes_exact_without_the_gate(self, greedy_guesses):
         for g in (path(5), gnp(8, 0.4, seed=3)):
             result = approx_solve(g, 0.5)
             assert result.report.extras["threshold"] > opt_upper_bound(g)
-            assert gate_calls == []
+            assert greedy_guesses == []
             assert result.mode == "exact"
             assert result.report.nodes_explored == 0
             assert result.report.extras["opt"] == opt_mmfvs_brute(g).opt_value
 
-    def test_greedy_best_at_the_threshold_skips_the_gate(self, gate_calls):
+    def test_greedy_best_at_the_threshold_skips_the_gate(self, greedy_guesses):
         result = approx_solve(apex_pair(6), 0.5)
-        assert gate_calls == []
+        assert greedy_guesses
         assert result.mode == "greedy"
         assert len(result.solution.vertices) >= result.report.extras["threshold"]
 
-    def test_gate_no_takes_the_exact_route_with_its_nodes(self, gate_calls):
+    def test_opt_below_the_threshold_takes_the_exact_route(self, greedy_guesses):
         g = gnp(5, 0.5, seed=1)
         result = approx_solve(g, 0.9)
         threshold = result.report.extras["threshold"]
         assert threshold <= opt_upper_bound(g)
-        [(k, gate)] = gate_calls
-        assert k == threshold and not gate.is_yes
+        assert greedy_guesses
         assert result.mode == "exact"
-        assert result.report.nodes_explored == gate.nodes_explored > 0
+        assert result.report.nodes_explored == 0
         assert result.report.extras["opt"] == opt_mmfvs_brute(g).opt_value < threshold
 
-    def test_gate_yes_below_the_threshold_keeps_the_greedy_best(self, gate_calls, monkeypatch):
+    def test_greedy_best_below_the_threshold_gives_way_to_the_exact_optimum(self, monkeypatch):
         # without the cover_in = {} guess the greedy best of apex_pair(6) is
-        # one hub, below the threshold 4 = opt, so only the gate can say yes
+        # one hub, below the threshold 4 = opt, so the exact optimum answers
         every_guess = approx.cover_guesses
         monkeypatch.setattr(
             approx, "cover_guesses", lambda *args: (s for s in every_guess(*args) if s.cover_in)
         )
         result = approx_solve(apex_pair(6), 0.5)
-        [(k, gate)] = gate_calls
-        assert k == result.report.extras["threshold"] == 4 and gate.is_yes
-        assert result.mode == "greedy"
-        assert len(result.solution.vertices) == 1
+        assert result.report.extras["threshold"] == 4
+        assert result.mode == "exact"
+        assert len(result.solution.vertices) == result.report.extras["opt"] == 4
         assert result.report.nodes_explored == 0

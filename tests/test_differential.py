@@ -67,9 +67,12 @@ def test_exact_solvers_and_approx_match_brute_force(family):
         if not at.is_yes or past.is_yes:
             mismatches.append((i, "solve_k", at.outcome, past.outcome, opt))
         for eps in (0.25, 0.5, 0.9):
-            vertices = approx_solve(g, eps).solution.vertices
+            result = approx_solve(g, eps)
+            vertices = result.solution.vertices
             if len(vertices) < math.ceil((1 - eps) * opt) or is_minimal_fvs(g, vertices) is None:
                 mismatches.append((i, "approx", eps, len(vertices), opt))
+            if result.mode == "exact" and len(vertices) != opt:
+                mismatches.append((i, "approx exact mode", eps, len(vertices), opt))
     assert not mismatches, mismatches[:5]
 
 
@@ -115,5 +118,8 @@ def test_exact_solvers_agree_on_shrinkable_graphs(g):
     assert (found, witness.vertices, witness.certificate) == (
         ref_opt, ref_witness.vertices, ref_witness.certificate
     )
-    vertices = approx_solve(g, 0.5).solution.vertices
+    result = approx_solve(g, 0.5)
+    vertices = result.solution.vertices
     assert len(vertices) >= math.ceil(0.5 * opt) and is_minimal_fvs(g, vertices) is not None
+    if result.mode == "exact":
+        assert len(vertices) == opt

@@ -37,7 +37,7 @@ def expect_failure(call, what):
 
 
 # a greedy run that moved more than vc vertices broke the additive
-# guarantee; checked first, as the patches below break the solve_k gate
+# guarantee; checked first, as the patches below break the exact route
 approx._run_greedy = lambda g, guess, counters, conflict_sizes: (
     guess.cover_in, tuple(range(len(g)))
 )
