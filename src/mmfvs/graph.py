@@ -10,18 +10,23 @@ Besides the graph itself this module holds the forest primitives every
 solver shares: `Forest`, the incremental union-find; `prune_to_minimal`;
 and the two reduction rules of the extension search, the cover-guess
 solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
-no cycle) and `cycle_closers` (a vertex with two neighbors in one tree of
-a committed-out forest must be in the solution).  `settle_round` applies
-both once to plain mutable vertex sets, and is the one reduction round
-of all three solvers; `settle` runs it to fixpoint for the cover-guess
-solver and the approximation scheme, and the extension search adds
-degree-two contraction to each round.
+no cycle; `two_core` deletes them from a whole graph) and `cycle_closers`
+(a vertex with two neighbors in one tree of a committed-out forest must be
+in the solution).  `settle_round` applies both once to plain mutable
+vertex sets, and is the one reduction round of all three solvers;
+`settle` runs it to fixpoint for the cover-guess solver and the
+approximation scheme, and the extension search adds degree-two
+contraction to each round.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable, Iterator
+
+# the one neighbourhood every vertex without neighbours shares: sparse
+# graphs hold many, and a frozenset of their own would cost each 216 bytes
+_NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
 class Graph:
@@ -38,12 +43,12 @@ class Graph:
                 raise KeyError(f"edge ({u}, {v}) references an unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = {v: frozenset(adj[v]) for v in sorted(adj)}
+        self._adj = {v: frozenset(adj[v]) if adj[v] else _NO_NEIGHBORS for v in sorted(adj)}
 
     @classmethod
     def _from_adj(cls, adj: dict[int, frozenset[int]]) -> Graph:
         g = object.__new__(cls)
-        g._adj = {v: adj[v] for v in sorted(adj)}
+        g._adj = {v: adj[v] or _NO_NEIGHBORS for v in sorted(adj)}
         return g
 
     # -- basic queries ------------------------------------------------------
@@ -279,6 +284,16 @@ def peel(g: Graph, live: Iterable[int]) -> set[int]:
                     gone.add(u)
                     queue.append(u)
     return gone
+
+
+def two_core(g: Graph) -> Graph:
+    """g without the vertices that `peel` deletes from all of g.
+
+    The 2-core holds every cycle of g, and a vertex off it lies on none.
+    When nothing peels, the result is g itself, not a copy.
+    """
+    gone = peel(g, g.vertices)
+    return g.delete(gone) if gone else g
 
 
 def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> list[int]:

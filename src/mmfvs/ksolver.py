@@ -1,10 +1,12 @@
 """Solution-size parameterized solver.
 
 To decide whether some minimal fvs has at least k vertices, greedily build
-a minimal fvs W: if it is already large enough we are done, and otherwise
-every target solution meets W in one of its subsets, so the extension
-solver is run once per bipartition guess of W.  Before guessing, a k above
-the degree-sum bound of `opt_upper_bound` is refused outright.
+a minimal fvs W of g: if it is already large enough we are done.
+Otherwise every target solution meets W in one of its subsets, so the
+extension solver is run once per bipartition guess of W, on the 2-core of
+g (`graph.two_core`), which has the same minimal fvs; the witness found
+there is certified again on g.  Before guessing, a k above the degree-sum
+bound of `opt_upper_bound` is refused outright.
 
 The exact optimum takes one of two routes (`opt_exact_solution`).  When
 the vertex cover number tau is small next to |W| or to the room the bound
@@ -20,9 +22,9 @@ import time
 from itertools import combinations
 
 from mmfvs.extension import solve_extension
-from mmfvs.graph import Graph, peel
+from mmfvs.graph import Graph, two_core
 from mmfvs.report import Solution, SolveReport
-from mmfvs.vcsolver import solve_vc
+from mmfvs.vcsolver import _solve_vc
 from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
 
 
@@ -36,18 +38,18 @@ def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
 def opt_upper_bound(g: Graph) -> int:
     """An upper bound on the largest minimal fvs size, from degrees alone.
 
-    Vertices that `peel` deletes lie on no cycle, so no minimal fvs holds
-    one, and the minimal fvs of g are exactly those of its 2-core C with
-    n' vertices.  Let S be one of them and F = C - S.  Each s in S has a
-    private cycle, which meets S only in s, so both of its neighbors on
-    that cycle lie in F; hence 2|S| <= e(S, F) <= the sum of the degrees
+    Vertices off the 2-core (`two_core`) lie on no cycle, so no minimal
+    fvs holds one, and the minimal fvs of g are exactly those of its
+    2-core C with n' vertices.  Let S be one of them and F = C - S.  Each
+    s in S has a private cycle, which meets S only in s, so both of its
+    neighbors on that cycle lie in F; hence 2|S| <= e(S, F) <= the sum of the degrees
     in C of the vertices of F, which is at most the sum of the |F| largest
     degrees.  So |F| is one of the counts t whose t largest degrees sum to
     at least 2(n' - t).  That condition only gets easier as t grows, so the
     smallest such t is at most |F|, and |S| = n' - |F| <= n' - t.
     """
-    core = g.vertices - peel(g, g.vertices)
-    degrees = sorted((len(g.neighbors(v) & core) for v in core), reverse=True)
+    core = two_core(g)
+    degrees = sorted((core.degree(v) for v in core.vertices), reverse=True)
     reach = 0
     for t, degree in enumerate(degrees):
         if reach >= 2 * (len(core) - t):
@@ -57,7 +59,12 @@ def opt_upper_bound(g: Graph) -> int:
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
-    """Decide whether g has a minimal fvs of size at least k."""
+    """Decide whether g has a minimal fvs of size at least k.
+
+    The greedy minimal fvs W of g answers every k <= |W| without taking
+    the 2-core; any other k searches the guesses on the 2-core, and the
+    witness found there is certified again on g.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     start = time.perf_counter()
@@ -73,6 +80,11 @@ def solve_k(g: Graph, k: int) -> SolveReport:
             extras={"greedy_size": len(w), "guesses_tried": 0, "nodes_per_guess": []},
         )
 
+    # W is a minimal fvs of g, so each member lies on a cycle and W lies in
+    # the 2-core.  g and its core have the same minimal fvs, and
+    # `is_minimal_fvs` certifies them alike on both: a private cycle, or a
+    # tree path between two core vertices, never leaves the core.
+    core = two_core(g)
     ordered = sorted(w)
     nodes_per_guess: list[int] = []
     fired_total: dict[str, int] = {}
@@ -82,17 +94,17 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
     # succeed, so none is tried.
-    for size in range(len(w) + 1 if k <= opt_upper_bound(g) else 0):
+    for size in range(len(w) + 1 if k <= opt_upper_bound(core) else 0):
         for picked in combinations(ordered, size):
             guesses += 1
             required = frozenset(picked)
-            report = solve_extension(g, required, w - required, k - size)
+            report = solve_extension(core, required, w - required, k - size)
             nodes_per_guess.append(report.nodes_explored)
             max_depth = max(max_depth, report.max_depth)
             for name, count in report.reductions_fired.items():
                 fired_total[name] = fired_total.get(name, 0) + count
             if report.is_yes:
-                witness = report.solution
+                witness = _certified(g, report.solution.vertices, "extension witness")
                 break
         if witness is not None:
             break
@@ -120,8 +132,9 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     that `solve_vc` searches, picks the route:
 
     - tau <= |W| + 4 or tau <= bound - |W|: opt and the witness come from
-      `solve_vc`, whose opt must lie in [|W|, bound].  An opt of |W|
-      returns W; any other returns `solve_vc`'s solution once
+      `solve_vc`'s search, handed the 2-core and the cover that gave tau,
+      so the call takes each once; its opt must lie in [|W|, bound].  An
+      opt of |W| returns W; any other returns `solve_vc`'s solution once
       `is_minimal_fvs` certifies it on g.  Either check failing raises
       `VerificationError`.
     - Otherwise the sweep asks `solve_k` at k = |W| + 1, |W| + 2, ... and
@@ -147,12 +160,14 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     """
     w = greedy_minimal_fvs(g)
     best = _certified(g, w, "greedy fvs")
-    bound = opt_upper_bound(g)
+    core = two_core(g)
+    bound = opt_upper_bound(core)
     if len(w) == bound:
         return len(w), best
-    tau = len(min_vertex_cover(g.delete(peel(g, g.vertices))))
+    cover = min_vertex_cover(core)
+    tau = len(cover)
     if tau <= len(w) + 4 or tau <= bound - len(w):
-        found = solve_vc(g)[0].vertices
+        found = _solve_vc(g, core, cover)[0].vertices
         if not len(w) <= len(found) <= bound:
             raise VerificationError(f"solve_vc's optimum {len(found)} lies outside [{len(w)}, {bound}]")
         if len(found) == len(w):

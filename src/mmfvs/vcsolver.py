@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from mmfvs.graph import Forest, Graph, peel, settle
+from mmfvs.graph import Forest, Graph, settle, two_core
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -263,23 +263,28 @@ _REPORTED = (
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover.
 
-    The extra `winning_trees` is the tree count `find_connectors` gave the
-    best: the trees of the settled forest on the 2-core, not those of
-    G - solution.  Vertices off the 2-core, and committed-out vertices
-    that `graph.settle` peeled once the forced vertices joined the
-    solution, belong to no tree.  On the apex pair with n = 6 (hubs 0 and
-    1, both adjacent to 2..5) it reads 0, while G - {2, 3, 4, 5} is the
-    edge {0, 1}, one tree.
+    The guesses split a minimum vertex cover of the 2-core: vertices off
+    it sit on no cycle and join no minimal fvs, so the private cycles that
+    cover guesses check are the same there.  The extra `winning_trees` is
+    the tree count `find_connectors` gave the best: the trees of the
+    settled forest on the 2-core, not those of G - solution.  Vertices off
+    the 2-core, and committed-out vertices that `graph.settle` peeled once
+    the forced vertices joined the solution, belong to no tree.  On the
+    apex pair with n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0,
+    while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.
+    """
+    core = two_core(g)
+    return _solve_vc(g, core, min_vertex_cover(core))
+
+
+def _solve_vc(g: Graph, core: Graph, cover: frozenset[int]) -> tuple[Solution, SolveReport]:
+    """`solve_vc` on g, given its 2-core and a minimum vertex cover of that.
+
+    The report's `wall_time` starts here, after the cover.
     """
     start = time.perf_counter()
     counters: Counter[str] = Counter()
-    # vertices of degree <= 1 sit on no cycle and join no minimal fvs, so
-    # the private cycles that cover guesses check are the same in `reduced`
-    low = peel(g, g.vertices)
-    counters["outer_degree_prune"] += len(low)
-    reduced = g.delete(low)
-
-    cover = min_vertex_cover(reduced)
+    counters["outer_degree_prune"] = len(g) - len(core)
     best: Solution | None = None
     best_trees = 0
 
@@ -287,8 +292,8 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         # a result replaces the best only when it is strictly larger
         return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(reduced, cover, counters, _search_bound, can_win):
-        found = find_connectors(reduced, guess, len(best.vertices) if best else -1, counters)
+    for guess in cover_guesses(core, cover, counters, _search_bound, can_win):
+        found = find_connectors(core, guess, len(best.vertices) if best else -1, counters)
         if found is None:
             continue
         # only a new best gets a certificate

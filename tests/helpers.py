@@ -85,6 +85,24 @@ def connected_graphs(draw, max_n=9):
     return Graph(range(n), tree + extra)
 
 
+@st.composite
+def with_pendant_trees(draw, max_n=14):
+    """Hypothesis strategy: a `gnp` or `cycle` base with random trees hung off it.
+
+    Each vertex past the base joins one earlier vertex, so the hung
+    vertices form trees that `graph.two_core` peels away, and the graph
+    has at most max_n vertices.
+    """
+    base_n = draw(st.integers(min_value=3, max_value=8))
+    if draw(st.booleans()):
+        base = cycle(base_n)
+    else:
+        base = gnp(base_n, draw(st.floats(min_value=0.3, max_value=0.9)), draw(st.integers(0, 1 << 16)))
+    n = draw(st.integers(min_value=base_n, max_value=max_n))
+    hung = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(base_n, n)]
+    return Graph(range(n), list(base.edges()) + hung)
+
+
 def random_subset(g: Graph, rng: random.Random, share: float) -> frozenset[int]:
     return frozenset(v for v in g.sorted_vertices() if rng.random() < share)
 

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from mmfvs import ksolver
-from mmfvs.graph import Graph
+from mmfvs.graph import Graph, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -19,13 +20,14 @@ from helpers import (
     opt_exact_witness_reference,
     path,
     random_graphs,
+    with_pendant_trees,
 )
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts the solve_vc and solve_k calls that ksolver makes by name."""
-    counts = {"solve_vc": 0, "solve_k": 0}
+    """Counts the vertex-cover search and solve_k calls that ksolver makes by name."""
+    counts = {"_solve_vc": 0, "solve_k": 0}
     for name in counts:
         real = getattr(ksolver, name)
 
@@ -122,6 +124,55 @@ class TestSolveK:
             assert len(per_guess) == report.extras["guesses_tried"]
 
 
+class TestTwoCore:
+    """solve_k searches its guesses on the 2-core and certifies the witness on g."""
+
+    def test_extension_search_sees_only_the_two_core(self, monkeypatch):
+        searched = []
+        real = ksolver.solve_extension
+
+        def recorded(h, *args):
+            searched.append(h)
+            return real(h, *args)
+
+        monkeypatch.setattr(ksolver, "solve_extension", recorded)
+        trimmed = 0
+        for g in random_graphs(80, seed=5, max_n=20):
+            w = len(greedy_minimal_fvs(g))
+            before = len(searched)
+            for k in (w + 1, w + 2):
+                report = solve_k(g, k)
+                if report.is_yes:
+                    sol = report.solution
+                    assert sol.certificate == is_minimal_fvs(g, sol.vertices) is not None
+            trimmed += len(searched) > before and len(two_core(g)) < len(g)
+        assert searched and all(min(h.degree(v) for v in h.vertices) >= 2 for h in searched)
+        # graphs with trees hung off their cycles were searched without them
+        assert trimmed >= 20
+
+    def test_greedy_yes_takes_no_two_core(self, monkeypatch):
+        # a call to two_core would raise TypeError
+        monkeypatch.setattr(ksolver, "two_core", None)
+        for g in random_graphs(40, seed=6, max_n=20):
+            w = greedy_minimal_fvs(g)
+            for k in range(len(w) + 1):
+                report = solve_k(g, k)
+                assert report.is_yes and report.solution.vertices == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(with_pendant_trees())
+def test_solve_k_with_pendant_trees_matches_brute_force(g):
+    opt = opt_mmfvs_brute(g).opt_value
+    for k in (opt, opt + 1):
+        report = solve_k(g, k)
+        assert report.is_yes == (k == opt), (sorted(g.edges()), k, opt)
+        if report.is_yes:
+            sol = report.solution
+            assert len(sol.vertices) >= opt
+            assert sol.certificate == is_minimal_fvs(g, sol.vertices)
+
+
 class TestOptExact:
     def test_apex_pair(self):
         assert opt_exact(apex_pair(6)) == 4
@@ -169,7 +220,7 @@ class TestOptExact:
                 ref_opt, ref_sol.vertices, ref_sol.certificate
             )
         # the apex pairs (|W| = 1, tau = 2) take the solve_vc route at least
-        assert calls["solve_vc"] >= 5
+        assert calls["_solve_vc"] >= 5
 
 
 class TestRoute:
@@ -184,7 +235,7 @@ class TestRoute:
         assert opt == len(sol.vertices) == 18
         assert is_minimal_fvs(g, sol.vertices) is not None
         # opt = 18 > |W|, so the witness is solve_vc's: no solve_k call at all
-        assert calls["solve_vc"] == 1 and calls["solve_k"] == 0
+        assert calls["_solve_vc"] == 1 and calls["solve_k"] == 0
 
     def test_sparse_graph_keeps_the_sweep(self, calls):
         # tau = 10 is above both |W| + 4 = 7 and bound - |W| = 5
@@ -192,7 +243,7 @@ class TestRoute:
         w, bound, tau = greedy_minimal_fvs(g), opt_upper_bound(g), len(min_vertex_cover(g))
         assert (len(w), bound, tau) == (3, 8, 10)
         opt, sol = opt_exact_solution(g)
-        assert calls["solve_vc"] == 0
+        assert calls["_solve_vc"] == 0
         # yes at 4 and 5, then the closing no at 6
         assert calls["solve_k"] == 3
         ref_opt, ref_sol = opt_exact_sweep_reference(g)
@@ -214,8 +265,9 @@ class TestRoute:
         g = Graph(range(16), list(apex_pair(7).edges()) + pendants)
         assert (len(greedy_minimal_fvs(g)), opt_upper_bound(g), len(min_vertex_cover(g))) == (1, 5, 8)
         opt, sol = opt_exact_solution(g)
-        assert seen and all(min(h.degree(v) for v in h.vertices) >= 2 for h in seen)
-        assert calls["solve_vc"] == 1
+        # one cover, of the 2-core, which the vertex-cover search reuses
+        assert len(seen) == 1 and min(seen[0].degree(v) for v in seen[0].vertices) >= 2
+        assert calls["_solve_vc"] == 1
         assert opt == len(sol.vertices) == opt_mmfvs_brute(g).opt_value == 5
         assert is_minimal_fvs(g, sol.vertices) is not None
 
@@ -225,4 +277,4 @@ class TestRoute:
         # K_5's greedy W already has the bound's 3 vertices
         opt, sol = opt_exact_solution(complete(5))
         assert opt == len(sol.vertices) == 3
-        assert calls == {"solve_vc": 0, "solve_k": 0}
+        assert calls == {"_solve_vc": 0, "solve_k": 0}

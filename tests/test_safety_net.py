@@ -49,20 +49,23 @@ if record.outcome != "error" or not record.error.startswith("VerificationError")
     sys.exit(f"run_one passed an unverified solution: {record}")
 
 # a vertex-cover optimum above the true one: C4 (tau = 2, |W| = 1, bound 2)
-# takes the solve_vc route, and its optimum is 1, not 2
+# takes the vertex-cover route, and its optimum is 1, not 2
 square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-ksolver.solve_vc = lambda g: (Solution(frozenset({0, 2}), {}), None)
+ksolver._solve_vc = lambda g, core, cover: (Solution(frozenset({0, 2}), {}), None)
 expect_failure(lambda: ksolver.opt_exact_solution(square), "opt_exact_solution")
 
 # a vertex-cover optimum below the greedy W: two triangles on hub 4 give
-# W = {0, 2} (tau = 3, bound 3), and solve_vc returns the minimal fvs {4}
+# W = {0, 2} (tau = 3, bound 3), and the search returns the minimal fvs {4}
 butterfly = Graph(range(5), [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
 hub = frozenset({4})
-ksolver.solve_vc = lambda g: (Solution(hub, is_minimal_fvs(g, hub)), None)
+ksolver._solve_vc = lambda g, core, cover: (Solution(hub, is_minimal_fvs(g, hub)), None)
 expect_failure(lambda: ksolver.opt_exact_solution(butterfly), "opt_exact_solution below W")
 
 ksolver.is_minimal_fvs = no_certificate
 expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
+# the greedy W = {0} leaves k = 4 to the extension search on the 2-core,
+# and its witness is certified again on the input graph
+expect_failure(lambda: ksolver.solve_k(apex_pair, 4), "solve_k's extension witness")
 
 # a search that claims the non-minimal fvs {0, 1}
 extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
