@@ -9,9 +9,9 @@ whether the optimum reaches the threshold vc/eps turns that additive
 loss into a (1 - eps) factor, and `approx_solve` has one exit for each
 answer.  A verified greedy best of at least the threshold proves yes and
 is returned.  Otherwise the exact optimum, which is always a valid
-answer, comes from `ksolver.opt_exact_solution`; while best >= opt - vc
-holds, that route runs only with opt < threshold + vc, so its cost stays
-10^O(vc/eps).  A threshold above the degree-sum bound
+answer, comes from `ksolver.opt_exact_solution`, which costs at most
+`vcsolver.solve_vc`'s worst case on the chain kernel, whose vertex cover
+is at most vc.  A threshold above the degree-sum bound
 `ksolver.opt_upper_bound` is out of every candidate's reach, so the
 greedy is skipped there.
 

@@ -10,7 +10,8 @@ Besides the graph itself this module holds the forest primitives every
 solver shares: `Forest`, the incremental union-find; `prune_to_minimal`;
 and the two reduction rules of the extension search, the cover-guess
 solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
-no cycle; `two_core` deletes them from a whole graph) and `cycle_closers`
+no cycle; `two_core` deletes them from a whole graph, and `chain_kernel`
+also shortens its chains of degree-2 vertices) and `cycle_closers`
 (a vertex with two neighbors in one tree of a committed-out forest must be
 in the solution).  `settle_round` applies both once to plain mutable
 vertex sets, and is the one reduction round of all three solvers;
@@ -294,6 +295,48 @@ def two_core(g: Graph) -> Graph:
     """
     gone = peel(g, g.vertices)
     return g.delete(gone) if gone else g
+
+
+def chain_kernel(g: Graph) -> Graph:
+    """`two_core(g)` with every chain of degree-2 vertices shortened.
+
+    A maximal chain between branch vertices keeps its lowest id, one that
+    returns to its own end its two lowest ids, and a cycle component
+    becomes the triangle of its three lowest ids.  A chain's inner vertices
+    lie on the same cycles, so a minimal fvs holds at most one of them and
+    any one can stand for the rest: the kernel's minimal fvs are g's that
+    avoid the dropped vertices, and they reach g's optimum.  When nothing
+    shortens, the result is the 2-core itself, not a copy.
+    """
+    core = two_core(g)
+    adj = core._adj
+    dropped: list[int] = []
+    seen: set[int] = set()
+    for v in adj:
+        if len(adj[v]) != 2 or v in seen:
+            continue
+        chain, ends = [v], []
+        for x in adj[v]:
+            prev = v
+            while len(adj[x]) == 2 and x != v:
+                chain.append(x)
+                prev, x = x, min(adj[x] - {prev})
+            ends.append(x)
+            if x == v:
+                break
+        seen.update(chain)
+        keep = 3 if ends[0] == v else 2 if ends[0] == ends[1] else 1
+        dropped += sorted(chain)[keep:]
+    if not dropped:
+        return core
+    # bypass each dropped vertex, of degree two still: what its chain keeps
+    # stops the new edge from closing a 2-cycle
+    short = {v: set(nbrs) for v, nbrs in adj.items()}
+    for v in dropped:
+        a, b = short.pop(v)
+        short[a] ^= {v, b}
+        short[b] ^= {v, a}
+    return Graph._from_adj({v: frozenset(nbrs) for v, nbrs in short.items()})
 
 
 def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> list[int]:

@@ -8,12 +8,10 @@ g (`graph.two_core`), which has the same minimal fvs; the witness found
 there is certified again on g.  Before guessing, a k above the degree-sum
 bound of `opt_upper_bound` is refused outright.
 
-The exact optimum takes one of two routes (`opt_exact_solution`).  When
-the vertex cover number tau is small next to |W| or to the room the bound
-leaves above W, the vertex-cover solver `vcsolver.solve_vc` gives opt,
-and its solution, certified again here, is the witness; maximality there
-rests on `solve_vc` being exact.  Otherwise k sweeps upward from |W| + 1
-until the first refusal or the bound, whichever comes first.
+The exact optimum (`opt_exact_solution`) is W when |W| reaches that
+bound, and otherwise comes from the vertex-cover solver
+`vcsolver.solve_vc`, whose solution, certified again here, is the
+witness; its maximality rests on `solve_vc` being exact.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from itertools import combinations
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, two_core
 from mmfvs.report import Solution, SolveReport
-from mmfvs.vcsolver import _solve_vc
-from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
+from mmfvs.vcsolver import solve_vc
+from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
 
 
 def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
@@ -126,63 +124,23 @@ def solve_k(g: Graph, k: int) -> SolveReport:
 def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     """Largest minimal fvs size along with a witness.
 
-    The greedy minimal fvs W answers every k <= |W| at once, and when |W|
-    reaches `opt_upper_bound` it is optimal, so it is returned before tau
-    is computed.  Otherwise tau, the vertex cover number of the 2-core
-    that `solve_vc` searches, picks the route:
-
-    - tau <= |W| + 4 or tau <= bound - |W|: opt and the witness come from
-      `solve_vc`'s search, handed the 2-core and the cover that gave tau,
-      so the call takes each once; its opt must lie in [|W|, bound].  An
-      opt of |W| returns W; any other returns `solve_vc`'s solution once
-      `is_minimal_fvs` certifies it on g.  Either check failing raises
-      `VerificationError`.
-    - Otherwise the sweep asks `solve_k` at k = |W| + 1, |W| + 2, ... and
-      stops at the first no, which is valid because yes-instances are
-      downward closed in k.  It never asks past the bound, so an optimum
-      equal to the bound needs no final no.
-
-    Both routes return the same opt, but on the first a witness larger
-    than W is `solve_vc`'s, not the sweep's: the certified solution proves
-    opt is reached, and maximality rests on `solve_vc` being exact.
-
-    The rule was fitted on sums of per-graph best-of-3 times, sweep
-    against `solve_vc`-routed: 1,000 small-exact graphs 2.56 -> 1.61 s;
-    300 cover-vc graphs 158.8 -> 39.9 s (2 s cap per call, 44 -> 9
-    capped); reduction outputs of base n = 10, p = 0.4, seeds 0-2,
-    21.8 -> 0.022 s; 200 gnp graphs with n = 9-13, 1.03 -> 0.59 s; 60
-    sparse gnp graphs with n = 22-30, p = U(1.5, 3)/n, 6.62 -> 6.39 s.
-    Routing every graph costs 19.5 s on that sparse family, and a plain
-    tau <= 10 cap 7.0 s; on 12 sparse gnp graphs with n = 33-42 the rule
-    keeps the sweep for all.  The routed times include a since-dropped
-    call, `solve_k(g, opt)`, that rebuilt the sweep's witness, and took
-    tau on g, not the 2-core; the thresholds are left as fitted.
+    The greedy minimal fvs W is optimal when |W| reaches `opt_upper_bound`,
+    and is returned at once.  Otherwise opt and the witness come from
+    `solve_vc`, whose opt must lie in [|W|, bound].  An opt of |W| returns
+    W; any other returns `solve_vc`'s solution once `is_minimal_fvs`
+    certifies it on g.  Either check failing raises `VerificationError`.
     """
     w = greedy_minimal_fvs(g)
     best = _certified(g, w, "greedy fvs")
-    core = two_core(g)
-    bound = opt_upper_bound(core)
+    bound = opt_upper_bound(g)
     if len(w) == bound:
         return len(w), best
-    cover = min_vertex_cover(core)
-    tau = len(cover)
-    if tau <= len(w) + 4 or tau <= bound - len(w):
-        found = _solve_vc(g, core, cover)[0].vertices
-        if not len(w) <= len(found) <= bound:
-            raise VerificationError(f"solve_vc's optimum {len(found)} lies outside [{len(w)}, {bound}]")
-        if len(found) == len(w):
-            return len(w), best
-        return len(found), _certified(g, found, "solve_vc's solution")
-    opt = len(w)
-    for k in range(opt + 1, bound + 1):
-        report = solve_k(g, k)
-        if not report.is_yes:
-            break
-        if report.solution is None:
-            raise VerificationError(f"solve_k(g, {k}) said yes without a witness")
-        best = report.solution
-        opt = k
-    return opt, best
+    found = solve_vc(g)[0].vertices
+    if not len(w) <= len(found) <= bound:
+        raise VerificationError(f"solve_vc's optimum {len(found)} lies outside [{len(w)}, {bound}]")
+    if len(found) == len(w):
+        return len(w), best
+    return len(found), _certified(g, found, "solve_vc's solution")
 
 
 def opt_exact(g: Graph) -> int:

@@ -13,10 +13,11 @@ closes a cycle; the walk's tree labels give each pick's forest, its
 leftover cycle closers and its tree count without a union-find.  The
 first pick that verifies is the largest solution the cover guess can
 give.  In the worst case this enumeration is 2^O(vc^2), above the paper's
-2^O(vc log vc).  A candidate solution is kept only after a minimality
-check (one union-find sweep over the 2-core, the same one that checks the
-cover side's private cycles), and the one that becomes the new best is
-then certified in full on the input graph (`verify.is_minimal_fvs`).
+2^O(vc log vc).  The search runs on `graph.chain_kernel` of the input.
+A candidate solution is kept only after a minimality check (one
+union-find sweep over the kernel, the same one that checks the cover
+side's private cycles), and the one that becomes the new best is then
+certified in full on the input graph (`verify.is_minimal_fvs`).
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from mmfvs.graph import Forest, Graph, settle, two_core
+from mmfvs.graph import Forest, Graph, chain_kernel, settle
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -81,8 +82,8 @@ def _try_assignment(
     solution = guess.cover_in | guess.inside | (guess.free - frozenset(connectors))
     # one sweep over g - solution answers both checks: the cover side's
     # private cycles, then the rest of `verify.is_minimal` (acyclicity
-    # and the private cycles of the other members).  g is a 2-core: the
-    # peeled vertices lie on no cycle, so every answer is the input's.
+    # and the private cycles of the other members).  g is the chain kernel,
+    # whose cycles are the input's one for one, so every answer is the input's.
     rest = Forest.without(g, solution)
     if not all(rest.closes_cycle(w) for w in guess.cover_in):
         counters["assignments_rejected_partial"] += 1
@@ -263,28 +264,25 @@ _REPORTED = (
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover.
 
-    The guesses split a minimum vertex cover of the 2-core: vertices off
-    it sit on no cycle and join no minimal fvs, so the private cycles that
-    cover guesses check are the same there.  The extra `winning_trees` is
-    the tree count `find_connectors` gave the best: the trees of the
-    settled forest on the 2-core, not those of G - solution.  Vertices off
-    the 2-core, and committed-out vertices that `graph.settle` peeled once
-    the forced vertices joined the solution, belong to no tree.  On the
+    The search runs on `graph.chain_kernel(g)`: the 2-core, whose cycles
+    are all of g's, with each chain of degree-2 vertices shortened to its
+    lowest ids.  Every cycle of g passes through the kernel in the same
+    way, so the private cycles that cover guesses check are the same
+    there, and the kernel's largest minimal fvs has g's optimum size; the
+    best is certified on g.  The extras `cover`, `cover_size` and
+    `winning_trees` describe the kernel: a minimum vertex cover of it, at
+    most vc(g) in size, and the tree count `find_connectors` gave the
+    best, the trees of the settled forest on the kernel, not those of
+    G - solution.  Committed-out vertices that `graph.settle` peeled once
+    the forced vertices joined the solution belong to no tree.  On the
     apex pair with n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0,
     while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.
     """
-    core = two_core(g)
-    return _solve_vc(g, core, min_vertex_cover(core))
-
-
-def _solve_vc(g: Graph, core: Graph, cover: frozenset[int]) -> tuple[Solution, SolveReport]:
-    """`solve_vc` on g, given its 2-core and a minimum vertex cover of that.
-
-    The report's `wall_time` starts here, after the cover.
-    """
     start = time.perf_counter()
+    kernel = chain_kernel(g)
+    cover = min_vertex_cover(kernel)
     counters: Counter[str] = Counter()
-    counters["outer_degree_prune"] = len(g) - len(core)
+    counters["outer_degree_prune"] = len(g) - len(kernel)
     best: Solution | None = None
     best_trees = 0
 
@@ -292,8 +290,8 @@ def _solve_vc(g: Graph, core: Graph, cover: frozenset[int]) -> tuple[Solution, S
         # a result replaces the best only when it is strictly larger
         return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(core, cover, counters, _search_bound, can_win):
-        found = find_connectors(core, guess, len(best.vertices) if best else -1, counters)
+    for guess in cover_guesses(kernel, cover, counters, _search_bound, can_win):
+        found = find_connectors(kernel, guess, len(best.vertices) if best else -1, counters)
         if found is None:
             continue
         # only a new best gets a certificate

@@ -8,10 +8,10 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from mmfvs.graph import Graph, is_acyclic_without
-from mmfvs.ksolver import opt_upper_bound, solve_k
+from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
 from mmfvs.vcsolver import solve_vc
-from mmfvs.verify import greedy_minimal_fvs, is_fvs, min_vertex_cover, private_cycle
+from mmfvs.verify import greedy_minimal_fvs, is_fvs, is_minimal_fvs, private_cycle
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
 # whose source alone keys the cached corpus
@@ -147,23 +147,14 @@ def opt_exact_sweep_reference(g: Graph) -> tuple[int, Solution]:
     return opt, best
 
 
-def opt_exact_witness_reference(g: Graph, sweep_witness: Solution) -> Solution:
-    """The witness `opt_exact_solution` returns, given the k-sweep's.
+def opt_exact_witness_reference(g: Graph) -> Solution:
+    """The witness `opt_exact_solution` returns, by its one rule restated.
 
-    Its rule restated: where the greedy W lies below `opt_upper_bound` and
-    tau, the vertex cover number of the 2-core, is at most |W| + 4 or
-    bound - |W|, a `solve_vc` solution larger than W is the witness.
-    Everywhere else it is the sweep's, which is W itself when the optimum
-    is |W|.
+    `solve_vc`'s solution when it is larger than the greedy W, else W.
     """
     w = greedy_minimal_fvs(g)
-    bound = opt_upper_bound(g)
-    tau = len(min_vertex_cover(g.delete(peel_reference(g, g.vertices))))
-    if len(w) < bound and (tau <= len(w) + 4 or tau <= bound - len(w)):
-        found = solve_vc(g)[0]
-        if len(found.vertices) > len(w):
-            return found
-    return sweep_witness
+    found = solve_vc(g)[0]
+    return found if len(found.vertices) > len(w) else Solution(w, is_minimal_fvs(g, w))
 
 
 def peel_reference(g: Graph, live) -> set[int]:

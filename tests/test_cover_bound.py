@@ -25,7 +25,7 @@ from hypothesis import given, settings
 
 from mmfvs import vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
-from mmfvs.graph import Forest, Graph, peel
+from mmfvs.graph import Forest, Graph, chain_kernel
 from mmfvs.instances import generate
 from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
@@ -85,7 +85,7 @@ def settled(monkeypatch):
 
 def vc_setting(g):
     """The graph and cover `solve_vc` enumerates its guesses on."""
-    reduced = g.delete(peel(g, g.vertices))
+    reduced = chain_kernel(g)
     return reduced, min_vertex_cover(reduced)
 
 

@@ -6,10 +6,10 @@ the optimum and on `solve_k` just at and just past it; `approx_solve` must
 meet its (1 - eps) * opt guarantee with a verified solution.  So the
 rules that refute large k (the degree-sum bound, the free-vertex cut) are
 checked past the exhaustive corpus too.  Sparse gnp graphs of 18-22
-vertices check `solve_vc` against the `solve_k` sweep from k = 0 where the
-connector search joins three or more blocks into one tree; `opt_exact`
-itself may answer through `solve_vc` there, so it is no independent
-oracle.  A hypothesis test draws connected graphs of at most 9 vertices
+vertices check `solve_vc` against the `solve_k` sweep from k = 0, on its
+chain kernel and on the plain 2-core, where the connector search joins
+three or more blocks into one tree; `opt_exact` itself answers through
+`solve_vc` there, so it is no independent oracle.  A hypothesis test draws connected graphs of at most 9 vertices
 and shrinks any disagreement to a minimal one.
 """
 
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 from mmfvs import vcsolver
 from mmfvs.approx import approx_solve
+from mmfvs.graph import two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -77,8 +78,10 @@ def test_exact_solvers_and_approx_match_brute_force(family):
 
 
 def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypatch):
-    # sparse graphs of 18-22 vertices, where some winning connector sets
-    # put three or more connectors into one tree of g[out | Z]
+    # sparse graphs of 18-22 vertices, where on the 2-core some winning
+    # connector sets put three or more connectors into one tree of
+    # g[out | Z]; chain shortening leaves few such sets, so the search runs
+    # on the 2-core as well as on the kernel
     largest = []
     search = vcsolver.find_connectors
 
@@ -95,10 +98,14 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
     for i in range(24):
         n = rng.randint(18, 22)
         g = generate("gnp", {"n": n, "p": rng.uniform(2.6, 3.2) / n}, seed=rng.randrange(1 << 30))
-        largest.clear()
-        sol, _ = solve_vc(g)
-        if len(sol.vertices) != opt_exact_sweep_reference(g)[0] or is_minimal_fvs(g, sol.vertices) is None:
-            mismatches.append(i)
+        opt = opt_exact_sweep_reference(g)[0]
+        for searched in (vcsolver.chain_kernel, two_core):
+            largest.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(vcsolver, "chain_kernel", searched)
+                sol, _ = solve_vc(g)
+            if len(sol.vertices) != opt or is_minimal_fvs(g, sol.vertices) is None:
+                mismatches.append((i, searched.__name__))
         larger_trees += max(largest, default=0) >= 3
     assert not mismatches, mismatches
     assert larger_trees > 0
@@ -113,10 +120,9 @@ def test_exact_solvers_agree_on_shrinkable_graphs(g):
     cover_sol, _ = solve_vc(g)
     assert len(cover_sol.vertices) == opt
     assert solve_k(g, opt).is_yes and not solve_k(g, opt + 1).is_yes
-    ref_opt, ref_witness = opt_exact_sweep_reference(g)
-    ref_witness = opt_exact_witness_reference(g, ref_witness)
+    ref_witness = opt_exact_witness_reference(g)
     assert (found, witness.vertices, witness.certificate) == (
-        ref_opt, ref_witness.vertices, ref_witness.certificate
+        opt_exact_sweep_reference(g)[0], ref_witness.vertices, ref_witness.certificate
     )
     result = approx_solve(g, 0.5)
     vertices = result.solution.vertices

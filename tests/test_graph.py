@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Graph, chain_kernel, is_acyclic_without, two_core
 from mmfvs.verify import private_cycle
 
-from helpers import apex_pair, brute_cycle_vertices, complete, cycle, gnp, path
+from helpers import apex_pair, brute_cycle_vertices, complete, cycle, gnp, path, random_graphs, subdivided
 
 
 def assert_simple_cycle(g, v, seq):
@@ -181,3 +181,41 @@ class TestAcyclicWithout:
             g = gnp(7, 0.4, seed=seed)
             for removed in [set(), {0}, {1, 3}, {0, 2, 5}, set(g.vertices)]:
                 assert is_acyclic_without(g, removed) == is_acyclic_without(g.delete(removed), ())
+
+
+class TestChainKernel:
+    def test_a_chain_keeps_its_lowest_id(self):
+        # branch vertices 0 and 1 joined by the chains 5-3, 2 and 4-6-7
+        g = Graph(range(8), [(0, 5), (5, 3), (3, 1), (0, 2), (2, 1), (0, 4), (4, 6), (6, 7), (7, 1)])
+        assert chain_kernel(g) == Graph([0, 1, 2, 3, 4], [(0, 3), (3, 1), (0, 2), (2, 1), (0, 4), (4, 1)])
+
+    def test_a_chain_back_to_its_own_end_keeps_two(self):
+        # branch vertex 0 carries the loops 1-2, already a triangle, and 5-3-4
+        g = Graph(range(6), [(0, 1), (1, 2), (2, 0), (0, 5), (5, 3), (3, 4), (4, 0)])
+        assert chain_kernel(g) == Graph([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+
+    def test_a_cycle_component_becomes_a_triangle(self):
+        # the cycle 5-2-7-0-9-4 beside K4 on 10..13, which has no chain
+        ring = [(5, 2), (2, 7), (7, 0), (0, 9), (9, 4), (4, 5)]
+        k4 = [(u, v) for u in range(10, 14) for v in range(u + 1, 14)]
+        g = Graph([0, 2, 4, 5, 7, 9, *range(10, 14)], ring + k4)
+        assert chain_kernel(g) == Graph([0, 2, 4, *range(10, 14)], [(0, 2), (2, 4), (4, 0)] + k4)
+        assert chain_kernel(cycle(3)) == cycle(3)
+
+    def test_nothing_to_shorten_returns_the_two_core_itself(self):
+        theta = Graph(range(5), [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)])
+        for g in (cycle(3), complete(5), apex_pair(7), theta, Graph()):
+            assert chain_kernel(g) is two_core(g)
+        # a pendant tree peels, and the core it leaves is returned as it is
+        g = Graph(range(5), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+        assert chain_kernel(g) == two_core(g) == cycle(3)
+        assert chain_kernel(path(4)) == Graph()
+
+    def test_branch_vertices_keep_their_degrees(self):
+        for i, base in enumerate(random_graphs(150, seed=9, max_n=14)):
+            g = subdivided(base, i) if i % 2 else base
+            core, kernel = two_core(g), chain_kernel(g)
+            assert kernel.vertices <= core.vertices
+            assert all(kernel.degree(v) >= 2 for v in kernel.vertices)
+            assert all(kernel.degree(v) == core.degree(v) for v in core.vertices if core.degree(v) >= 3)
+            assert chain_kernel(kernel) is kernel

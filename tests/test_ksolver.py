@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mmfvs import ksolver
+from mmfvs import ksolver, vcsolver
 from mmfvs.graph import Graph, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
+from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
 
 from helpers import (
@@ -20,6 +22,7 @@ from helpers import (
     opt_exact_witness_reference,
     path,
     random_graphs,
+    subdivided,
     with_pendant_trees,
 )
 
@@ -27,7 +30,7 @@ from helpers import (
 @pytest.fixture
 def calls(monkeypatch):
     """Counts the vertex-cover search and solve_k calls that ksolver makes by name."""
-    counts = {"_solve_vc": 0, "solve_k": 0}
+    counts = {"solve_vc": 0, "solve_k": 0}
     for name in counts:
         real = getattr(ksolver, name)
 
@@ -173,6 +176,26 @@ def test_solve_k_with_pendant_trees_matches_brute_force(g):
             assert sol.certificate == is_minimal_fvs(g, sol.vertices)
 
 
+@st.composite
+def subdivided_graphs(draw, max_n=14):
+    """Hypothesis strategy: `subdivided` gnp graphs with at most max_n vertices."""
+    base = gnp(draw(st.integers(3, 7)), draw(st.floats(0.3, 0.9)), draw(st.integers(0, 1 << 16)))
+    g = subdivided(base, draw(st.integers(0, 1 << 16)))
+    assume(len(g) <= max_n)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(subdivided_graphs(), with_pendant_trees()))
+def test_chain_kernel_keeps_the_optimum(g):
+    opt = opt_mmfvs_brute(g).opt_value
+    found, witness = opt_exact_solution(g)
+    cover_sol, _ = solve_vc(g)
+    assert found == len(witness.vertices) == len(cover_sol.vertices) == opt, sorted(g.edges())
+    assert is_minimal_fvs(g, witness.vertices) is not None
+    assert is_minimal_fvs(g, cover_sol.vertices) is not None
+
+
 class TestOptExact:
     def test_apex_pair(self):
         assert opt_exact(apex_pair(6)) == 4
@@ -192,7 +215,7 @@ class TestOptExact:
             assert is_minimal_fvs(g, sol.vertices) is not None
 
     def test_matches_brute_force_up_to_the_bound(self):
-        # the sweep stops at the bound; an optimum equal to it needs no final no
+        # a greedy W that reaches the bound is returned without asking solve_vc
         at_bound = 0
         for g in random_graphs(120, seed=23, max_n=10):
             opt, sol = opt_exact_solution(g)
@@ -201,8 +224,7 @@ class TestOptExact:
         assert at_bound > 0
 
     def test_equals_the_sweep_from_zero(self, calls):
-        # starting at |greedy W| + 1 skips only the k that W answers itself;
-        # the solve_vc route reaches the same opt, with solve_vc's witness
+        # solve_vc reaches the opt of the sweep from zero, with its own witness
         rng = random.Random(41)
         routed = [
             *(generate("apexpair", {"n": n}) for n in range(9, 14)),
@@ -214,17 +236,16 @@ class TestOptExact:
         ]
         for g in [*random_graphs(300, seed=31, max_n=11), *routed]:
             opt, sol = opt_exact_solution(g)
-            ref_opt, ref_sol = opt_exact_sweep_reference(g)
-            ref_sol = opt_exact_witness_reference(g, ref_sol)
+            ref_sol = opt_exact_witness_reference(g)
             assert (opt, sol.vertices, sol.certificate) == (
-                ref_opt, ref_sol.vertices, ref_sol.certificate
+                opt_exact_sweep_reference(g)[0], ref_sol.vertices, ref_sol.certificate
             )
-        # the apex pairs (|W| = 1, tau = 2) take the solve_vc route at least
-        assert calls["_solve_vc"] >= 5
+        # the apex pairs (|W| = 1 below a bound of n - 2) ask solve_vc at least
+        assert calls["solve_vc"] >= 5
 
 
 class TestRoute:
-    """opt_exact_solution asks solve_vc when the vertex cover is small."""
+    """opt_exact_solution returns W at the bound and asks solve_vc otherwise."""
 
     def test_reduction_output_takes_solve_vc(self, calls):
         # tau = 7 against |W| = 3 and a bound of 21: the sweep took seconds here
@@ -235,46 +256,45 @@ class TestRoute:
         assert opt == len(sol.vertices) == 18
         assert is_minimal_fvs(g, sol.vertices) is not None
         # opt = 18 > |W|, so the witness is solve_vc's: no solve_k call at all
-        assert calls["_solve_vc"] == 1 and calls["solve_k"] == 0
+        assert calls["solve_vc"] == 1 and calls["solve_k"] == 0
 
-    def test_sparse_graph_keeps_the_sweep(self, calls):
-        # tau = 10 is above both |W| + 4 = 7 and bound - |W| = 5
+    def test_sparse_graph_takes_one_solve_vc_call(self, calls):
+        # a sparse graph whose cover (tau = 10) is large next to |W| = 3
         g = gnp(24, 2.0 / 24, seed=1)
         w, bound, tau = greedy_minimal_fvs(g), opt_upper_bound(g), len(min_vertex_cover(g))
         assert (len(w), bound, tau) == (3, 8, 10)
         opt, sol = opt_exact_solution(g)
-        assert calls["_solve_vc"] == 0
-        # yes at 4 and 5, then the closing no at 6
-        assert calls["solve_k"] == 3
-        ref_opt, ref_sol = opt_exact_sweep_reference(g)
+        assert calls == {"solve_vc": 1, "solve_k": 0}
+        ref_sol = solve_vc(g)[0]
         assert (opt, sol.vertices, sol.certificate) == (5, ref_sol.vertices, ref_sol.certificate)
-        assert ref_opt == 5
+        assert opt_exact_sweep_reference(g)[0] == 5
 
     def test_tau_is_the_two_core_cover(self, calls, monkeypatch):
         # the apex pair with n = 7 plus a pendant path of three vertices at
-        # each of 2, 3 and 4: tau is 8 on the whole graph, above |W| + 4 = 5
-        # and bound - |W| = 4, but 2 on the 2-core that solve_vc searches
+        # each of 2, 3 and 4: tau is 8 on the whole graph, but 2 on the
+        # 2-core that solve_vc searches
         seen = []
 
         def recorded(h):
             seen.append(h)
             return min_vertex_cover(h)
 
-        monkeypatch.setattr(ksolver, "min_vertex_cover", recorded)
+        monkeypatch.setattr(vcsolver, "min_vertex_cover", recorded)
         pendants = [(2, 7), (7, 8), (8, 9), (3, 10), (10, 11), (11, 12), (4, 13), (13, 14), (14, 15)]
         g = Graph(range(16), list(apex_pair(7).edges()) + pendants)
         assert (len(greedy_minimal_fvs(g)), opt_upper_bound(g), len(min_vertex_cover(g))) == (1, 5, 8)
         opt, sol = opt_exact_solution(g)
-        # one cover, of the 2-core, which the vertex-cover search reuses
+        # one cover per call, taken on a graph without pendant trees
         assert len(seen) == 1 and min(seen[0].degree(v) for v in seen[0].vertices) >= 2
-        assert calls["_solve_vc"] == 1
+        assert len(min_vertex_cover(seen[0])) == 2
+        assert calls["solve_vc"] == 1
         assert opt == len(sol.vertices) == opt_mmfvs_brute(g).opt_value == 5
         assert is_minimal_fvs(g, sol.vertices) is not None
 
     def test_greedy_at_the_bound_computes_no_cover(self, calls, monkeypatch):
         # a call to the cover would raise TypeError
-        monkeypatch.setattr(ksolver, "min_vertex_cover", None)
+        monkeypatch.setattr(vcsolver, "min_vertex_cover", None)
         # K_5's greedy W already has the bound's 3 vertices
         opt, sol = opt_exact_solution(complete(5))
         assert opt == len(sol.vertices) == 3
-        assert calls == {"_solve_vc": 0, "solve_k": 0}
+        assert calls == {"solve_vc": 0, "solve_k": 0}
