@@ -127,7 +127,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
 
     # past the degree-sum bound no candidate can reach the threshold
     if threshold <= opt_upper_bound(g):
-        for guess in cover_guesses(g, cover, counters, _greedy_bound, can_win):
+        for guess in cover_guesses(g, cover, counters, _greedy_bound, 0, can_win):
             candidate, moved = _run_greedy(g, guess, counters, conflict_sizes)
             if len(moved) > vc:
                 raise VerificationError("a greedy move merged no outside trees")

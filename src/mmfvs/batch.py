@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
 
@@ -167,6 +166,9 @@ def run_batch(
     tasks = [(name, g, algorithm, dict(params or {}), timeout) for name, g in instances]
     if threads <= 1:
         return [_worker(task) for task in tasks]
+    # imported here: the pool's modules cost every serial caller memory and start-up time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_worker, tasks))
 

@@ -163,8 +163,9 @@ class Forest:
     Tarjan's set union: the trees are those of the subgraph induced on the
     vertices inserted so far.  `extend` inserts vertices with their edges
     to the vertices already present, `closes_cycle` asks, without
-    inserting, whether a vertex would close a cycle, and `acyclic` tells
-    whether the subgraph is still a forest.
+    inserting, whether a vertex would close a cycle, `join` inserts it only
+    when it would not, and `acyclic` tells whether the subgraph is still a
+    forest.
     Union by size plus path compression keeps any sequence of m operations
     at O(m alpha(m)).
     """
@@ -228,6 +229,30 @@ class Forest:
                     break
         return ok
 
+    def join(self, v: int) -> bool:
+        """Insert v unless two of its neighbors share a tree; did it go in?
+
+        One find per neighbor answers `closes_cycle` and gives the roots
+        that v then joins.  v must not be present.
+        """
+        parent, size = self._parent, self._size
+        roots: set[int] = set()
+        for u in self._adj[v]:
+            if u in parent:
+                r = self._find(u)
+                if r in roots:
+                    return False
+                roots.add(r)
+        parent[v] = v
+        size[v] = 1
+        root = v
+        for r in roots:
+            if size[r] > size[root]:
+                root, r = r, root
+            parent[r] = root
+            size[root] += size[r]
+        return True
+
     def closes_cycle(self, v: int) -> bool:
         """Do two neighbors of v share a tree?  v must not be present."""
         seen: set[int] = set()
@@ -251,16 +276,16 @@ def prune_to_minimal(g: Graph, s: Iterable[int], order: Iterable[int]) -> frozen
 
     Each v of `order` (members of s) leaves s exactly when g minus the rest
     of s is still a forest, i.e. when v's neighbors outside s lie in
-    distinct trees.  One forest over g - s grows as vertices leave, so the
-    whole pass costs O(m alpha(m)).  If s is not an fvs, nothing can leave.
+    distinct trees.  One forest over g - s grows as vertices leave, each
+    by one `Forest.join`, so the whole pass costs O(m alpha(m)).  If s is
+    not an fvs, nothing can leave.
     """
     kept = set(s)
     forest = Forest.without(g, kept)
     if not forest.acyclic:
         return frozenset(kept)
     for v in order:
-        if not forest.closes_cycle(v):
-            forest.extend((v,))
+        if forest.join(v):
             kept.remove(v)
     return frozenset(kept)
 

@@ -22,14 +22,19 @@ certified in full on the input graph (`verify.is_minimal_fvs`).
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
 larger result, so a guess is cut when its bound is no larger than the
-best so far.  Each split whose cover_out side is a forest is bounded
-first without settling it: the cover side plus the independents with two
-or more neighbours in cover_out, the only ones that can survive the
-degree rule.  A split that passes is reduced once by `graph.settle`, the
-fixpoint of the round (`graph.peel`, then `graph.cycle_closers`) that the
-extension search and the approximation scheme run too, and bounded
-again: here the cover side, the forced vertices and every free vertex but
-the one connector the search must pick.  Only a guess that survives both
+best so far.  The splits are bitmasks over the cover, and a flood of the
+cover_out mask, one component at a time, tells whether that side is a
+forest.  Each split whose cover_out side is a forest is bounded first
+without settling it: the cover side plus the independents with two or
+more neighbours in cover_out, the only ones that can survive the degree
+rule.  Here that is one less when such an independent has those
+neighbours in distinct components: it then never closes a cycle, so it
+stays free or is peeled, and the search must still pick a connector.  A
+split that passes is reduced once by `graph.settle`, the fixpoint of the
+round (`graph.peel`, then `graph.cycle_closers`) that the extension
+search and the approximation scheme run too, and bounded again: here the
+cover side, the forced vertices and every free vertex but the one
+connector the search must pick.  Only a guess that survives both
 cuts has its cover side checked for private cycles.
 """
 
@@ -175,11 +180,38 @@ def find_connectors(
     return None
 
 
+def tree_masks(adj: dict[int, int], out: int) -> list[int] | None:
+    """The components of the bitmask graph on `out`, or None if it has a cycle.
+
+    `adj` maps each single-bit vertex to its neighbour mask.  Each
+    component is flooded from its lowest bit, and it is a tree iff it has
+    one edge fewer than vertices; each edge is counted from both ends.
+    """
+    comps = []
+    rest = out
+    while rest:
+        comp = frontier = rest & -rest
+        ends = 0
+        while frontier:
+            low = frontier & -frontier
+            near = adj[low] & out
+            ends += near.bit_count()
+            fresh = near & ~comp
+            comp |= fresh
+            frontier = (frontier ^ low) | fresh
+        if ends != 2 * comp.bit_count() - 2:
+            return None
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def cover_guesses(
     g: Graph,
     cover: frozenset[int],
     tally: Counter[str],
     bound: Callable[[CoverGuess], int],
+    slack: int,
     can_win: Callable[[int], bool],
 ) -> Iterator[CoverGuess]:
     """Settled splits of a vertex cover that some minimal fvs can take.
@@ -190,45 +222,61 @@ def cover_guesses(
     settled guess, and `can_win(size)` says whether a result of that size
     would beat the caller's best; it must not turn False as size grows.
 
-    A split whose cover_out side is not a forest is dropped.  The rest are
-    bounded before they are settled: every independent x has N(x) inside
-    the cover, so in g - cover_in its degree is |N(x) & cover_out|, and the
-    first `peel` of `graph.settle` deletes it when that is at most one.
-    Settling after that only deletes free vertices or moves them inside,
-    so the settled inside and free sets lie in L = {x : |N(x) - cover_in|
-    >= 2}, and a caller whose `bound` counts no more than cover_in, inside
-    and free stays within |cover_in| + |L|.  A split whose |cover_in| + |L|
-    cannot win is cut unsettled; it is one the settled bound would cut too.
-    The independents are grouped by their neighbourhood in the cover, so
-    |L| is a sum over the classes.  A split that passes is settled
-    (`settle_guess`) and asked again with `bound`, and only a guess that
-    can still win has the private cycles of its cover_in side checked, one
-    sweep each (`verify.partial_minimality_ok`).
+    The splits are bitmasks over the sorted cover, each cover vertex has
+    its neighbour mask within the cover, and the independents are grouped
+    into (neighbour mask, count) classes; only a split that gets settled
+    becomes sets.  A split whose cover_out side is not a forest is dropped:
+    `tree_masks` floods g[cover_out] one component at a time.  The rest
+    are bounded before they are settled: every independent x has N(x)
+    inside the cover, so in g - cover_in its degree is |N(x) & cover_out|,
+    and the first `peel` of `graph.settle` deletes it when that is at most
+    one.  Settling after that only deletes free vertices or moves them
+    inside, so the settled inside and free sets lie in L = {x : |N(x) -
+    cover_in| >= 2}, and a caller whose `bound` counts no more than
+    cover_in, inside and free stays within |cover_in| + |L|.
 
-    `tally` counts every split in "cover_guesses", both bounds' cuts in
+    Settling only shrinks out, so an x of L whose cover_out neighbours lie
+    in distinct components of g[cover_out] never closes a cycle there and
+    never moves inside: it is either peeled or left free.  `slack` is how
+    far below |cover_in| + |L| the caller's `bound` then stays: 1 for the
+    connector search, since a peeled x counts for nothing and a free one
+    means at least one connector, and 0 for a bound without that term.  A
+    split whose |cover_in| + |L|, or with such an x |cover_in| + |L| -
+    slack, cannot win is cut unsettled; it is one the settled bound would
+    cut too.  A split that passes is settled (`settle_guess`) and asked
+    again with `bound`, and only a guess that can still win has the
+    private cycles of its cover_in side checked, one sweep each
+    (`verify.partial_minimality_ok`).
+
+    `tally` counts every split in "cover_guesses", all three cuts in
     "guesses_cut_by_bound", the private-cycle rejects in
     "wrong_cover_guesses" and the yielded guesses in
     "viable_cover_guesses"; `settle_guess` adds the reductions of the
-    splits that pass the first bound.
+    splits that get settled.
     """
     ordered = sorted(cover)
     bit = {v: 1 << i for i, v in enumerate(ordered)}
+    vertex_of = {b: v for v, b in bit.items()}
+    adj = {bit[v]: sum(bit[w] for w in g.neighbors(v) if w in bit) for v in ordered}
     classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
-    # only edges inside the cover decide whether cover_out is a forest
-    cover_graph = g.induced(cover)
+    everything = (1 << len(ordered)) - 1
     for size in range(len(ordered) + 1):
-        for picked in combinations(ordered, size):
+        for picked in combinations(vertex_of, size):
             tally["cover_guesses"] += 1
-            cover_in = frozenset(picked)
-            cover_out = cover - cover_in
-            if not Forest(cover_graph).extend(cover_out, stop_at_cycle=True):
+            out_mask = everything - sum(picked)
+            comps = tree_masks(adj, out_mask)
+            if comps is None:
                 continue
-            out_mask = sum(bit[w] for w in cover_out)
-            live = sum(n for nb, n in classes.items() if (nb & out_mask).bit_count() >= 2)
-            if not can_win(size + live):
+            most = size + sum(n for nb, n in classes.items() if (nb & out_mask).bit_count() >= 2)
+            if not can_win(most) or (not can_win(most - slack) and any(
+                (nb & out_mask).bit_count() >= 2
+                and all((nb & comp).bit_count() <= 1 for comp in comps)
+                for nb in classes
+            )):
                 tally["guesses_cut_by_bound"] += 1
                 continue
-            guess = settle_guess(g, cover_in, cover_out, tally)
+            cover_in = frozenset(vertex_of[b] for b in picked)
+            guess = settle_guess(g, cover_in, cover - cover_in, tally)
             if not can_win(bound(guess)):
                 tally["guesses_cut_by_bound"] += 1
                 continue
@@ -290,7 +338,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         # a result replaces the best only when it is strictly larger
         return best is None or size > len(best.vertices)
 
-    for guess in cover_guesses(kernel, cover, counters, _search_bound, can_win):
+    for guess in cover_guesses(kernel, cover, counters, _search_bound, 1, can_win):
         found = find_connectors(kernel, guess, len(best.vertices) if best else -1, counters)
         if found is None:
             continue

@@ -96,7 +96,7 @@ class TestConflictSet:
         for seed in range(40):
             g = gnp(rng.randint(4, 12), rng.uniform(0.2, 0.5), seed=seed)
             cover = min_vertex_cover(g)
-            for guess in cover_guesses(g, cover, Counter(), _greedy_bound, lambda size: True):
+            for guess in cover_guesses(g, cover, Counter(), _greedy_bound, 0, lambda size: True):
                 steps.clear()
                 _run_greedy(g, guess, Counter(), Counter())
                 for out, candidates, taken in steps:

@@ -1,5 +1,10 @@
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
+import mmfvs
 from mmfvs import batch
 from mmfvs.batch import render_report, run_batch, run_one, summarize
 from mmfvs.instances import generate
@@ -68,6 +73,21 @@ class TestRunBatch:
         serial = run_batch(corpus, "vcsolver")
         parallel = run_batch(corpus, "vcsolver", threads=2)
         assert render_report(serial) == render_report(parallel)
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # the pool's modules are imported only by a run with threads > 1
+        src = str(Path(mmfvs.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys, mmfvs, mmfvs.batch, mmfvs.cli\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & sys.modules.keys()))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestReports:

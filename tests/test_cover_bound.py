@@ -1,24 +1,27 @@
 """The branch and bound over cover guesses cuts only guesses that cannot win.
 
 `cover_guesses` bounds each split before settling it by |cover_in| + |L|,
-L the independents with two or more neighbours outside cover_in, then
+L the independents with two or more neighbours outside cover_in, less the
+caller's slack when some x of L closes no cycle with g[cover_out], then
 settles it, asks the caller's bound, and only then tests the split's
 private cycles, one sweep per cover side.  Checked here on seeded random,
 apex-pair and reduction-output graphs, on every split whose cover_out
 side is a forest: each bound is at least what the unbounded search gives,
-the unsettled bound is at least both settled ones, each solver cuts
-exactly the guesses whose settled bound is at most its best so far while
-settling exactly the splits whose unsettled bound beats it, and only the
-non-empty sides of the splits that pass both bounds are swept.  On the same
-settled guesses, and on hypothesis-drawn connected graphs that shrink any
+the unsettled bound is at least both settled ones, and less one at least
+the connector search's while such an x exists, each solver cuts exactly
+the guesses whose settled bound is at most its best so far while settling
+exactly the splits whose unsettled bound beats it, and only the non-empty
+sides of the splits that pass both bounds are swept.  On the same settled
+guesses, and on hypothesis-drawn connected graphs that shrink any
 mismatch, the connector search is checked against every connector set of
-the free vertices.
+the free vertices, and the bitmask forest walk against `Forest` and
+`Graph.components` on every vertex subset.
 """
 
 import random
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from mmfvs import vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Forest, Graph, chain_kernel
 from mmfvs.instances import generate
-from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc
+from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc, tree_masks
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
 
 from helpers import connected_graphs, gnp
@@ -68,6 +71,16 @@ def live_bound(g, cover, cover_in):
     """|cover_in| + |L|, L the independents with two or more neighbours outside cover_in."""
     independents = g.vertices - cover
     return len(cover_in) + sum(1 for x in independents if len(g.neighbors(x) - cover_in) >= 2)
+
+
+def idle_live(g, cover, cover_out):
+    """Independents with two or more neighbours in cover_out that close no cycle with g[cover_out]."""
+    forest = Forest(g)
+    forest.extend(cover_out)
+    return {
+        x for x in g.vertices - cover
+        if len(g.neighbors(x) & cover_out) >= 2 and not forest.closes_cycle(x)
+    }
 
 
 @pytest.fixture
@@ -190,17 +203,57 @@ def test_the_unsettled_bound_covers_both_settled_bounds():
     assert tight > 0
 
 
+def test_a_live_vertex_closing_no_cycle_costs_the_search_bound_one():
+    tight = 0
+    for g in corpus():
+        for h, cover in (vc_setting(g), (g, min_vertex_cover(g))):
+            for cover_in, cover_out in forest_splits(h, cover):
+                idle = idle_live(h, cover, cover_out)
+                if not idle:
+                    continue
+                guess = settle_guess(h, cover_in, cover_out, Counter())
+                # settling only shrinks out, so none of them is ever forced inside
+                assert not idle & guess.inside, (g, cover_in)
+                bound = live_bound(h, cover, cover_in) - 1
+                assert bound >= _search_bound(guess), (g, cover_in)
+                tight += bound == _search_bound(guess)
+    assert tight > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_the_mask_walk_matches_forest_and_components_on_every_subset(g):
+    # the whole vertex set is a vertex cover of g too
+    ordered = g.sorted_vertices()
+    bit = {v: 1 << i for i, v in enumerate(ordered)}
+    adj = {bit[v]: sum(bit[w] for w in g.neighbors(v)) for v in ordered}
+    for out in chain.from_iterable(combinations(ordered, size) for size in range(len(g) + 1)):
+        comps = tree_masks(adj, sum(bit[v] for v in out))
+        if not Forest(g).extend(out, stop_at_cycle=True):
+            assert comps is None, (g, out)
+            continue
+        assert comps is not None, (g, out)
+        as_sets = [frozenset(v for v in ordered if bit[v] & comp) for comp in comps]
+        assert as_sets == g.induced(out).components(), (g, out)
+
+
 def replay_vc(g):
     """`solve_vc`'s optimum, bound cuts, wrong sides, settled sides and swept sides.
 
     Found by unbounded searches; a side is swept when its split passes
-    both bounds and it is not empty.
+    both bounds and it is not empty.  Also the number of splits left
+    unsettled only because a live vertex closes no cycle.
     """
     reduced, cover = vc_setting(g)
-    best, cut, wrong, settles, swept = None, 0, 0, [], []
+    best, cut, wrong, settles, swept, idle_cuts = None, 0, 0, [], [], 0
     for cover_in, cover_out in forest_splits(reduced, cover):
-        if best is None or live_bound(reduced, cover, cover_in) > best:
+        # with a live vertex that closes no cycle the search bound loses one
+        slack = 1 if idle_live(reduced, cover, cover_out) else 0
+        bound = live_bound(reduced, cover, cover_in)
+        if best is None or bound - slack > best:
             settles.append(cover_in)
+        elif bound > best:
+            idle_cuts += 1
         guess = settle_guess(reduced, cover_in, cover_out, Counter())
         if best is not None and _search_bound(guess) <= best:
             cut += 1
@@ -213,7 +266,7 @@ def replay_vc(g):
         found = find_connectors(reduced, guess, -1, Counter())
         if found is not None and (best is None or len(found[0]) > best):
             best = len(found[0])
-    return best, cut, wrong, settles, swept
+    return best, cut, wrong, settles, swept, idle_cuts
 
 
 def replay_greedy(g):
@@ -237,10 +290,10 @@ def replay_greedy(g):
 
 
 def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = wrongs = unsettled = 0
+    cuts = wrongs = unsettled = idle = 0
     for g in corpus():
         # the replay's unbounded searches settle too, so record only the solve
-        best, cut, wrong, settles, _ = replay_vc(g)
+        best, cut, wrong, settles, _, idle_cuts = replay_vc(g)
         settled.clear()
         solution, report = solve_vc(g)
         extras = report.extras
@@ -253,7 +306,8 @@ def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
         cuts += cut
         wrongs += wrong
         unsettled += splits_in - len(settles)
-    assert cuts > 0 and wrongs > 0 and unsettled > 0
+        idle += idle_cuts
+    assert cuts > 0 and wrongs > 0 and unsettled > 0 and idle > 0
 
 
 def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
@@ -266,7 +320,7 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
     monkeypatch.setattr(vcsolver, "partial_minimality_ok", counted)
     swept = cut = 0
     for g in corpus():
-        _, cut_here, _, _, expected = replay_vc(g)
+        _, cut_here, _, _, expected, _ = replay_vc(g)
         sweeps.clear()
         solve_vc(g)
         assert sweeps == expected, g

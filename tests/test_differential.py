@@ -9,8 +9,13 @@ checked past the exhaustive corpus too.  Sparse gnp graphs of 18-22
 vertices check `solve_vc` against the `solve_k` sweep from k = 0, on its
 chain kernel and on the plain 2-core, where the connector search joins
 three or more blocks into one tree; `opt_exact` itself answers through
-`solve_vc` there, so it is no independent oracle.  A hypothesis test draws connected graphs of at most 9 vertices
-and shrinks any disagreement to a minimal one.
+`solve_vc` there, so it is no independent oracle.  Hub-path graphs, hubs
+joined in a path by pairs of independents plus a few independents on
+random hub pairs, have no chains to shorten, so there the connector search
+joins three or more hubs into one tree on the chain kernel itself, and
+`solve_vc` is checked against brute force.  A hypothesis test draws
+connected graphs of at most 9 vertices and shrinks any disagreement to a
+minimal one.
 """
 
 import math
@@ -21,7 +26,7 @@ from hypothesis import given, settings
 
 from mmfvs import vcsolver
 from mmfvs.approx import approx_solve
-from mmfvs.graph import two_core
+from mmfvs.graph import Graph, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -77,11 +82,19 @@ def test_exact_solvers_and_approx_match_brute_force(family):
     assert not mismatches, mismatches[:5]
 
 
-def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypatch):
-    # sparse graphs of 18-22 vertices, where on the 2-core some winning
-    # connector sets put three or more connectors into one tree of
-    # g[out | Z]; chain shortening leaves few such sets, so the search runs
-    # on the 2-core as well as on the kernel
+def hub_path(rng):
+    """4-5 pairwise non-adjacent hubs, two independents between consecutive
+    hubs and 1-3 more on random hub pairs; each independent has degree two."""
+    hubs = rng.randint(4, 5)
+    pairs = [(h, h + 1) for h in range(hubs - 1) for _ in range(2)]
+    pairs += [tuple(sorted(rng.sample(range(hubs), 2))) for _ in range(rng.randint(1, 3))]
+    edges = [(hub, hubs + i) for i, pair in enumerate(pairs) for hub in pair]
+    return Graph(range(hubs + len(pairs)), edges)
+
+
+@pytest.fixture
+def largest_trees(monkeypatch):
+    """Connectors per tree of each final forest `find_connectors` returns."""
     largest = []
     search = vcsolver.find_connectors
 
@@ -93,6 +106,28 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
         return found
 
     monkeypatch.setattr(vcsolver, "find_connectors", recorded)
+    return largest
+
+
+def test_solve_vc_matches_brute_force_where_connectors_join_hubs(largest_trees):
+    rng = random.Random(3)
+    mismatches, larger_trees = [], 0
+    for i in range(24):
+        g = hub_path(rng)
+        largest_trees.clear()
+        sol, _ = solve_vc(g)
+        if len(sol.vertices) != opt_mmfvs_brute(g).opt_value or is_minimal_fvs(g, sol.vertices) is None:
+            mismatches.append(i)
+        larger_trees += max(largest_trees, default=0) >= 3
+    assert not mismatches, mismatches
+    assert larger_trees >= 12
+
+
+def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypatch, largest_trees):
+    # sparse graphs of 18-22 vertices, where on the 2-core some winning
+    # connector sets put three or more connectors into one tree of
+    # g[out | Z]; chain shortening leaves few such sets, so the search runs
+    # on the 2-core as well as on the kernel
     rng = random.Random(11)
     mismatches, larger_trees = [], 0
     for i in range(24):
@@ -100,13 +135,13 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
         g = generate("gnp", {"n": n, "p": rng.uniform(2.6, 3.2) / n}, seed=rng.randrange(1 << 30))
         opt = opt_exact_sweep_reference(g)[0]
         for searched in (vcsolver.chain_kernel, two_core):
-            largest.clear()
+            largest_trees.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(vcsolver, "chain_kernel", searched)
                 sol, _ = solve_vc(g)
             if len(sol.vertices) != opt or is_minimal_fvs(g, sol.vertices) is None:
                 mismatches.append((i, searched.__name__))
-        larger_trees += max(largest, default=0) >= 3
+        larger_trees += max(largest_trees, default=0) >= 3
     assert not mismatches, mismatches
     assert larger_trees > 0
 

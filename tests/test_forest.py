@@ -59,6 +59,19 @@ class TestForest:
         assert forest.closes_cycle(0)
         assert forest.acyclic
 
+    def test_join_inserts_exactly_the_vertices_that_close_no_cycle(self):
+        rng = random.Random(11)
+        for g in random_graphs(300, seed=11):
+            order = g.sorted_vertices()
+            rng.shuffle(order)
+            forest, inserted = Forest(g), set()
+            for v in order:
+                expected = not forest.closes_cycle(v)
+                assert forest.join(v) == expected, (g, v)
+                if expected:
+                    inserted.add(v)
+            assert forest.acyclic and is_acyclic_without(g, g.vertices - inserted)
+
     def test_is_acyclic_without_matches_edge_count(self):
         # a graph is a forest iff |E| = |V| - number of components
         rng = random.Random(7)
