@@ -11,10 +11,12 @@ strip degree <= 1 vertices, then force forbidden-side cycle closers
 inside), then degree-two contraction, until nothing fires.  The round's
 rules are counted as "strip_acyclic_fringe" and "force_cycle_closers",
 contraction as "contract_degree_two_pairs".  A node builds a graph of its
-own only when a contraction fires.  A reduced node that still needs more
-vertices than it has free ids is cut (each free id adds at most one
-vertex to a witness; `_solve` proves it).  The search then branches on a
-deepest leaf of the forest left outside the committed sets.  Branch
+own only when a contraction fires.  A reduced node is cut when it needs
+more vertices than `graph.degree_bound` lets a minimal fvs take from its
+free ids: each free id adds at most one vertex to a witness, and each one
+added needs a private cycle through two neighbors among the committed-out
+and the other free ids (`_solve` proves both).  The search then branches
+on a deepest leaf of the forest left outside the committed sets.  Branch
 arithmetic is tracked by the measure k + gamma, where gamma counts the
 trees of the forbidden-side forest: branches spend a unit of k or merge
 forbidden-side trees, keeping node counts near 3^(k + gamma) (the test
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Forest, Graph, is_acyclic_without, peel, prune_to_minimal, settle_round
+from mmfvs.graph import Forest, Graph, degree_bound, is_acyclic_without, peel, prune_to_minimal, settle_round
 from mmfvs.report import Solution, SolveReport
 from mmfvs.verify import (
     VerificationError,
@@ -346,34 +348,43 @@ def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int]) -> 
 def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
     """Search below `node` for a witness; None when there is none.
 
-    After reduction, a node with `k` above its number of free ids is cut.
-    Take a witness S found below it: a minimal fvs of the input graph with
-    exactly one original of each committed-in id (completion adds no other
-    original of a contracted one), none of a committed-out or deleted id,
-    and `k0 - k` committed-in originals beyond the initial required set.
-    So S needs `k` originals of free ids, and it is enough that S holds at
-    most one original of each free id x.  A descendant that commits x (or
-    a merge of x) settles this at once, so let x stay free and suppose
-    s1 != s2 in S are originals of x.  Contraction keeps the working
-    graph's edges one-to-one with the input edges between originals of
-    distinct live ids, and the originals of x form a path joined to the
-    rest by one edge at each end and otherwise only to vertices deleted
-    before the path formed.  Take a private cycle C of s1.  If C avoids
-    deleted vertices, it runs along the whole path, through s2: impossible.
-    Otherwise let y be the first-deleted id whose originals C meets.  C
-    enters and leaves y's originals along two edges of the working graph,
-    to ids still live then (one deleted earlier would come first).
-    `settle_round` peels only committed-out and free ids, and y had at
-    most one neighbor among those, so one of the two is a committed-in id,
-    formed before y went.  C runs along that id's whole path, through its
-    member of S, which is not s1: again impossible.
+    After reduction, a node is cut when `k` is above
+    `degree_bound(search, forbidden, free)`, which is at most the number of
+    free ids.  Take a witness S found below it: a minimal fvs of the input
+    graph with exactly one original of each committed-in id (completion
+    adds no other original of a contracted one), none of a committed-out
+    or deleted id, and `k0 - k` committed-in originals beyond the initial
+    required set.  So S needs `k` originals of free ids.  Contraction
+    keeps the working graph's edges one-to-one with the input edges
+    between originals of distinct live ids.  The originals of a live id
+    form a path, and the path of a contracted id is joined to the rest by
+    one edge at each end and otherwise only to vertices deleted before the
+    path formed.
+
+    Let X be the free ids with an original in S, s1 in S an original of
+    x in X, and C a private cycle of s1.  First, C avoids deleted
+    vertices.  Otherwise let y be the first-deleted id whose originals C
+    meets.  C enters and leaves y's originals along two edges of the
+    working graph, to ids still live then (one deleted earlier would come
+    first).  `settle_round` peels only committed-out and free ids, and y
+    had at most one neighbor among those, so one of the two is a
+    committed-in id, formed before y went.  C runs along that id's whole
+    path, through its member of S, which is not s1: impossible.  So C
+    runs along the whole path of every live id it meets, and meets none
+    twice.  It runs along x's path, so S holds no other original of x and
+    |X| >= k.  It meets no committed-in id and no other id of X, each of
+    which holds a member of S.  So in the working graph, which is simple,
+    C is a cycle through x whose other ids lie in F = forbidden |
+    (free - X), and x has two neighbors in F.  Hence 2|X| <= e(X, F), the
+    sum `degree_bound` bounds, and it returns at least |X| >= k.
     """
     ctx.nodes += 1
     ctx.max_depth = max(ctx.max_depth, depth)
     if not Forest(node.search).extend(node.forbidden, stop_at_cycle=True):
         return None
     _reduce(node, ctx.fired)
-    if node.k > len(node.free):
+    # k above the free-id count is the O(1) case of the degree-sum cut
+    if node.k > len(node.free) or degree_bound(node.search, node.forbidden, node.free) < node.k:
         return None
     if not _partial_minimality(ctx, node):
         return None

@@ -17,7 +17,9 @@ in the solution).  `settle_round` applies both once to plain mutable
 vertex sets, and is the one reduction round of all three solvers;
 `settle` runs it to fixpoint for the cover-guess solver and the
 approximation scheme, and the extension search adds degree-two
-contraction to each round.
+contraction to each round.  `degree_bound` caps, from neighbor counts
+alone, how many undecided vertices a minimal fvs can take: the 10^k
+solver's optimum bound, guess cut and search-node cut.
 """
 
 from __future__ import annotations
@@ -362,6 +364,30 @@ def chain_kernel(g: Graph) -> Graph:
         short[a] ^= {v, b}
         short[b] ^= {v, a}
     return Graph._from_adj({v: frozenset(nbrs) for v, nbrs in short.items()})
+
+
+def degree_bound(g: Graph, out: Iterable[int], free: Iterable[int]) -> int:
+    """The most vertices of `free` that a minimal fvs avoiding `out` can hold.
+
+    Let S be a minimal fvs of g that avoids `out` and holds every vertex
+    outside out | free, X = S & free and F = out | (free - X).  Each x in
+    X has a private cycle, which meets S only in x, so both of x's
+    neighbors on it lie in F; hence 2|X| <= e(X, F) <= the sum over F of
+    the counts |N(f) & free|.  So the sum over `out` plus the
+    |free| - |X| largest counts over `free` reaches 2|X|.  That test only
+    gets harder as |X| grows, so filling F with the highest counts first
+    finds the largest |X| it allows.
+    """
+    adj = g._adj
+    free = set(free)
+    reach = sum(len(adj[f] & free) for f in out)
+    counts = sorted((len(adj[v] & free) for v in free), reverse=True)
+    n = len(counts)
+    for t, count in enumerate(counts):
+        if reach >= 2 * (n - t):
+            return n - t
+        reach += count
+    return 0
 
 
 def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> list[int]:

@@ -5,8 +5,12 @@ a minimal fvs W of g: if it is already large enough we are done.
 Otherwise every target solution meets W in one of its subsets, so the
 extension solver is run once per bipartition guess of W, on the 2-core of
 g (`graph.two_core`), which has the same minimal fvs; the witness found
-there is certified again on g.  Before guessing, a k above the degree-sum
-bound of `opt_upper_bound` is refused outright.
+there is certified again on g.  The degree-sum bound `graph.degree_bound`
+cuts twice before any search: a k above `opt_upper_bound` (the bound
+with nothing committed) is refused outright, and a guess that keeps
+`picked` of W is skipped, with no extension call, when the bound with
+W - picked outside caps the vertices it can add off W below k - |picked|.
+The extension search cuts each of its nodes by the same bound.
 
 The exact optimum (`opt_exact_solution`) is W when |W| reaches that
 bound, and otherwise comes from the vertex-cover solver
@@ -20,7 +24,7 @@ import time
 from itertools import combinations
 
 from mmfvs.extension import solve_extension
-from mmfvs.graph import Graph, two_core
+from mmfvs.graph import Graph, degree_bound, two_core
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
@@ -38,22 +42,12 @@ def opt_upper_bound(g: Graph) -> int:
 
     Vertices off the 2-core (`two_core`) lie on no cycle, so no minimal
     fvs holds one, and the minimal fvs of g are exactly those of its
-    2-core C with n' vertices.  Let S be one of them and F = C - S.  Each
-    s in S has a private cycle, which meets S only in s, so both of its
-    neighbors on that cycle lie in F; hence 2|S| <= e(S, F) <= the sum of the degrees
-    in C of the vertices of F, which is at most the sum of the |F| largest
-    degrees.  So |F| is one of the counts t whose t largest degrees sum to
-    at least 2(n' - t).  That condition only gets easier as t grows, so the
-    smallest such t is at most |F|, and |S| = n' - |F| <= n' - t.
+    2-core C.  The bound is `degree_bound(C, (), C.vertices)`: with n'
+    core vertices, n' - t for the fewest t largest core degrees summing
+    to at least 2(n' - t).
     """
     core = two_core(g)
-    degrees = sorted((core.degree(v) for v in core.vertices), reverse=True)
-    reach = 0
-    for t, degree in enumerate(degrees):
-        if reach >= 2 * (len(core) - t):
-            return len(core) - t
-        reach += degree
-    return 0
+    return degree_bound(core, (), core.vertices)
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
@@ -61,7 +55,9 @@ def solve_k(g: Graph, k: int) -> SolveReport:
 
     The greedy minimal fvs W of g answers every k <= |W| without taking
     the 2-core; any other k searches the guesses on the 2-core, and the
-    witness found there is certified again on g.
+    witness found there is certified again on g.  A guess the degree-sum
+    bound skips still counts in `guesses_tried`, with 0 in
+    `nodes_per_guess`, and also in `guesses_cut_by_bound`.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -75,7 +71,12 @@ def solve_k(g: Graph, k: int) -> SolveReport:
             reductions_fired={},
             max_depth=0,
             wall_time=time.perf_counter() - start,
-            extras={"greedy_size": len(w), "guesses_tried": 0, "nodes_per_guess": []},
+            extras={
+                "greedy_size": len(w),
+                "guesses_tried": 0,
+                "guesses_cut_by_bound": 0,
+                "nodes_per_guess": [],
+            },
         )
 
     # W is a minimal fvs of g, so each member lies on a cycle and W lies in
@@ -83,19 +84,24 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     # `is_minimal_fvs` certifies them alike on both: a private cycle, or a
     # tree path between two core vertices, never leaves the core.
     core = two_core(g)
+    free = core.vertices - w
     ordered = sorted(w)
     nodes_per_guess: list[int] = []
     fired_total: dict[str, int] = {}
     max_depth = 0
     witness: Solution | None = None
-    guesses = 0
+    guesses = cut = 0
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
-    # succeed, so none is tried.
+    # succeed, so none is tried; a guess the bound cuts counts 0 nodes.
     for size in range(len(w) + 1 if k <= opt_upper_bound(core) else 0):
         for picked in combinations(ordered, size):
             guesses += 1
             required = frozenset(picked)
+            if degree_bound(core, w - required, free) < k - size:
+                cut += 1
+                nodes_per_guess.append(0)
+                continue
             report = solve_extension(core, required, w - required, k - size)
             nodes_per_guess.append(report.nodes_explored)
             max_depth = max(max_depth, report.max_depth)
@@ -116,6 +122,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
         extras={
             "greedy_size": len(w),
             "guesses_tried": guesses,
+            "guesses_cut_by_bound": cut,
             "nodes_per_guess": nodes_per_guess,
         },
     )

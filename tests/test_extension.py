@@ -1,11 +1,12 @@
 import copy
 import random
+from itertools import chain
 
 import pytest
 
 from mmfvs import extension
 from mmfvs.extension import _contract, _Node, _reduce, solve_extension
-from mmfvs.graph import Graph, cycle_closers, peel, settle_round
+from mmfvs.graph import Graph, cycle_closers, degree_bound, peel, settle_round
 from mmfvs.oracle import extension_exists_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
@@ -221,11 +222,16 @@ class TestOracleAgreement:
 
 
 class TestFreeVertexCut:
-    """A reduced node that needs more vertices than it has free ids is cut."""
+    """A reduced node that needs more vertices than it has free ids is cut.
+
+    The degree-sum cut subsumes this one, so it is set to the free-id
+    count here: the search is then the one before the degree-sum cut, and
+    the free-id cut alone keeps every answer.
+    """
 
     @staticmethod
-    def instances():
-        rng = random.Random(8)
+    def instances(seed=8):
+        rng = random.Random(seed)
         for trial in range(300):
             if trial % 2:
                 g = gnp(rng.randint(6, 10), rng.uniform(0.25, 0.5), seed=900 + trial)
@@ -253,6 +259,7 @@ class TestFreeVertexCut:
             return partial_minimality(ctx, node)
 
         partial_minimality = extension._partial_minimality
+        monkeypatch.setattr(extension, "degree_bound", lambda g, out, free: len(free))
         monkeypatch.setattr(extension, "_reduce", counting_reduce)
         monkeypatch.setattr(extension, "_partial_minimality", past_the_cut)
         for g, required, forbidden, k in self.instances():
@@ -316,6 +323,31 @@ class TestReductionsPreserveTheAnswer:
                 after = node(g, required, w - required, k)
                 rule(after)
                 assert self.decision(g, after) == base, (trial, i)
+
+
+class TestDegreeSumCut:
+    def test_every_cut_node_has_no_witness(self, monkeypatch):
+        # ground truth on the input graph for every node the cut removes,
+        # on two seeds of the free-vertex cut's gnp and subdivided graphs
+        cut = []
+
+        def recording_reduce(node, fired):
+            _reduce(node, fired)
+            if degree_bound(node.search, node.forbidden, node.free) < node.k:
+                cut.append(node)
+
+        monkeypatch.setattr(extension, "_reduce", recording_reduce)
+        checked = contracted = deleted = 0
+        for g, required, forbidden, k in chain(TestFreeVertexCut.instances(8), TestFreeVertexCut.instances(9)):
+            cut.clear()
+            solve_extension(g, required, forbidden, k)
+            for n in cut:
+                assert not TestReductionsPreserveTheAnswer.decision(g, n), (g, sorted(required), k)
+            checked += len(cut)
+            contracted += sum(bool(n.expansions.keys() & n.live()) for n in cut)
+            deleted += sum(bool(n.removed) for n in cut)
+        # 997 cut nodes, 177 of them with contracted ids and 942 with deleted vertices
+        assert checked >= 950 and contracted >= 150 and deleted >= 900
 
 
 class TestSearchAccounting:

@@ -1,9 +1,12 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmfvs.graph import Graph, chain_kernel, is_acyclic_without, two_core
-from mmfvs.verify import private_cycle
+from mmfvs.graph import Graph, chain_kernel, degree_bound, is_acyclic_without, two_core
+from mmfvs.verify import is_minimal_fvs, private_cycle
 
 from helpers import apex_pair, brute_cycle_vertices, complete, cycle, gnp, path, random_graphs, subdivided
 
@@ -219,3 +222,37 @@ class TestChainKernel:
             assert all(kernel.degree(v) >= 2 for v in kernel.vertices)
             assert all(kernel.degree(v) == core.degree(v) for v in core.vertices if core.degree(v) >= 3)
             assert chain_kernel(kernel) is kernel
+
+
+class TestDegreeBound:
+    def test_no_minimal_fvs_takes_more_of_free_than_the_bound(self):
+        # every minimal fvs S that holds R and avoids out, brute force over
+        # the subsets of free, for random splits R | out | free of gnp graphs
+        rng = random.Random(24)
+        splits = tight = 0
+        for trial in range(1000):
+            g = gnp(rng.randint(4, 9), rng.uniform(0.25, 0.6), seed=1200 + trial)
+            sides = rng.choices("Rof", weights=(1, 2, 3), k=len(g))
+            split = {side: frozenset(v for v, c in zip(g.sorted_vertices(), sides) if c == side) for side in "Rof"}
+            free = sorted(split["f"])
+            bound = degree_bound(g, split["o"], free)
+            sizes = [
+                size
+                for size in range(len(free) + 1)
+                for picked in combinations(free, size)
+                if is_minimal_fvs(g, split["R"] | frozenset(picked)) is not None
+            ]
+            if sizes:
+                splits += 1
+                assert max(sizes) <= bound, (trial, sorted(split["R"]), sorted(split["o"]), bound)
+                tight += max(sizes) == bound
+        # 518 splits admit such an S, and the bound is tight on 135
+        assert splits >= 500 and tight >= 130
+
+    def test_hand_cases(self):
+        # three of a hexagon's free vertices have the six free neighbors
+        # the other three need, though a minimal fvs there holds one vertex
+        assert degree_bound(cycle(6), (), range(6)) == 3
+        # both hubs outside reach all four of the apex pair's leaves: exact
+        assert degree_bound(apex_pair(6), (0, 1), range(2, 6)) == 4
+        assert degree_bound(path(4), (), ()) == 0

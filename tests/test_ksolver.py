@@ -1,11 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmfvs import ksolver, vcsolver
-from mmfvs.graph import Graph, two_core
+from mmfvs.extension import solve_extension
+from mmfvs.graph import Graph, degree_bound, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -125,6 +127,37 @@ class TestSolveK:
             per_guess = report.extras["nodes_per_guess"]
             assert sum(per_guess) == report.nodes_explored
             assert len(per_guess) == report.extras["guesses_tried"]
+
+
+class TestGuessCut:
+    def test_every_skipped_guess_has_no_extension(self):
+        # replay solve_k's guess order on the 2-core: each guess the
+        # degree-sum bound skips has no extension, and solve_k counts
+        # exactly the skips before its first yes, each as a 0-node guess
+        skipped = 0
+        for i, base in enumerate(random_graphs(60, seed=23, max_n=12)):
+            g = subdivided(base, i) if i % 3 == 0 else base
+            w, core = greedy_minimal_fvs(g), two_core(g)
+            free = core.vertices - w
+            for k in range(len(w) + 1, opt_upper_bound(g) + 1):
+                cut, found = 0, False
+                for size in range(len(w) + 1):
+                    for picked in combinations(sorted(w), size):
+                        required = frozenset(picked)
+                        if degree_bound(core, w - required, free) < k - size:
+                            assert not solve_extension(core, required, w - required, k - size).is_yes
+                            cut += 1
+                        elif solve_extension(core, required, w - required, k - size).is_yes:
+                            found = True
+                            break
+                    if found:
+                        break
+                report = solve_k(g, k)
+                assert report.is_yes == found
+                assert report.extras["guesses_cut_by_bound"] == cut == report.extras["nodes_per_guess"].count(0)
+                skipped += cut
+        # 1,601 skipped guesses
+        assert skipped >= 1500
 
 
 class TestTwoCore:
