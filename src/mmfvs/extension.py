@@ -427,8 +427,10 @@ def solve_extension(
 
     start = time.perf_counter()
     ctx = _Context(g)
-    # gamma: the number of trees in the forbidden-side forest
-    gamma_root = len(g.induced(forbidden).components()) if forbidden else 0
+    # gamma: the number of trees in the forbidden-side forest, one root each
+    trees = Forest(g)
+    trees.extend(forbidden)
+    gamma_root = trees.roots()
     root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k)
     witness = _solve(ctx, root, depth=0)
 

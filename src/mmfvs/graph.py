@@ -166,8 +166,8 @@ class Forest:
     vertices inserted so far.  `extend` inserts vertices with their edges
     to the vertices already present, `closes_cycle` asks, without
     inserting, whether a vertex would close a cycle, `join` inserts it only
-    when it would not, and `acyclic` tells whether the subgraph is still a
-    forest.
+    when it would not, `acyclic` tells whether the subgraph is still a
+    forest, and `roots` counts the subgraph's components, one root each.
     Union by size plus path compression keeps any sequence of m operations
     at O(m alpha(m)).
     """
@@ -255,6 +255,10 @@ class Forest:
             size[root] += size[r]
         return True
 
+    def roots(self) -> int:
+        """The number of trees, one root each."""
+        return sum(1 for v, parent in self._parent.items() if v == parent)
+
     def closes_cycle(self, v: int) -> bool:
         """Do two neighbors of v share a tree?  v must not be present."""
         seen: set[int] = set()
@@ -297,11 +301,16 @@ def peel(g: Graph, live: Iterable[int]) -> set[int]:
 
     What remains is the 2-core of g[live], which holds every cycle of
     g[live].  The fixpoint is unique, so the order of deletion does not
-    matter; one degree count per vertex and a queue make it O(m).
+    matter; one degree count per vertex and a queue make it O(m).  `live`
+    must lie in g, so when it is as large as g it is all of g, and each
+    degree is the neighbourhood's size, with no intersection.
     """
     live = frozenset(live)
     adj = g._adj
-    degree = {v: len(adj[v] & live) for v in live}
+    if len(live) == len(adj):
+        degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    else:
+        degree = {v: len(adj[v] & live) for v in live}
     queue = [v for v, d in degree.items() if d <= 1]
     gone = set(queue)
     while queue:

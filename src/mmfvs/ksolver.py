@@ -1,16 +1,23 @@
 """Solution-size parameterized solver.
 
+Every cycle of g lies in its 2-core C (`graph.two_core`): a vertex off C
+lies on no cycle, so no minimal fvs holds one, and g and C have the same
+minimal fvs.  Both solvers here take C once, at the top of the call, and
+work on it alone; every witness is certified again on g.
+
 To decide whether some minimal fvs has at least k vertices, greedily build
-a minimal fvs W of g: if it is already large enough we are done.
-Otherwise every target solution meets W in one of its subsets, so the
-extension solver is run once per bipartition guess of W, on the 2-core of
-g (`graph.two_core`), which has the same minimal fvs; the witness found
-there is certified again on g.  The degree-sum bound `graph.degree_bound`
-cuts twice before any search: a k above `opt_upper_bound` (the bound
-with nothing committed) is refused outright, and a guess that keeps
-`picked` of W is skipped, with no extension call, when the bound with
-W - picked outside caps the vertices it can add off W below k - |picked|.
-The extension search cuts each of its nodes by the same bound.
+a minimal fvs W of C: if it is already large enough we are done.  W is
+also the greedy minimal fvs of g.  The greedy on g drops every vertex off
+C, which lies on no cycle, and whether it drops a core vertex v depends on
+the core alone, since every cycle of g - (S - v) lies in C.  Otherwise
+every target solution meets W in one of its subsets, so the extension
+solver is run on C once per bipartition guess of W.  The degree-sum bound
+`graph.degree_bound` cuts twice before any search: a k above
+`degree_bound(C, (), C)`, which is `opt_upper_bound(g)`, is refused
+outright, and a guess that keeps `picked` of W is skipped, with no
+extension call, when the bound with W - picked outside caps the vertices
+it can add off W below k - |picked|.  The extension search cuts each of
+its nodes by the same bound.
 
 The exact optimum (`opt_exact_solution`) is W when |W| reaches that
 bound, and otherwise comes from the vertex-cover solver
@@ -53,8 +60,9 @@ def opt_upper_bound(g: Graph) -> int:
 def solve_k(g: Graph, k: int) -> SolveReport:
     """Decide whether g has a minimal fvs of size at least k.
 
-    The greedy minimal fvs W of g answers every k <= |W| without taking
-    the 2-core; any other k searches the guesses on the 2-core, and the
+    The call takes the 2-core C of g once and builds the greedy minimal fvs
+    W on it, which is g's own greedy W (see the module docstring).  W
+    answers every k <= |W|; any other k searches the guesses on C, and the
     witness found there is certified again on g.  A guess the degree-sum
     bound skips still counts in `guesses_tried`, with 0 in
     `nodes_per_guess`, and also in `guesses_cut_by_bound`.
@@ -62,7 +70,11 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     if k < 0:
         raise ValueError("k must be non-negative")
     start = time.perf_counter()
-    w = greedy_minimal_fvs(g)
+    # g and its core have the same minimal fvs, and `is_minimal_fvs`
+    # certifies them alike on both: a private cycle, or a tree path between
+    # two core vertices, never leaves the core.
+    core = two_core(g)
+    w = greedy_minimal_fvs(core)
     if len(w) >= k:
         return SolveReport(
             outcome="yes",
@@ -79,11 +91,6 @@ def solve_k(g: Graph, k: int) -> SolveReport:
             },
         )
 
-    # W is a minimal fvs of g, so each member lies on a cycle and W lies in
-    # the 2-core.  g and its core have the same minimal fvs, and
-    # `is_minimal_fvs` certifies them alike on both: a private cycle, or a
-    # tree path between two core vertices, never leaves the core.
-    core = two_core(g)
     free = core.vertices - w
     ordered = sorted(w)
     nodes_per_guess: list[int] = []
@@ -94,7 +101,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
     # succeed, so none is tried; a guess the bound cuts counts 0 nodes.
-    for size in range(len(w) + 1 if k <= opt_upper_bound(core) else 0):
+    for size in range(len(w) + 1 if k <= degree_bound(core, (), core.vertices) else 0):
         for picked in combinations(ordered, size):
             guesses += 1
             required = frozenset(picked)
@@ -131,15 +138,19 @@ def solve_k(g: Graph, k: int) -> SolveReport:
 def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     """Largest minimal fvs size along with a witness.
 
-    The greedy minimal fvs W is optimal when |W| reaches `opt_upper_bound`,
-    and is returned at once.  Otherwise opt and the witness come from
-    `solve_vc`, whose opt must lie in [|W|, bound].  An opt of |W| returns
-    W; any other returns `solve_vc`'s solution once `is_minimal_fvs`
-    certifies it on g.  Either check failing raises `VerificationError`.
+    The call takes the 2-core C of g once, and builds on it the greedy
+    minimal fvs W, g's own (see the module docstring), and the bound
+    `degree_bound(C, (), C)`, which is `opt_upper_bound(g)`.  W is optimal
+    when |W| reaches that bound, and is returned at once.  Otherwise opt
+    and the witness come from `solve_vc(g)`, whose opt must lie in
+    [|W|, bound].  An opt of |W| returns W; any other returns `solve_vc`'s
+    solution once `is_minimal_fvs` certifies it on g.  Either check
+    failing raises `VerificationError`.
     """
-    w = greedy_minimal_fvs(g)
+    core = two_core(g)
+    w = greedy_minimal_fvs(core)
     best = _certified(g, w, "greedy fvs")
-    bound = opt_upper_bound(g)
+    bound = degree_bound(core, (), core.vertices)
     if len(w) == bound:
         return len(w), best
     found = solve_vc(g)[0].vertices

@@ -365,6 +365,21 @@ class TestSearchAccounting:
             gamma = report.extras["gamma_root"]
             assert report.nodes_explored <= 3 ** (k + gamma), (seed, k, gamma)
 
+    def test_gamma_root_counts_the_forbidden_components(self):
+        # the forbidden side holds W - required and random ids off W, so it
+        # is sometimes empty and sometimes not a forest
+        rng = random.Random(9)
+        for seed in range(200):
+            g = gnp(rng.randint(4, 18), rng.uniform(0.1, 0.5), seed=seed)
+            w = greedy_minimal_fvs(g)
+            required = frozenset(v for v in w if rng.random() < 0.5)
+            share = rng.random()
+            forbidden = (w - required) | {v for v in g.vertices - w if rng.random() < share}
+            k = rng.randint(0, 3)
+            extras = solve_extension(g, required, forbidden, k).extras
+            assert extras["gamma_root"] == gamma(g, forbidden), (seed, sorted(forbidden))
+            assert extras["measure_root"] == k + gamma(g, forbidden)
+
     def test_k_zero_refutation_is_correct(self):
         # committing 2 inside and 4 outside admits no minimal-fvs extension:
         # 2 needs both 7 and 8 out, which leaves the triangle 4-7-8 standing.

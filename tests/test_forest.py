@@ -146,6 +146,18 @@ class TestReductionRules:
             core = live - gone
             assert all(len(g.neighbors(v) & core) >= 2 for v in core)
 
+    def test_peel_whole_graph_path_matches_the_partial_path(self):
+        # live = all of g takes the whole-graph path; the same set in g plus
+        # one isolated vertex, and a random subset, take the intersection path
+        rng = random.Random(5)
+        for g in random_graphs(600, seed=5, max_n=30):
+            whole = peel(g, g.vertices)
+            assert whole == peel_reference(g, g.vertices)
+            padded = Graph([*g.vertices, len(g)], g.edges())
+            assert peel(padded, g.vertices) == whole
+            live = random_subset(g, rng, rng.random())
+            assert peel(g, live) == peel_reference(g, live)
+
     def test_cycle_closers_match_component_label_reference(self):
         rng = random.Random(4)
         for i, g in enumerate(random_graphs(1200, seed=4, max_n=30)):

@@ -186,14 +186,28 @@ class TestTwoCore:
         # graphs with trees hung off their cycles were searched without them
         assert trimmed >= 20
 
-    def test_greedy_yes_takes_no_two_core(self, monkeypatch):
-        # a call to two_core would raise TypeError
-        monkeypatch.setattr(ksolver, "two_core", None)
+    def test_two_core_is_taken_once_per_call(self, monkeypatch):
+        taken = []
+        real = ksolver.two_core
+
+        def counted(h):
+            taken.append(h)
+            return real(h)
+
+        monkeypatch.setattr(ksolver, "two_core", counted)
         for g in random_graphs(40, seed=6, max_n=20):
             w = greedy_minimal_fvs(g)
-            for k in range(len(w) + 1):
+            for k in range(len(w) + 3):
+                taken.clear()
                 report = solve_k(g, k)
-                assert report.is_yes and report.solution.vertices == w
+                assert len(taken) == 1 and taken[0] is g
+                if k <= len(w):
+                    # the greedy shortcut, on the core, returns g's own greedy W
+                    assert report.is_yes and report.solution.vertices == w
+                    assert report.solution.certificate == is_minimal_fvs(g, w)
+            taken.clear()
+            opt_exact_solution(g)
+            assert len(taken) == 1 and taken[0] is g
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,6 +230,25 @@ def subdivided_graphs(draw, max_n=14):
     g = subdivided(base, draw(st.integers(0, 1 << 16)))
     assume(len(g) <= max_n)
     return g
+
+
+@st.composite
+def with_isolated_vertices(draw, max_n=14):
+    """Hypothesis strategy: a `gnp` graph whose ids lie among isolated vertices."""
+    n = draw(st.integers(3, 9))
+    base = gnp(n, draw(st.floats(0.2, 0.9)), draw(st.integers(0, 1 << 16)))
+    ids = draw(st.permutations(range(draw(st.integers(n, max_n)))))
+    return Graph(ids, [(ids[u], ids[v]) for u, v in base.edges()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(with_pendant_trees(), subdivided_graphs(), with_isolated_vertices()))
+def test_the_two_core_keeps_the_greedy_fvs_and_the_bound(g):
+    # the greedy on g drops every vertex off the core, and decides each core
+    # vertex by cycles that all lie in the core
+    core = two_core(g)
+    assert greedy_minimal_fvs(core) == greedy_minimal_fvs(g), sorted(g.edges())
+    assert opt_upper_bound(g) == degree_bound(core, (), core.vertices)
 
 
 @settings(max_examples=150, deadline=None)
