@@ -15,6 +15,14 @@ is at most vc.  A threshold above the degree-sum bound
 `ksolver.opt_upper_bound` is out of every candidate's reach, so the
 greedy is skipped there.
 
+The greedy runs on `graph.chain_kernel(g)`, the 2-core with each chain
+of degree-2 vertices shortened to its lowest ids, and vc is the size of
+a minimum vertex cover of that kernel, at most vc(g).  The kernel's
+minimal fvs are g's that avoid the dropped vertices, with the same ids,
+and they reach g's optimum, so the additive loss stays at most vc and
+the threshold vc/eps keeps the (1 - eps) factor.  Every minimality
+check, and the one certificate, is made on g.
+
 The cover-side guesses come settled from `vcsolver.cover_guesses`, by
 `graph.settle`, the fixpoint of the round of degree and cycle rules
 (`graph.peel`, then `graph.cycle_closers`) that the exact solvers run
@@ -22,7 +30,8 @@ too.  A guess whose settled committed-in and free vertices together are
 no more than the best candidate so far cannot win, and is cut before its
 greedy run; `cover_guesses` first bounds those vertices without settling,
 by the cover side plus the independents with two or more neighbours in
-cover_out, and settles only the splits that pass.
+cover_out, then by the cover side plus the cycle rank of g - cover_in,
+and settles only the splits that pass.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from mmfvs.graph import Graph, cycle_closers, settle
+from mmfvs.graph import Graph, chain_kernel, cycle_closers, settle
 from mmfvs.ksolver import opt_exact_solution, opt_upper_bound
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import CoverGuess, cover_guesses
@@ -100,11 +109,14 @@ class ApproxResult:
 def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     """A verified minimal fvs of size at least (1 - epsilon) * opt.
 
-    The greedy runs over the cover guesses only when threshold =
-    ceil(vc / epsilon) is at most `opt_upper_bound(g)`.  A verified best
-    of at least the threshold proves opt >= vc / epsilon, so its additive
-    loss opt - best <= vc is at most epsilon * opt: mode "greedy".  Any
-    other call returns `opt_exact_solution(g)` in mode "exact", with
+    vc is the size of a minimum vertex cover of `graph.chain_kernel(g)`,
+    and the greedy runs over that kernel's cover guesses only when
+    threshold = ceil(vc / epsilon) is at most `opt_upper_bound(g)`.  Each
+    candidate is checked on g with the boolean `is_minimal`.  A verified
+    best of at least the threshold proves opt >= vc / epsilon, so its
+    additive loss opt - best <= vc is at most epsilon * opt: mode
+    "greedy", and that best alone gets a certificate on g.  Any other
+    call returns `opt_exact_solution(g)` in mode "exact", with
     `nodes_explored` 0 and the extras vc, threshold and opt.
     """
     if not 0 < epsilon < 1:
@@ -112,41 +124,37 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     start = time.perf_counter()
     counters: Counter[str] = Counter()
     conflict_sizes: Counter[int] = Counter()
-    cover = min_vertex_cover(g)
+    kernel = chain_kernel(g)
+    cover = min_vertex_cover(kernel)
     vc = len(cover)
     threshold = max(1, math.ceil(vc / epsilon))
 
-    best: Solution | None = None
+    best: frozenset[int] | None = None
     moved_of_best = 0
     verified = discarded = 0
     max_moved = 0
 
     def can_win(size: int) -> bool:
         # a candidate replaces the best only when it is strictly larger
-        return best is None or size > len(best.vertices)
+        return best is None or size > len(best)
 
     # past the degree-sum bound no candidate can reach the threshold
     if threshold <= opt_upper_bound(g):
-        for guess in cover_guesses(g, cover, counters, _greedy_bound, 0, can_win):
-            candidate, moved = _run_greedy(g, guess, counters, conflict_sizes)
+        for guess in cover_guesses(kernel, cover, counters, _greedy_bound, 0, can_win):
+            candidate, moved = _run_greedy(kernel, guess, counters, conflict_sizes)
             if len(moved) > vc:
                 raise VerificationError("a greedy move merged no outside trees")
             max_moved = max(max_moved, len(moved))
-            if best is not None and len(candidate) <= len(best.vertices):
-                # cannot win: the boolean check counts it, no certificate is built
-                if is_minimal(g, candidate):
-                    verified += 1
-                else:
-                    discarded += 1
-                continue
-            certificate = is_minimal_fvs(g, candidate)
-            if certificate is None:
+            # every candidate gets the boolean check on g; only the final best
+            # gets a certificate
+            if not is_minimal(g, candidate):
                 discarded += 1
                 continue
             verified += 1
-            best = Solution(candidate, certificate)
-            moved_of_best = len(moved)
-    if best is None or len(best.vertices) < threshold:
+            if can_win(len(candidate)):
+                best = candidate
+                moved_of_best = len(moved)
+    if best is None or len(best) < threshold:
         # no verified best proves opt >= threshold: solve outright
         opt, sol = opt_exact_solution(g)
         return ApproxResult(
@@ -162,9 +170,13 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
                 extras={"vc": vc, "threshold": threshold, "opt": opt},
             ),
         )
+    certificate = is_minimal_fvs(g, best)
+    if certificate is None:
+        raise VerificationError("the greedy best got no certificate")
+    solution = Solution(best, certificate)
     report = SolveReport(
         outcome="yes",
-        solution=best,
+        solution=solution,
         nodes_explored=0,
         reductions_fired={
             name: counters[name] for name in ("reduction_degree", "reduction_force")
@@ -185,4 +197,4 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "conflict_histogram": dict(conflict_sizes),
         },
     )
-    return ApproxResult(best, "greedy", report)
+    return ApproxResult(solution, "greedy", report)

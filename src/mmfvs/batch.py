@@ -18,7 +18,7 @@ from mmfvs.graph import Graph
 from mmfvs.ksolver import solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.reduction import check_ppt_equivalence
-from mmfvs.verify import VerificationError, is_minimal_fvs
+from mmfvs.verify import VerificationError, is_minimal
 from mmfvs.vcsolver import solve_vc
 
 ALGORITHMS = ("bruteforce", "ksolver", "vcsolver", "approx", "ppt-check")
@@ -61,12 +61,17 @@ def _json_safe(mapping: Mapping[str, object]) -> dict[str, object]:
 
 
 def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str, object]) -> None:
-    """Run one algorithm on g and fill in `record`'s answer fields."""
+    """Run one algorithm on g and fill in `record`'s answer fields.
+
+    Every emitted solution is re-verified on g with `verify.is_minimal`,
+    one union-find sweep that builds no cycle paths, and a solution that
+    fails it raises `VerificationError`.
+    """
     if algorithm == "bruteforce":
         res = opt_mmfvs_brute(g, cap=int(params.get("cap", 20)))
         record.outcome = "yes"
         record.size = res.opt_value
-        record.verified = is_minimal_fvs(g, res.witness) is not None
+        record.verified = is_minimal(g, res.witness)
         record.stats = {"enumerated": res.enumerated}
         record.stats["solution"] = sorted(res.witness)
     elif algorithm == "ksolver":
@@ -81,20 +86,20 @@ def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str
             if report.solution is None:
                 raise VerificationError("ksolver said yes without a witness")
             record.size = len(report.solution.vertices)
-            record.verified = is_minimal_fvs(g, report.solution.vertices) is not None
+            record.verified = is_minimal(g, report.solution.vertices)
             record.stats["solution"] = sorted(report.solution.vertices)
     elif algorithm == "vcsolver":
         sol, report = solve_vc(g)
         record.outcome = "yes"
         record.size = len(sol.vertices)
-        record.verified = is_minimal_fvs(g, sol.vertices) is not None
+        record.verified = is_minimal(g, sol.vertices)
         record.stats = _json_safe(report.extras)
         record.stats["solution"] = sorted(sol.vertices)
     elif algorithm == "approx":
         result = approx_solve(g, float(params["epsilon"]))
         record.outcome = "yes"
         record.size = len(result.solution.vertices)
-        record.verified = is_minimal_fvs(g, result.solution.vertices) is not None
+        record.verified = is_minimal(g, result.solution.vertices)
         record.stats = {"mode": result.mode, **_json_safe(result.report.extras)}
         record.stats["solution"] = sorted(result.solution.vertices)
     elif algorithm == "ppt-check":

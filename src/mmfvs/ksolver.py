@@ -21,8 +21,8 @@ its nodes by the same bound.
 
 The exact optimum (`opt_exact_solution`) is W when |W| reaches that
 bound, and otherwise comes from the vertex-cover solver
-`vcsolver.solve_vc`, whose solution, certified again here, is the
-witness; its maximality rests on `solve_vc` being exact.
+`vcsolver.solve_vc`, whose solution, with the certificate it built on g,
+is the witness; its maximality rests on `solve_vc` being exact.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, degree_bound, two_core
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import solve_vc
-from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal_fvs
+from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal, is_minimal_fvs
 
 
 def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
@@ -143,22 +143,24 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     `degree_bound(C, (), C)`, which is `opt_upper_bound(g)`.  W is optimal
     when |W| reaches that bound, and is returned at once.  Otherwise opt
     and the witness come from `solve_vc(g)`, whose opt must lie in
-    [|W|, bound].  An opt of |W| returns W; any other returns `solve_vc`'s
-    solution once `is_minimal_fvs` certifies it on g.  Either check
-    failing raises `VerificationError`.
+    [|W|, bound].  An opt of |W| returns W, certified here; any other
+    returns `solve_vc`'s solution with the certificate `solve_vc` built
+    on g, once the boolean `is_minimal` accepts it.  Any check failing
+    raises `VerificationError`.
     """
     core = two_core(g)
     w = greedy_minimal_fvs(core)
-    best = _certified(g, w, "greedy fvs")
     bound = degree_bound(core, (), core.vertices)
-    if len(w) == bound:
-        return len(w), best
-    found = solve_vc(g)[0].vertices
-    if not len(w) <= len(found) <= bound:
-        raise VerificationError(f"solve_vc's optimum {len(found)} lies outside [{len(w)}, {bound}]")
-    if len(found) == len(w):
-        return len(w), best
-    return len(found), _certified(g, found, "solve_vc's solution")
+    if len(w) < bound:
+        found = solve_vc(g)[0]
+        opt = len(found.vertices)
+        if not len(w) <= opt <= bound:
+            raise VerificationError(f"solve_vc's optimum {opt} lies outside [{len(w)}, {bound}]")
+        if opt > len(w):
+            if not is_minimal(g, found.vertices):
+                raise VerificationError("solve_vc's solution is not a minimal fvs")
+            return opt, found
+    return len(w), _certified(g, w, "greedy fvs")
 
 
 def opt_exact(g: Graph) -> int:

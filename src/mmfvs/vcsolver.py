@@ -16,8 +16,8 @@ give.  In the worst case this enumeration is 2^O(vc^2), above the paper's
 2^O(vc log vc).  The search runs on `graph.chain_kernel` of the input.
 A candidate solution is kept only after a minimality check (one
 union-find sweep over the kernel, the same one that checks the cover
-side's private cycles), and the one that becomes the new best is then
-certified in full on the input graph (`verify.is_minimal_fvs`).
+side's private cycles), and only the final best is certified in full on
+the input graph (`verify.is_minimal_fvs`), once per call.
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares.  Both solvers keep only a strictly
@@ -34,8 +34,14 @@ split that passes is reduced once by `graph.settle`, the fixpoint of the
 round (`graph.peel`, then `graph.cycle_closers`) that the extension
 search and the approximation scheme run too, and bounded again: here the
 cover side, the forced vertices and every free vertex but the one
-connector the search must pick.  Only a guess that survives both
-cuts has its cover side checked for private cycles.
+connector the search must pick.  A split that passes the first bound is
+also bounded by the cycle rank μ(g - cover_in) = m - n + c: a minimal
+fvs S has at most μ(G) vertices, since each member's private cycle is
+the only one of those cycles through it, so the cycles are linearly
+independent in the cycle space (Diestel, *Graph Theory*, §1.9).  The
+private cycles of S - cover_in avoid cover_in, so |S| is at most
+|cover_in| + μ(g - cover_in).  Only a guess that survives every cut
+has its cover side checked for private cycles.
 """
 
 from __future__ import annotations
@@ -206,6 +212,32 @@ def tree_masks(adj: dict[int, int], out: int) -> list[int] | None:
     return comps
 
 
+def cycle_rank(classes: Counter[int], out: int, comps: list[int]) -> int:
+    """μ(g - cover_in) = m - n + c, from masks alone.
+
+    `classes` maps each neighbour mask of the independents, over the
+    cover, to how many independents share it, `out` is the cover_out mask
+    and `comps` the components of the forest g[cover_out] (`tree_masks`).  The forest's own edges add
+    nothing to m - n + c, nor does an independent with at most one
+    neighbour in `out`.  One with d >= 2 adds d - 1 to m - n, and c drops
+    by one for each merge of two components it makes.
+    """
+    rank = 0
+    groups = comps
+    for nb, count in classes.items():
+        hit = nb & out
+        d = hit.bit_count()
+        if d < 2:
+            continue
+        rank += count * (d - 1)
+        joined = [group for group in groups if group & hit]
+        if len(joined) > 1:
+            rank -= len(joined) - 1
+            groups = [group for group in groups if not group & hit]
+            groups.append(sum(joined))
+    return rank
+
+
 def cover_guesses(
     g: Graph,
     cover: frozenset[int],
@@ -243,12 +275,18 @@ def cover_guesses(
     means at least one connector, and 0 for a bound without that term.  A
     split whose |cover_in| + |L|, or with such an x |cover_in| + |L| -
     slack, cannot win is cut unsettled; it is one the settled bound would
-    cut too.  A split that passes is settled (`settle_guess`) and asked
+    cut too.  A split that passes is then cut, still unsettled, when
+    |cover_in| + μ(g - cover_in) cannot win (`cycle_rank`): every minimal
+    fvs S has linearly independent private cycles, and those of S -
+    cover_in lie in g - cover_in, so |S - cover_in| <= μ(g - cover_in).
+    `slack` never applies to that term; it holds for |L| alone.  μ is
+    only computed for the splits that pass the |L| cut.  A split that
+    passes both is settled (`settle_guess`) and asked
     again with `bound`, and only a guess that can still win has the
     private cycles of its cover_in side checked, one sweep each
     (`verify.partial_minimality_ok`).
 
-    `tally` counts every split in "cover_guesses", all three cuts in
+    `tally` counts every split in "cover_guesses", all four cuts in
     "guesses_cut_by_bound", the private-cycle rejects in
     "wrong_cover_guesses" and the yielded guesses in
     "viable_cover_guesses"; `settle_guess` adds the reductions of the
@@ -272,7 +310,7 @@ def cover_guesses(
                 (nb & out_mask).bit_count() >= 2
                 and all((nb & comp).bit_count() <= 1 for comp in comps)
                 for nb in classes
-            )):
+            )) or not can_win(size + cycle_rank(classes, out_mask, comps)):
                 tally["guesses_cut_by_bound"] += 1
                 continue
             cover_in = frozenset(vertex_of[b] for b in picked)
@@ -317,11 +355,11 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     lowest ids.  Every cycle of g passes through the kernel in the same
     way, so the private cycles that cover guesses check are the same
     there, and the kernel's largest minimal fvs has g's optimum size; the
-    best is certified on g.  The extras `cover`, `cover_size` and
-    `winning_trees` describe the kernel: a minimum vertex cover of it, at
-    most vc(g) in size, and the tree count `find_connectors` gave the
-    best, the trees of the settled forest on the kernel, not those of
-    G - solution.  Committed-out vertices that `graph.settle` peeled once
+    best, and only it, is certified on g, once per call.  The extras
+    `cover`, `cover_size` and `winning_trees` describe the kernel: a
+    minimum vertex cover of it, at most vc(g) in size, and the tree count
+    `find_connectors` gave the best, the trees of the settled forest on
+    the kernel, not those of G - solution.  Committed-out vertices that `graph.settle` peeled once
     the forced vertices joined the solution belong to no tree.  On the
     apex pair with n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0,
     while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.
@@ -331,28 +369,27 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     cover = min_vertex_cover(kernel)
     counters: Counter[str] = Counter()
     counters["outer_degree_prune"] = len(g) - len(kernel)
-    best: Solution | None = None
+    best: frozenset[int] | None = None
     best_trees = 0
 
     def can_win(size: int) -> bool:
         # a result replaces the best only when it is strictly larger
-        return best is None or size > len(best.vertices)
+        return best is None or size > len(best)
 
     for guess in cover_guesses(kernel, cover, counters, _search_bound, 1, can_win):
-        found = find_connectors(kernel, guess, len(best.vertices) if best else -1, counters)
-        if found is None:
-            continue
-        # only a new best gets a certificate
-        solution, best_trees = found
-        certificate = is_minimal_fvs(g, solution)
-        if certificate is None:
-            raise VerificationError("a checked connector solution got no certificate")
-        best = Solution(solution, certificate)
+        found = find_connectors(kernel, guess, -1 if best is None else len(best), counters)
+        if found is not None:
+            # `_try_assignment` has checked it; the certificate waits for the last
+            best, best_trees = found
     if best is None:
         raise VerificationError("no cover guess extended, yet the empty one always does")
+    certificate = is_minimal_fvs(g, best)
+    if certificate is None:
+        raise VerificationError("the best connector solution got no certificate")
+    solution = Solution(best, certificate)
     report = SolveReport(
         outcome="yes",
-        solution=best,
+        solution=solution,
         nodes_explored=counters["assignments_tried"],
         reductions_fired={
             name: counters[name]
@@ -367,4 +404,4 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
             "winning_trees": best_trees,
         },
     )
-    return best, report
+    return solution, report

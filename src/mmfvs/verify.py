@@ -285,19 +285,3 @@ def members_have_private_cycles(
     forest = Forest.without(g, solution)
     return all(forest.closes_cycle(w) for w in probed)
 
-
-def certificate_is_valid(
-    g: Graph, s: frozenset[int], cert: Mapping[int, tuple[int, ...]]
-) -> bool:
-    """Validate a minimality certificate against the graph it came from."""
-    if set(cert) != set(s):
-        return False
-    for v, cycle in cert.items():
-        if len(cycle) < 3 or len(set(cycle)) != len(cycle) or v not in cycle:
-            return False
-        if any(w != v and w in s for w in cycle):
-            return False
-        closed = (*cycle, cycle[0])
-        if any(not g.has_edge(a, b) for a, b in zip(closed, closed[1:])):
-            return False
-    return True

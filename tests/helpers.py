@@ -135,6 +135,21 @@ def minimal_certificate_reference(g: Graph, s) -> dict[int, tuple[int, ...]] | N
     return cert
 
 
+def certificate_is_valid(g: Graph, s: frozenset[int], cert) -> bool:
+    """Validate a minimality certificate against the graph it came from."""
+    if set(cert) != set(s):
+        return False
+    for v, cycle in cert.items():
+        if len(cycle) < 3 or len(set(cycle)) != len(cycle) or v not in cycle:
+            return False
+        if any(w != v and w in s for w in cycle):
+            return False
+        closed = (*cycle, cycle[0])
+        if any(not g.has_edge(a, b) for a, b in zip(closed, closed[1:])):
+            return False
+    return True
+
+
 def opt_exact_sweep_reference(g: Graph) -> tuple[int, Solution]:
     """The optimum and its witness by `solve_k` at every k from 0 up to the first no."""
     best = solve_k(g, 0).solution

@@ -3,12 +3,13 @@ from collections import Counter
 
 import pytest
 
-from mmfvs import approx
+from mmfvs import approx, ksolver, vcsolver
 from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
+from mmfvs.instances import generate
 from mmfvs.ksolver import opt_upper_bound
 from mmfvs.oracle import opt_mmfvs_brute
-from mmfvs.vcsolver import cover_guesses, settle_guess
+from mmfvs.vcsolver import cover_guesses, settle_guess, solve_vc
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 
 from helpers import apex_pair, gnp, neighborhood_components, path
@@ -167,8 +168,8 @@ class TestApproxSolve:
         assert len(result.solution.vertices) == 4  # the greedy finds it here
 
     def test_no_certified_guess_falls_back_to_the_exact_optimum(self, monkeypatch):
-        # every greedy candidate loses its certificate, so no guess survives
-        monkeypatch.setattr(approx, "is_minimal_fvs", lambda g, s: None)
+        # every greedy candidate fails its minimality check, so no guess survives
+        monkeypatch.setattr(approx, "is_minimal", lambda g, s: False)
         g = apex_pair(6)
         result = approx_solve(g, 0.5)
         assert result.mode == "exact"
@@ -244,3 +245,32 @@ class TestGate:
         assert result.mode == "exact"
         assert len(result.solution.vertices) == result.report.extras["opt"] == 4
         assert result.report.nodes_explored == 0
+
+
+def test_each_call_builds_one_certificate(monkeypatch):
+    # solve_vc certifies its final best and a greedy-mode approx_solve its
+    # final greedy best; every other candidate gets the boolean check only
+    built = []
+
+    def counted(g, s):
+        built.append(frozenset(s))
+        return is_minimal_fvs(g, s)
+
+    for module in (approx, ksolver, vcsolver):
+        monkeypatch.setattr(module, "is_minimal_fvs", counted)
+    rng = random.Random(26)
+    graphs = [gnp(rng.randint(6, 10), rng.uniform(0.25, 0.55), seed=seed) for seed in range(40)]
+    graphs += [apex_pair(n) for n in range(6, 12)]
+    graphs += [generate("reduction-output", {"n": 5, "p": 0.4, "k": 0}, seed) for seed in range(10)]
+    greedy = 0
+    for g in graphs:
+        built.clear()
+        solution, _ = solve_vc(g)
+        assert built == [solution.vertices], g
+        for epsilon in (0.5, 0.9):
+            built.clear()
+            result = approx_solve(g, epsilon)
+            if result.mode == "greedy":
+                assert built == [result.solution.vertices], (g, epsilon)
+                greedy += 1
+    assert greedy >= 10, greedy

@@ -3,8 +3,11 @@
 `cover_guesses` bounds each split before settling it by |cover_in| + |L|,
 L the independents with two or more neighbours outside cover_in, less the
 caller's slack when some x of L closes no cycle with g[cover_out], then
+by |cover_in| + μ(g - cover_in), the cycle rank, with no slack, then
 settles it, asks the caller's bound, and only then tests the split's
-private cycles, one sweep per cover side.  Checked here on seeded random,
+private cycles, one sweep per cover side.  The replays check every
+split the cycle rank cuts with an unbounded search, and a hypothesis
+test checks the lemma behind it against brute force.  Checked here on seeded random,
 apex-pair and reduction-output graphs, on every split whose cover_out
 side is a forest: each bound is at least what the unbounded search gives,
 the unsettled bound is at least both settled ones, and less one at least
@@ -34,6 +37,11 @@ from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_v
 from mmfvs.verify import is_minimal, min_vertex_cover, partial_minimality_ok
 
 from helpers import connected_graphs, gnp
+
+
+def cycle_rank_reference(g):
+    """μ(g) = m - n + c, the dimension of g's cycle space."""
+    return g.edge_count() - len(g) + len(g.components())
 
 
 @cache
@@ -237,24 +245,49 @@ def test_the_mask_walk_matches_forest_and_components_on_every_subset(g):
         assert as_sets == g.induced(out).components(), (g, out)
 
 
+def cut_by_rank(g, cover_in, best, largest):
+    """Does |cover_in| + μ(g - cover_in) cut the split?  Checks that the cut is sound.
+
+    `largest` is the largest result the caller would get from the split
+    unbounded, or None; a cut split must not have beaten `best`.
+    """
+    if best is None or len(cover_in) + cycle_rank_reference(g.delete(cover_in)) > best:
+        return False
+    result = largest()
+    assert result is None or result <= best, (g, cover_in)
+    return True
+
+
 def replay_vc(g):
     """`solve_vc`'s optimum, bound cuts, wrong sides, settled sides and swept sides.
 
     Found by unbounded searches; a side is swept when its split passes
-    both bounds and it is not empty.  Also the number of splits left
-    unsettled only because a live vertex closes no cycle.
+    every bound and it is not empty.  Also the number of splits left
+    unsettled only because a live vertex closes no cycle, and the number
+    the cycle-rank bound cuts that the settled bound would not.
     """
     reduced, cover = vc_setting(g)
-    best, cut, wrong, settles, swept, idle_cuts = None, 0, 0, [], [], 0
+    best, cut, wrong, settles, swept, idle_cuts, rank_cuts = None, 0, 0, [], [], 0, 0
     for cover_in, cover_out in forest_splits(reduced, cover):
         # with a live vertex that closes no cycle the search bound loses one
         slack = 1 if idle_live(reduced, cover, cover_out) else 0
         bound = live_bound(reduced, cover, cover_in)
+        guess = settle_guess(reduced, cover_in, cover_out, Counter())
+
+        def largest():
+            if cover_in and not partial_minimality_ok(reduced, cover_in):
+                return None
+            found = find_connectors(reduced, guess, -1, Counter())
+            return found and len(found[0])
+
         if best is None or bound - slack > best:
+            if cut_by_rank(reduced, cover_in, best, largest):
+                cut += 1
+                rank_cuts += _search_bound(guess) > best
+                continue
             settles.append(cover_in)
         elif bound > best:
             idle_cuts += 1
-        guess = settle_guess(reduced, cover_in, cover_out, Counter())
         if best is not None and _search_bound(guess) <= best:
             cut += 1
             continue
@@ -266,34 +299,50 @@ def replay_vc(g):
         found = find_connectors(reduced, guess, -1, Counter())
         if found is not None and (best is None or len(found[0]) > best):
             best = len(found[0])
-    return best, cut, wrong, settles, swept, idle_cuts
+    return best, cut, wrong, settles, swept, idle_cuts, rank_cuts
 
 
 def replay_greedy(g):
-    """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs."""
-    cover = min_vertex_cover(g)
-    best, cut, wrong, settles = None, 0, 0, []
-    for cover_in, cover_out in forest_splits(g, cover):
-        if best is None or live_bound(g, cover, cover_in) > best:
+    """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs.
+
+    The greedy runs on the chain kernel, and its candidates are checked on
+    g.  Also the number of splits the cycle-rank bound cuts that the
+    settled bound would not.
+    """
+    reduced, cover = vc_setting(g)
+    best, cut, wrong, settles, rank_cuts = None, 0, 0, [], 0
+    for cover_in, cover_out in forest_splits(reduced, cover):
+        guess = settle_guess(reduced, cover_in, cover_out, Counter())
+
+        def largest():
+            if cover_in and not partial_minimality_ok(reduced, cover_in):
+                return None
+            candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
+            return len(candidate) if is_minimal(g, candidate) else None
+
+        if best is None or live_bound(reduced, cover, cover_in) > best:
+            if cut_by_rank(reduced, cover_in, best, largest):
+                cut += 1
+                rank_cuts += _greedy_bound(guess) > best
+                continue
             settles.append(cover_in)
-        guess = settle_guess(g, cover_in, cover_out, Counter())
         if best is not None and _greedy_bound(guess) <= best:
             cut += 1
             continue
-        if cover_in and not partial_minimality_ok(g, cover_in):
+        if cover_in and not partial_minimality_ok(reduced, cover_in):
             wrong += 1
             continue
-        candidate, _ = _run_greedy(g, guess, Counter(), Counter())
+        candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
         if (best is None or len(candidate) > best) and is_minimal(g, candidate):
             best = len(candidate)
-    return best, cut, wrong, settles
+    return best, cut, wrong, settles, rank_cuts
 
 
 def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = wrongs = unsettled = idle = 0
+    cuts = wrongs = unsettled = idle = ranked = 0
     for g in corpus():
         # the replay's unbounded searches settle too, so record only the solve
-        best, cut, wrong, settles, _, idle_cuts = replay_vc(g)
+        best, cut, wrong, settles, _, idle_cuts, rank_cuts = replay_vc(g)
         settled.clear()
         solution, report = solve_vc(g)
         extras = report.extras
@@ -307,7 +356,8 @@ def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
         wrongs += wrong
         unsettled += splits_in - len(settles)
         idle += idle_cuts
-    assert cuts > 0 and wrongs > 0 and unsettled > 0 and idle > 0
+        ranked += rank_cuts
+    assert cuts > 0 and wrongs > 0 and unsettled > 0 and idle > 0 and ranked > 0
 
 
 def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
@@ -320,7 +370,7 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
     monkeypatch.setattr(vcsolver, "partial_minimality_ok", counted)
     swept = cut = 0
     for g in corpus():
-        _, cut_here, _, _, expected, _ = replay_vc(g)
+        _, cut_here, _, _, expected, _, _ = replay_vc(g)
         sweeps.clear()
         solve_vc(g)
         assert sweeps == expected, g
@@ -331,7 +381,7 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
 
 
 def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = greedy = unsettled = 0
+    cuts = greedy = unsettled = ranked = 0
     for g in corpus():
         settled.clear()
         result = approx_solve(g, 0.9)
@@ -339,11 +389,34 @@ def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
             continue
         greedy += 1
         extras = result.report.extras
-        best, cut, wrong, settles = replay_greedy(g)
+        best, cut, wrong, settles, rank_cuts = replay_greedy(g)
         assert (
             len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"]
         ) == (best, cut, wrong), g
         assert settled == settles, g
         cuts += extras["guesses_cut_by_bound"]
-        unsettled += sum(1 for _ in forest_splits(g, min_vertex_cover(g))) - len(settles)
-    assert greedy >= 50 and cuts > 0 and unsettled > 0
+        unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(settles)
+        ranked += rank_cuts
+    assert greedy >= 50 and cuts > 0 and unsettled > 0 and ranked > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_the_cycle_rank_bounds_every_cover_split(g):
+    # every minimal fvs S with S & cover = cover_in has |S - cover_in| <=
+    # μ(g - cover_in), and the mask formula `cover_guesses` cuts with is μ
+    cover = min_vertex_cover(g)
+    largest = {}
+    for s in chain.from_iterable(combinations(g.sorted_vertices(), k) for k in range(len(g) + 1)):
+        if is_minimal(g, s):
+            side = frozenset(s) & cover
+            largest[side] = max(largest.get(side, 0), len(s))
+    ordered = sorted(cover)
+    bit = {v: 1 << i for i, v in enumerate(ordered)}
+    adj = {bit[v]: sum(bit[w] for w in g.neighbors(v) if w in bit) for v in ordered}
+    classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
+    for cover_in, cover_out in forest_splits(g, cover):
+        out = sum(bit[v] for v in cover_out)
+        rank = vcsolver.cycle_rank(classes, out, tree_masks(adj, out))
+        assert rank == cycle_rank_reference(g.delete(cover_in)), (g, cover_in)
+        assert largest.get(cover_in, 0) <= len(cover_in) + rank, (g, cover_in)

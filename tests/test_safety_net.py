@@ -36,14 +36,19 @@ def expect_failure(call, what):
     sys.exit(f"{what} did not raise VerificationError")
 
 
-# a greedy run that moved more than vc vertices broke the additive
-# guarantee; checked first, as the patches below break the exact route
+# the greedy best that approx_solve returns must get its certificate;
+# checked first, as the patches below break the greedy and exact routes
+approx.is_minimal_fvs = no_certificate
+expect_failure(lambda: approx.approx_solve(apex_pair, 0.5), "approx_solve certifying its best")
+approx.is_minimal_fvs = is_minimal_fvs
+
+# a greedy run that moved more than vc vertices broke the additive guarantee
 approx._run_greedy = lambda g, guess, counters, conflict_sizes: (
     guess.cover_in, tuple(range(len(g)))
 )
 expect_failure(lambda: approx.approx_solve(apex_pair, 0.5), "approx_solve")
 
-batch.is_minimal_fvs = no_certificate
+batch.is_minimal = lambda g, s: False
 record = batch.run_one("triangle", triangle, "vcsolver")
 if record.outcome != "error" or not record.error.startswith("VerificationError"):
     sys.exit(f"run_one passed an unverified solution: {record}")

@@ -5,7 +5,6 @@ import pytest
 from mmfvs.graph import Graph
 from mmfvs.oracle import fvs_min_brute
 from mmfvs.verify import (
-    certificate_is_valid,
     greedy_minimal_fvs,
     is_fvs,
     is_minimal,
@@ -17,6 +16,7 @@ from mmfvs.verify import (
 from helpers import (
     apex_pair,
     brute_min_vertex_cover_size,
+    certificate_is_valid,
     complete,
     cycle,
     gnp,
