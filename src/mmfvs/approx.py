@@ -26,12 +26,23 @@ check, and the one certificate, is made on g.
 The cover-side guesses come settled from `vcsolver.cover_guesses`, by
 `graph.settle`, the fixpoint of the round of degree and cycle rules
 (`graph.peel`, then `graph.cycle_closers`) that the exact solvers run
-too.  A guess whose settled committed-in and free vertices together are
-no more than the best candidate so far cannot win, and is cut before its
-greedy run; `cover_guesses` first bounds those vertices without settling,
-by the cover side plus the independents with two or more neighbours in
-cover_out, then by the cover side plus the cycle rank of g - cover_in,
-and settles only the splits that pass.
+too, and under the bound the connector search has,
+`vcsolver._search_bound`: the settled committed-in vertices plus the free
+ones, less one while free ones remain.  A verified candidate never
+exceeds it.  The run's candidate S lies in those vertices, and S holds
+every free one only if the run moves none out and its settling peels
+none.  Without a move the outside forest only shrinks, so no free x is
+forced inside: each joins S as the smallest undecided vertex, with its
+cover_out neighbours in distinct trees of the settled g[out].  What the
+settling peels hangs off in pendant trees and joins no two trees, so x
+has no private cycle in g - (S - x), and `is_minimal` rejects S.  A
+guess whose bound is no more than the best candidate so far therefore
+cannot win, and is cut before its greedy run; `cover_guesses` first
+bounds it without settling, by the cover side plus the independents
+with two or more neighbours in cover_out (less one when such an
+independent has them in distinct components of g[cover_out]), then by
+the cover side plus the cycle rank of g - cover_in, and settles only
+the splits that pass.
 """
 
 from __future__ import annotations
@@ -90,15 +101,6 @@ def _run_greedy(
     return cover_in | inside, tuple(moved)
 
 
-def _greedy_bound(guess: CoverGuess) -> int:
-    """Size of the largest candidate the greedy run can give `guess`.
-
-    The run only moves the settled guess's free vertices inside or out of
-    the graph, so its candidate lies in cover_in, inside and free.
-    """
-    return len(guess.cover_in) + len(guess.inside) + len(guess.free)
-
-
 @dataclass(frozen=True)
 class ApproxResult:
     solution: Solution
@@ -140,7 +142,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
 
     # past the degree-sum bound no candidate can reach the threshold
     if threshold <= opt_upper_bound(g):
-        for guess in cover_guesses(kernel, cover, counters, _greedy_bound, 0, can_win):
+        for guess in cover_guesses(kernel, cover, counters, can_win):
             candidate, moved = _run_greedy(kernel, guess, counters, conflict_sizes)
             if len(moved) > vc:
                 raise VerificationError("a greedy move merged no outside trees")

@@ -21,8 +21,9 @@ its nodes by the same bound.
 
 The exact optimum (`opt_exact_solution`) is W when |W| reaches that
 bound, and otherwise comes from the vertex-cover solver
-`vcsolver.solve_vc`, whose solution, with the certificate it built on g,
-is the witness; its maximality rests on `solve_vc` being exact.
+`vcsolver.solve_vc` run on C, whose solution, with the certificate it
+built on C, is the witness; its maximality rests on `solve_vc` being
+exact.
 """
 
 from __future__ import annotations
@@ -142,17 +143,22 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
     minimal fvs W, g's own (see the module docstring), and the bound
     `degree_bound(C, (), C)`, which is `opt_upper_bound(g)`.  W is optimal
     when |W| reaches that bound, and is returned at once.  Otherwise opt
-    and the witness come from `solve_vc(g)`, whose opt must lie in
-    [|W|, bound].  An opt of |W| returns W, certified here; any other
-    returns `solve_vc`'s solution with the certificate `solve_vc` built
-    on g, once the boolean `is_minimal` accepts it.  Any check failing
-    raises `VerificationError`.
+    and the witness come from `solve_vc(C)`, whose opt must lie in
+    [|W|, bound]; `solve_vc` takes the 2-core of C again, which is C
+    itself, so g is peeled once.  An opt of |W| returns W, certified here;
+    any other returns `solve_vc`'s solution with the certificate
+    `solve_vc` built on C, once the boolean `is_minimal` accepts it on g.
+    That certificate is the one g would get: a member's private cycle
+    runs through two of its neighbours in one tree of C - S and the tree
+    path between them, and the trees hung off C in g join no two of its
+    vertices, so neither the neighbours nor the path change.  Any check
+    failing raises `VerificationError`.
     """
     core = two_core(g)
     w = greedy_minimal_fvs(core)
     bound = degree_bound(core, (), core.vertices)
     if len(w) < bound:
-        found = solve_vc(g)[0]
+        found = solve_vc(core)[0]
         opt = len(found.vertices)
         if not len(w) <= opt <= bound:
             raise VerificationError(f"solve_vc's optimum {opt} lies outside [{len(w)}, {bound}]")

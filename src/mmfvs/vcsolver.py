@@ -29,16 +29,18 @@ without settling it: the cover side plus the independents with two or
 more neighbours in cover_out, the only ones that can survive the degree
 rule.  Here that is one less when such an independent has those
 neighbours in distinct components: it then never closes a cycle, so it
-stays free or is peeled, and the search must still pick a connector.  A
+stays free or is peeled, and one free vertex must still stay out.  A
 split that passes is reduced once by `graph.settle`, the fixpoint of the
 round (`graph.peel`, then `graph.cycle_closers`) that the extension
-search and the approximation scheme run too, and bounded again: here the
-cover side, the forced vertices and every free vertex but the one
-connector the search must pick.  A split that passes the first bound is
-also bounded by the cycle rank μ(g - cover_in) = m - n + c: a minimal
-fvs S has at most μ(G) vertices, since each member's private cycle is
-the only one of those cycles through it, so the cycles are linearly
-independent in the cycle space (Diestel, *Graph Theory*, §1.9).  The
+search and the approximation scheme run too, and bounded again by the
+cover side, the forced vertices and every free vertex but one: the
+connector the search must pick, or the free vertex a verified greedy
+candidate leaves out (`cover_guesses` proves it).  A split that passes
+the first bound is also bounded by the cycle rank μ(g - cover_in) =
+m - n + c: a minimal fvs S has at most μ(G) vertices, since each
+member's private cycle is the only one of those cycles through it, so
+the cycles are linearly independent in the cycle space (Diestel, *Graph
+Theory*, §1.9).  The
 private cycles of S - cover_in avoid cover_in, so |S| is at most
 |cover_in| + μ(g - cover_in).  Only a guess that survives every cut
 has its cover side checked for private cycles.
@@ -239,24 +241,31 @@ def cycle_rank(classes: Counter[int], out: int, comps: list[int]) -> int:
 
 
 def cover_guesses(
-    g: Graph,
-    cover: frozenset[int],
-    tally: Counter[str],
-    bound: Callable[[CoverGuess], int],
-    slack: int,
-    can_win: Callable[[int], bool],
+    g: Graph, cover: frozenset[int], tally: Counter[str], can_win: Callable[[int], bool]
 ) -> Iterator[CoverGuess]:
     """Settled splits of a vertex cover that some minimal fvs can take.
 
     Branch and bound over (cover_in, cover_out) splits of `cover`, a vertex
     cover of g, smaller cover_in first, lexicographic within a size.
-    `bound` gives the size of the largest result the caller can make of a
-    settled guess, and `can_win(size)` says whether a result of that size
-    would beat the caller's best; it must not turn False as size grows.
+    `can_win(size)` says whether a result of that size would beat the
+    caller's best; it must not turn False as size grows.
+
+    Both callers make of a settled guess a minimal fvs of g that holds
+    cover_in, the forced vertices and some free ones, and it has at most
+    `_search_bound(guess)` vertices: all of them, less one while free
+    vertices remain.  The connector search picks at least one connector.
+    The greedy run (`approx._run_greedy`) keeps all of them only if it
+    moves no free vertex out and its settling peels none.  Its out side
+    then only shrinks, so no free x is ever forced inside and each joins
+    the candidate S with its cover_out neighbours in distinct trees of
+    g[out], as settling left them.  The vertices peeled on the way hang
+    off in pendant trees and join no two trees, so x has no private cycle
+    in g - (S - x) and S is not minimal.
 
     The splits are bitmasks over the sorted cover, each cover vertex has
     its neighbour mask within the cover, and the independents are grouped
-    into (neighbour mask, count) classes; only a split that gets settled
+    into (neighbour mask, count) classes, of which only those with two or
+    more cover neighbours are walked; only a split that gets settled
     becomes sets.  A split whose cover_out side is not a forest is dropped:
     `tree_masks` floods g[cover_out] one component at a time.  The rest
     are bounded before they are settled: every independent x has N(x)
@@ -264,74 +273,84 @@ def cover_guesses(
     and the first `peel` of `graph.settle` deletes it when that is at most
     one.  Settling after that only deletes free vertices or moves them
     inside, so the settled inside and free sets lie in L = {x : |N(x) -
-    cover_in| >= 2}, and a caller whose `bound` counts no more than
-    cover_in, inside and free stays within |cover_in| + |L|.
+    cover_in| >= 2}, and `_search_bound` stays within |cover_in| + |L|.
 
     Settling only shrinks out, so an x of L whose cover_out neighbours lie
     in distinct components of g[cover_out] never closes a cycle there and
-    never moves inside: it is either peeled or left free.  `slack` is how
-    far below |cover_in| + |L| the caller's `bound` then stays: 1 for the
-    connector search, since a peeled x counts for nothing and a free one
-    means at least one connector, and 0 for a bound without that term.  A
-    split whose |cover_in| + |L|, or with such an x |cover_in| + |L| -
-    slack, cannot win is cut unsettled; it is one the settled bound would
-    cut too.  A split that passes is then cut, still unsettled, when
-    |cover_in| + μ(g - cover_in) cannot win (`cycle_rank`): every minimal
-    fvs S has linearly independent private cycles, and those of S -
-    cover_in lie in g - cover_in, so |S - cover_in| <= μ(g - cover_in).
-    `slack` never applies to that term; it holds for |L| alone.  μ is
-    only computed for the splits that pass the |L| cut.  A split that
-    passes both is settled (`settle_guess`) and asked
-    again with `bound`, and only a guess that can still win has the
-    private cycles of its cover_in side checked, one sweep each
-    (`verify.partial_minimality_ok`).
+    never moves inside: it is either peeled or left free, and either way
+    `_search_bound` stays within |cover_in| + |L| - 1.  A split whose
+    |cover_in| + |L|, or with such an x |cover_in| + |L| - 1, cannot win
+    is cut unsettled; it is one the settled bound would cut too.  A split
+    that passes is then cut, still unsettled, when |cover_in| + μ(g -
+    cover_in) cannot win (`cycle_rank`): every minimal fvs S has linearly
+    independent private cycles, and those of S - cover_in lie in g -
+    cover_in, so |S - cover_in| <= μ(g - cover_in).  The -1 never applies
+    to that term; it holds for |L| alone.  μ is only computed for the
+    splits that pass the |L| cut.  A split that passes both is settled
+    (`settle_guess`) and bounded again with `_search_bound`, and only a
+    guess that can still win has the private cycles of its cover_in side
+    checked, one sweep each (`verify.partial_minimality_ok`).
 
     `tally` counts every split in "cover_guesses", all four cuts in
     "guesses_cut_by_bound", the private-cycle rejects in
     "wrong_cover_guesses" and the yielded guesses in
     "viable_cover_guesses"; `settle_guess` adds the reductions of the
-    splits that get settled.
+    splits that get settled.  The split and cut counts reach `tally`
+    before each yield and at the end.
     """
     ordered = sorted(cover)
     bit = {v: 1 << i for i, v in enumerate(ordered)}
     vertex_of = {b: v for v, b in bit.items()}
     adj = {bit[v]: sum(bit[w] for w in g.neighbors(v) if w in bit) for v in ordered}
     classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
+    # an independent with at most one cover neighbour is never live
+    live = {nb: count for nb, count in classes.items() if nb & (nb - 1)}
     everything = (1 << len(ordered)) - 1
+    splits = cuts = 0
     for size in range(len(ordered) + 1):
         for picked in combinations(vertex_of, size):
-            tally["cover_guesses"] += 1
+            splits += 1
             out_mask = everything - sum(picked)
             comps = tree_masks(adj, out_mask)
             if comps is None:
                 continue
-            most = size + sum(n for nb, n in classes.items() if (nb & out_mask).bit_count() >= 2)
-            if not can_win(most) or (not can_win(most - slack) and any(
-                (nb & out_mask).bit_count() >= 2
-                and all((nb & comp).bit_count() <= 1 for comp in comps)
-                for nb in classes
-            )) or not can_win(size + cycle_rank(classes, out_mask, comps)):
-                tally["guesses_cut_by_bound"] += 1
+            most = size
+            hits = []
+            for nb, count in live.items():
+                hit = nb & out_mask
+                if hit & (hit - 1):
+                    most += count
+                    hits.append(hit)
+            if not can_win(most) or (not can_win(most - 1) and any(
+                all((hit & comp).bit_count() <= 1 for comp in comps) for hit in hits
+            )) or not can_win(size + cycle_rank(live, out_mask, comps)):
+                cuts += 1
                 continue
             cover_in = frozenset(vertex_of[b] for b in picked)
             guess = settle_guess(g, cover_in, cover - cover_in, tally)
-            if not can_win(bound(guess)):
-                tally["guesses_cut_by_bound"] += 1
+            if not can_win(_search_bound(guess)):
+                cuts += 1
                 continue
             if cover_in and not partial_minimality_ok(g, cover_in):
                 # no minimal fvs meets the cover in exactly this set
                 tally["wrong_cover_guesses"] += 1
                 continue
             tally["viable_cover_guesses"] += 1
+            tally["cover_guesses"] += splits
+            tally["guesses_cut_by_bound"] += cuts
+            splits = cuts = 0
             yield guess
+    tally["cover_guesses"] += splits
+    tally["guesses_cut_by_bound"] += cuts
 
 
 def _search_bound(guess: CoverGuess) -> int:
-    """Size of the largest solution the connector search can give `guess`.
+    """Size of the largest solution the connector search or the greedy run can give `guess`.
 
     The solution is cover_in, the forced independents and the free ones
     no connector takes, and while free ones remain the search picks at
-    least one connector.
+    least one connector; a verified greedy candidate leaves one out too
+    (see `cover_guesses`).
     """
     return len(guess.cover_in) + len(guess.inside) + max(len(guess.free) - 1, 0)
 
@@ -376,7 +395,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         # a result replaces the best only when it is strictly larger
         return best is None or size > len(best)
 
-    for guess in cover_guesses(kernel, cover, counters, _search_bound, 1, can_win):
+    for guess in cover_guesses(kernel, cover, counters, can_win):
         found = find_connectors(kernel, guess, -1 if best is None else len(best), counters)
         if found is not None:
             # `_try_assignment` has checked it; the certificate waits for the last

@@ -210,51 +210,56 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
     Branches on the lexicographically smallest uncovered edge, including
     each endpoint in turn, and keeps the first minimum found, so the result
-    is deterministic.  `chosen` only grows along a branch, so the edges
-    before the one a node branched on stay covered and its children resume
-    the scan there.
+    is deterministic.  The search runs on bitmasks: vertex i of the sorted
+    vertex list is bit i, which keeps the id order, each edge is the mask
+    of its two ends, and `chosen` and `best` are masks.  `chosen` only
+    grows along a branch, so the edges before the one a node branched on
+    stay covered and its children resume the scan there.
 
     Before branching, a node greedily matches the uncovered edges from
-    that point on.  Every cover below the node holds `chosen` plus a
-    distinct endpoint of each matched edge, so when len(chosen) plus the
-    matching is at least len(best), the node is pruned.  The cover
-    returned is the one the plain branching returns: `best` is replaced
-    only by a strictly smaller cover, a pruned subtree holds none smaller
-    than `best` at the time of pruning, and that `best` is at least every
+    that point on, adding each matched edge's ends to a mask that starts
+    as `chosen`.  Every cover below the node holds `chosen` plus a
+    distinct endpoint of each matched edge, so when |chosen| plus the
+    matching is at least |best|, the node is pruned.  The cover returned
+    is the one the plain branching returns: `best` is replaced only by a
+    strictly smaller cover, a pruned subtree holds none smaller than
+    `best` at the time of pruning, and that `best` is at least every
     later one, so the plain search would not have replaced `best` inside
     it either.
     """
-    edges = sorted(g.edges())
+    ordered = g.sorted_vertices()
+    bit = {v: 1 << i for i, v in enumerate(ordered)}
+    edges = [bit[u] | bit[v] for u, v in sorted(g.edges())]
     if not edges:
         return frozenset()
-    best = set(g.vertices)
-    chosen: set[int] = set()
+    best = (1 << len(ordered)) - 1
+    best_size = len(ordered)
 
-    def branch(start: int) -> None:
-        nonlocal best
+    def branch(start: int, chosen: int, size: int) -> None:
+        nonlocal best, best_size
         # `best` may have shrunk since the parent's matching check
-        if len(chosen) >= len(best):
+        if size >= best_size:
             return
         i = start
-        while i < len(edges) and (edges[i][0] in chosen or edges[i][1] in chosen):
+        while i < len(edges) and edges[i] & chosen:
             i += 1
         if i == len(edges):
-            best = set(chosen)
+            best, best_size = chosen, size
             return
-        matched: set[int] = set()
-        for u, v in edges[i:]:
-            if u in chosen or v in chosen or u in matched or v in matched:
-                continue
-            matched.update((u, v))
-            if len(chosen) + len(matched) // 2 >= len(best):
-                return
-        for w in edges[i]:
-            chosen.add(w)
-            branch(i + 1)
-            chosen.discard(w)
+        taken, matched = chosen, size
+        for edge in edges[i:]:
+            if not edge & taken:
+                taken |= edge
+                matched += 1
+                if matched >= best_size:
+                    return
+        # the lower bit is the smaller id, the end plain branching takes first
+        low = edges[i] & -edges[i]
+        for w in (low, edges[i] ^ low):
+            branch(i + 1, chosen | w, size + 1)
 
-    branch(0)
-    return frozenset(best)
+    branch(0, 0, 0)
+    return frozenset(v for v in ordered if best & bit[v])
 
 
 def partial_minimality_ok(g: Graph, in_set: Iterable[int]) -> bool:

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from mmfvs import approx, ksolver, vcsolver
-from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
+from mmfvs.approx import _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_upper_bound
@@ -97,7 +97,7 @@ class TestConflictSet:
         for seed in range(40):
             g = gnp(rng.randint(4, 12), rng.uniform(0.2, 0.5), seed=seed)
             cover = min_vertex_cover(g)
-            for guess in cover_guesses(g, cover, Counter(), _greedy_bound, 0, lambda size: True):
+            for guess in cover_guesses(g, cover, Counter(), lambda size: True):
                 steps.clear()
                 _run_greedy(g, guess, Counter(), Counter())
                 for out, candidates, taken in steps:

@@ -1,15 +1,18 @@
 """The branch and bound over cover guesses cuts only guesses that cannot win.
 
 `cover_guesses` bounds each split before settling it by |cover_in| + |L|,
-L the independents with two or more neighbours outside cover_in, less the
-caller's slack when some x of L closes no cycle with g[cover_out], then
-by |cover_in| + μ(g - cover_in), the cycle rank, with no slack, then
-settles it, asks the caller's bound, and only then tests the split's
-private cycles, one sweep per cover side.  The replays check every
+L the independents with two or more neighbours outside cover_in, less one
+when some x of L closes no cycle with g[cover_out], then by |cover_in| +
+μ(g - cover_in), the cycle rank, with nothing taken off, then settles it,
+asks `_search_bound`, and only then tests the split's private cycles, one
+sweep per cover side.  Both solvers share that bound: the connector
+search picks a connector while free vertices remain, and a verified
+greedy candidate leaves one of them out too.  The replays check every
 split the cycle rank cuts with an unbounded search, and a hypothesis
 test checks the lemma behind it against brute force.  Checked here on seeded random,
 apex-pair and reduction-output graphs, on every split whose cover_out
-side is a forest: each bound is at least what the unbounded search gives,
+side is a forest: each bound is at least what the unbounded search, or
+a verified greedy run, gives,
 the unsettled bound is at least both settled ones, and less one at least
 the connector search's while such an x exists, each solver cuts exactly
 the guesses whose settled bound is at most its best so far while settling
@@ -30,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 
 from mmfvs import vcsolver
-from mmfvs.approx import _greedy_bound, _run_greedy, approx_solve
+from mmfvs.approx import _run_greedy, approx_solve
 from mmfvs.graph import Forest, Graph, chain_kernel
 from mmfvs.instances import generate
 from mmfvs.vcsolver import _search_bound, find_connectors, settle_guess, solve_vc, tree_masks
@@ -188,15 +191,27 @@ def test_connector_search_matches_every_subset_on_shrinkable_graphs(g):
     connector_search_matches_every_subset(g)
 
 
-def test_greedy_candidates_stay_within_the_greedy_bound():
-    tight = 0
+def settled_size(guess):
+    """|cover_in| + |inside| + |free|: every vertex a settled guess can still hold."""
+    return len(guess.cover_in) + len(guess.inside) + len(guess.free)
+
+
+def test_verified_greedy_candidates_stay_within_the_search_bound():
+    # a greedy run that moves and peels no free vertex puts them all in its
+    # candidate, and then each has its cover_out neighbours in distinct
+    # trees of g - candidate: no private cycle, so the check on g rejects it
+    verified = tight = 0
     for g in corpus():
-        for cover_in, cover_out in forest_splits(g, min_vertex_cover(g)):
-            guess = settle_guess(g, cover_in, cover_out, Counter())
-            candidate, _ = _run_greedy(g, guess, Counter(), Counter())
-            assert len(candidate) <= _greedy_bound(guess), (g, cover_in)
-            tight += len(candidate) == _greedy_bound(guess)
-    assert tight > 0
+        for h, cover in (vc_setting(g), (g, min_vertex_cover(g))):
+            for cover_in, cover_out in forest_splits(h, cover):
+                guess = settle_guess(h, cover_in, cover_out, Counter())
+                candidate, _ = _run_greedy(h, guess, Counter(), Counter())
+                if not is_minimal(g, candidate):
+                    continue
+                verified += 1
+                assert len(candidate) <= _search_bound(guess), (g, cover_in)
+                tight += len(candidate) == _search_bound(guess)
+    assert verified > 0 and tight > 0
 
 
 def test_the_unsettled_bound_covers_both_settled_bounds():
@@ -206,8 +221,8 @@ def test_the_unsettled_bound_covers_both_settled_bounds():
             for cover_in, cover_out in forest_splits(h, cover):
                 guess = settle_guess(h, cover_in, cover_out, Counter())
                 bound = live_bound(h, cover, cover_in)
-                assert bound >= _greedy_bound(guess) >= _search_bound(guess), (g, cover_in)
-                tight += bound == _greedy_bound(guess)
+                assert bound >= settled_size(guess) >= _search_bound(guess), (g, cover_in)
+                tight += bound == settled_size(guess)
     assert tight > 0
 
 
@@ -306,12 +321,18 @@ def replay_greedy(g):
     """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs.
 
     The greedy runs on the chain kernel, and its candidates are checked on
-    g.  Also the number of splits the cycle-rank bound cuts that the
-    settled bound would not.
+    g.  Every cut guess is run anyway, and must not have beaten the best.
+    Also the number of splits left unsettled only because a live vertex
+    closes no cycle.  The cycle-rank cut is replayed too, but with the
+    |L| - 1 cut before it, it fires on none of the corpus's greedy-mode
+    graphs; `replay_vc` shows it cutting what the settled bound would not.
     """
     reduced, cover = vc_setting(g)
-    best, cut, wrong, settles, rank_cuts = None, 0, 0, [], 0
+    best, cut, wrong, settles, idle_cuts = None, 0, 0, [], 0
     for cover_in, cover_out in forest_splits(reduced, cover):
+        # with a live vertex that closes no cycle the search bound loses one
+        slack = 1 if idle_live(reduced, cover, cover_out) else 0
+        bound = live_bound(reduced, cover, cover_in)
         guess = settle_guess(reduced, cover_in, cover_out, Counter())
 
         def largest():
@@ -320,13 +341,15 @@ def replay_greedy(g):
             candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
             return len(candidate) if is_minimal(g, candidate) else None
 
-        if best is None or live_bound(reduced, cover, cover_in) > best:
+        if best is None or bound - slack > best:
             if cut_by_rank(reduced, cover_in, best, largest):
                 cut += 1
-                rank_cuts += _greedy_bound(guess) > best
                 continue
             settles.append(cover_in)
-        if best is not None and _greedy_bound(guess) <= best:
+        elif bound > best:
+            idle_cuts += 1
+        if best is not None and _search_bound(guess) <= best:
+            assert (largest() or 0) <= best, (g, cover_in)
             cut += 1
             continue
         if cover_in and not partial_minimality_ok(reduced, cover_in):
@@ -335,7 +358,7 @@ def replay_greedy(g):
         candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
         if (best is None or len(candidate) > best) and is_minimal(g, candidate):
             best = len(candidate)
-    return best, cut, wrong, settles, rank_cuts
+    return best, cut, wrong, settles, idle_cuts
 
 
 def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
@@ -381,7 +404,7 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
 
 
 def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = greedy = unsettled = ranked = 0
+    cuts = greedy = unsettled = idle = 0
     for g in corpus():
         settled.clear()
         result = approx_solve(g, 0.9)
@@ -389,15 +412,15 @@ def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
             continue
         greedy += 1
         extras = result.report.extras
-        best, cut, wrong, settles, rank_cuts = replay_greedy(g)
+        best, cut, wrong, settles, idle_cuts = replay_greedy(g)
         assert (
             len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"]
         ) == (best, cut, wrong), g
         assert settled == settles, g
         cuts += extras["guesses_cut_by_bound"]
         unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(settles)
-        ranked += rank_cuts
-    assert greedy >= 50 and cuts > 0 and unsettled > 0 and ranked > 0
+        idle += idle_cuts
+    assert greedy >= 50 and cuts > 0 and unsettled > 0 and idle > 0
 
 
 @settings(max_examples=150, deadline=None)

@@ -357,6 +357,36 @@ class TestRoute:
         assert opt == len(sol.vertices) == opt_mmfvs_brute(g).opt_value == 5
         assert is_minimal_fvs(g, sol.vertices) is not None
 
+    def test_solve_vc_gets_the_core_and_certifies_as_on_g(self, monkeypatch):
+        # trees hung off the core join no two of its vertices, so solve_vc
+        # gives the core the solution and certificate it gives g
+        handed = []
+        real = ksolver.solve_vc
+
+        def recorded(h):
+            handed.append(h)
+            return real(h)
+
+        monkeypatch.setattr(ksolver, "solve_vc", recorded)
+        rng = random.Random(23)
+        hung = routed = 0
+        for seed in range(120):
+            n = rng.randint(8, 20)
+            g = gnp(n, rng.uniform(1.5, 3.0) / n, seed=seed)
+            core = two_core(g)
+            if len(core) == len(g) or not core.vertices:
+                continue
+            hung += 1
+            on_g, on_core = real(g)[0], real(core)[0]
+            assert (on_core.vertices, on_core.certificate) == (on_g.vertices, on_g.certificate), seed
+            handed.clear()
+            opt, sol = opt_exact_solution(g)
+            if handed:
+                routed += 1
+                assert handed == [core], seed
+                assert sol.certificate == is_minimal_fvs(g, sol.vertices), seed
+        assert hung >= 80 and routed >= 60
+
     def test_greedy_at_the_bound_computes_no_cover(self, calls, monkeypatch):
         # a call to the cover would raise TypeError
         monkeypatch.setattr(vcsolver, "min_vertex_cover", None)

@@ -1,13 +1,15 @@
 """`min_vertex_cover` returns the cover that plain edge branching returns.
 
-The search resumes each child's scan for an uncovered edge where its
-parent stopped, and prunes a node once its chosen vertices plus a greedy
-matching of the uncovered edges reach the best cover so far.  Neither may
-change which cover comes back: checked against the plain branching
+The search runs on bitmasks of the vertices' ranks, resumes each child's
+scan for an uncovered edge where its parent stopped, and prunes a node
+once its chosen vertices plus a greedy matching of the uncovered edges
+reach the best cover so far.  None of that may change which cover comes
+back: checked against the plain branching
 (`helpers.min_vertex_cover_reference`) on the benchmark's small-exact and
 cover-vc graphs at seed 1 (as given and with degree <= 1 vertices peeled,
 the graph `solve_vc` covers), on seeded sparse gnp graphs, and on graphs
-where a later branch reaches a cover as small as the first one found.
+where a later branch reaches a cover as small as the first one found,
+and on the empty graph, an edgeless one and graphs with gaps in their ids.
 """
 
 import importlib.util
@@ -76,6 +78,21 @@ def test_a_later_cover_of_the_same_size_does_not_replace_the_first():
     bowtie = Graph(range(5), [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     for g, cover in [(path(2), {0}), (cycle(4), {0, 2}), (bowtie, {0, 1, 3})]:
         assert min_vertex_cover(g) == min_vertex_cover_reference(g) == cover
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(range(4), []),
+        Graph([], []),
+        Graph([3, 17, 40], [(3, 17), (17, 40)]),
+        Graph([3, 17, 40, 41], [(3, 40), (17, 40), (3, 17)]),
+    ],
+    ids=["edgeless", "empty", "path-on-3-17-40", "triangle-on-3-17-40-and-41"],
+)
+def test_edge_cases_get_the_reference_cover(g):
+    # the bitmask search numbers vertices by rank, not by id
+    assert min_vertex_cover(g) == min_vertex_cover_reference(g)
 
 
 def test_gnp_40_cover_is_pinned():

@@ -5,7 +5,6 @@ from mmfvs.graph import Graph, peel
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 from mmfvs.vcsolver import (
-    _search_bound,
     _try_assignment,
     cover_guesses,
     find_connectors,
@@ -70,7 +69,7 @@ class TestCoverGuesses:
         # is a cycle, so the empty cover_in side is dropped unsettled
         tally = Counter()
         cover = frozenset({0, 1, 2})
-        guesses = list(cover_guesses(cycle(3), cover, tally, _search_bound, 1, lambda size: True))
+        guesses = list(cover_guesses(cycle(3), cover, tally, lambda size: True))
         assert tally["cover_guesses"] == 8
         assert guesses
         assert all(guess.cover_in for guess in guesses)
@@ -171,8 +170,7 @@ class TestSolveVc:
         for seed in range(25):
             g = gnp(8, 0.4, seed=300 + seed)
             g = g.delete(peel(g, g.vertices))
-            for guess in cover_guesses(g, min_vertex_cover(g), Counter(), _search_bound, 1,
-                                       lambda size: True):
+            for guess in cover_guesses(g, min_vertex_cover(g), Counter(), lambda size: True):
                 result = find_connectors(g, guess, -1, Counter())
                 if result is None:
                     continue
