@@ -11,40 +11,25 @@ answer.  A verified greedy best of at least the threshold proves yes and
 is returned.  Otherwise the exact optimum, which is always a valid
 answer, comes from `ksolver.opt_exact_solution`, which costs at most
 `vcsolver.solve_vc`'s worst case on the chain kernel, whose vertex cover
-is at most vc.  A threshold above the degree-sum bound
-`ksolver.opt_upper_bound` is out of every candidate's reach, so the
-greedy is skipped there.
+is at most vc.
 
 The greedy runs on `graph.chain_kernel(g)`, the 2-core with each chain
 of degree-2 vertices shortened to its lowest ids, and vc is the size of
 a minimum vertex cover of that kernel, at most vc(g).  The kernel's
 minimal fvs are g's that avoid the dropped vertices, with the same ids,
 and they reach g's optimum, so the additive loss stays at most vc and
-the threshold vc/eps keeps the (1 - eps) factor.  Every minimality
-check, and the one certificate, is made on g.
+the threshold vc/eps keeps the (1 - eps) factor.  For the same reason
+the kernel's degree-sum bound `graph.degree_bound` is at least g's
+optimum, and a threshold above it is out of every candidate's reach, so
+the greedy is skipped there.  Every minimality check, and the one
+certificate, is made on g.
 
-The cover-side guesses come settled from `vcsolver.cover_guesses`, by
-`graph.settle`, the fixpoint of the round of degree and cycle rules
-(`graph.peel`, then `graph.cycle_closers`) that the exact solvers run
-too, and under the bound the connector search has,
-`vcsolver._search_bound`: the settled committed-in vertices plus the free
-ones, less one while free ones remain.  A verified candidate never
-exceeds it.  The run's candidate S lies in those vertices, and S holds
-every free one only if the run moves none out and its settling peels
-none.  Without a move the outside forest only shrinks, so no free x is
-forced inside: each joins S as the smallest undecided vertex, with its
-cover_out neighbours in distinct trees of the settled g[out].  What the
-settling peels hangs off in pendant trees and joins no two trees, so x
-has no private cycle in g - (S - x), and `is_minimal` rejects S.  A
-guess whose bound is no more than the best candidate so far therefore
-cannot win, and is cut before its greedy run; `cover_guesses` first
-bounds it without settling, by the cover side plus the independents
-with two or more neighbours in cover_out (less one when such an
-independent has them in distinct components of g[cover_out]), then by
-the cover side plus the cycle rank of g - cover_in, and settles only
-the splits that pass.
+The cover-side guesses come settled, and bounded, from
+`vcsolver.cover_guesses`.  Its docstring proves that a verified greedy
+candidate never exceeds `vcsolver._search_bound`, the bound the
+connector search has, so a guess whose bound cannot reach the threshold,
+or cannot beat the best candidate so far, is cut before its greedy run.
 """
-
 from __future__ import annotations
 
 import math
@@ -52,8 +37,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from mmfvs.graph import Graph, chain_kernel, cycle_closers, settle
-from mmfvs.ksolver import opt_exact_solution, opt_upper_bound
+from mmfvs.graph import Graph, chain_kernel, cycle_closers, degree_bound, settle
+from mmfvs.ksolver import opt_exact_solution
 from mmfvs.report import Solution, SolveReport
 from mmfvs.vcsolver import CoverGuess, cover_guesses
 from mmfvs.verify import (
@@ -111,15 +96,28 @@ class ApproxResult:
 def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     """A verified minimal fvs of size at least (1 - epsilon) * opt.
 
-    vc is the size of a minimum vertex cover of `graph.chain_kernel(g)`,
-    and the greedy runs over that kernel's cover guesses only when
-    threshold = ceil(vc / epsilon) is at most `opt_upper_bound(g)`.  Each
-    candidate is checked on g with the boolean `is_minimal`.  A verified
-    best of at least the threshold proves opt >= vc / epsilon, so its
-    additive loss opt - best <= vc is at most epsilon * opt: mode
-    "greedy", and that best alone gets a certificate on g.  Any other
-    call returns `opt_exact_solution(g)` in mode "exact", with
-    `nodes_explored` 0 and the extras vc, threshold and opt.
+    vc is the size of a minimum vertex cover of the kernel
+    `graph.chain_kernel(g)`, and the greedy runs over that kernel's cover
+    guesses only when threshold = ceil(vc / epsilon) is at most the
+    kernel's `degree_bound`.  Each candidate is checked on g with the
+    boolean `is_minimal`.  A verified best of at least the threshold
+    proves opt >= vc / epsilon, so its additive loss opt - best <= vc is
+    at most epsilon * opt: mode "greedy", and that best alone gets a
+    certificate on g.  Any other call returns `opt_exact_solution(g)` in
+    mode "exact", with `nodes_explored` 0 and the extras vc, threshold
+    and opt.
+
+    Only a candidate of at least the threshold can be returned, so
+    `can_win` asks for one along with beating the best so far, and the
+    best is None exactly when the exact route answers.  This gives the
+    best that the bare beat-the-best rule would give.  Let G1 be the first
+    guess whose verified candidate reaches the threshold under that rule.
+    Each guess the threshold cuts before G1 has a bound below it, so it
+    can only give less; G1 is the first hit under both rules and runs
+    under both.  From G1 on the best is at least the threshold, and the
+    two rules cut the same guesses.  A best below the threshold, which is
+    all the bare rule could find without G1, went to the exact route
+    anyway.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -137,11 +135,12 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     max_moved = 0
 
     def can_win(size: int) -> bool:
-        # a candidate replaces the best only when it is strictly larger
-        return best is None or size > len(best)
+        # only a candidate at the threshold can be returned, and it replaces
+        # the best only when it is strictly larger
+        return size >= threshold and (best is None or size > len(best))
 
-    # past the degree-sum bound no candidate can reach the threshold
-    if threshold <= opt_upper_bound(g):
+    # past the kernel's degree-sum bound no candidate can reach the threshold
+    if threshold <= degree_bound(kernel, (), kernel.vertices):
         for guess in cover_guesses(kernel, cover, counters, can_win):
             candidate, moved = _run_greedy(kernel, guess, counters, conflict_sizes)
             if len(moved) > vc:
@@ -156,8 +155,8 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             if can_win(len(candidate)):
                 best = candidate
                 moved_of_best = len(moved)
-    if best is None or len(best) < threshold:
-        # no verified best proves opt >= threshold: solve outright
+    if best is None:
+        # no verified candidate proves opt >= threshold: solve outright
         opt, sol = opt_exact_solution(g)
         return ApproxResult(
             sol,

@@ -169,12 +169,14 @@ def run_batch(
 ) -> list[RunRecord]:
     """Run one algorithm over named instances; record order follows input order."""
     tasks = [(name, g, algorithm, dict(params or {}), timeout) for name, g in instances]
-    if threads <= 1:
+    # the pool starts every worker at the first submit, so start no idle ones
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [_worker(task) for task in tasks]
     # imported here: the pool's modules cost every serial caller memory and start-up time
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, tasks))
 
 

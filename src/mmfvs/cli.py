@@ -54,11 +54,17 @@ def _solution_text(g: Graph, vertices: frozenset[int]) -> str:
     return "".join(f"{rank[v]}\n" for v in sorted(vertices))
 
 
+# `signal.setitimer` overflows the platform's time_t from about 1e10 s
+_MAX_SECONDS = 1e9
+
+
 def _seconds(text: str) -> float:
-    """A positive number of seconds, for --timeout."""
+    """A positive number of seconds up to `_MAX_SECONDS`, for --timeout."""
     seconds = float(text)
-    if not seconds > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number of seconds")
+    if not 0 < seconds <= _MAX_SECONDS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive number of seconds up to {_MAX_SECONDS:g}"
+        )
     return seconds
 
 

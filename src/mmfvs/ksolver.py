@@ -13,7 +13,7 @@ the core alone, since every cycle of g - (S - v) lies in C.  Otherwise
 every target solution meets W in one of its subsets, so the extension
 solver is run on C once per bipartition guess of W.  The degree-sum bound
 `graph.degree_bound` cuts twice before any search: a k above
-`degree_bound(C, (), C)`, which is `opt_upper_bound(g)`, is refused
+`degree_bound(C, (), C.vertices)`, a bound on g's optimum, is refused
 outright, and a guess that keeps `picked` of W is skipped, with no
 extension call, when the bound with W - picked outside caps the vertices
 it can add off W below k - |picked|.  The extension search cuts each of
@@ -43,19 +43,6 @@ def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
     if certificate is None:
         raise VerificationError(f"{source} is not a minimal fvs")
     return Solution(s, certificate)
-
-
-def opt_upper_bound(g: Graph) -> int:
-    """An upper bound on the largest minimal fvs size, from degrees alone.
-
-    Vertices off the 2-core (`two_core`) lie on no cycle, so no minimal
-    fvs holds one, and the minimal fvs of g are exactly those of its
-    2-core C.  The bound is `degree_bound(C, (), C.vertices)`: with n'
-    core vertices, n' - t for the fewest t largest core degrees summing
-    to at least 2(n' - t).
-    """
-    core = two_core(g)
-    return degree_bound(core, (), core.vertices)
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
@@ -141,7 +128,7 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
 
     The call takes the 2-core C of g once, and builds on it the greedy
     minimal fvs W, g's own (see the module docstring), and the bound
-    `degree_bound(C, (), C)`, which is `opt_upper_bound(g)`.  W is optimal
+    `degree_bound(C, (), C.vertices)` on g's optimum.  W is optimal
     when |W| reaches that bound, and is returned at once.  Otherwise opt
     and the witness come from `solve_vc(C)`, whose opt must lie in
     [|W|, bound]; `solve_vc` takes the 2-core of C again, which is C

@@ -20,30 +20,16 @@ side's private cycles), and only the final best is certified in full on
 the input graph (`verify.is_minimal_fvs`), once per call.
 
 The cover-side guesses come from `cover_guesses`, a branch and bound that
-the approximation scheme shares.  Both solvers keep only a strictly
-larger result, so a guess is cut when its bound is no larger than the
-best so far.  The splits are bitmasks over the cover, and a flood of the
-cover_out mask, one component at a time, tells whether that side is a
-forest.  Each split whose cover_out side is a forest is bounded first
-without settling it: the cover side plus the independents with two or
-more neighbours in cover_out, the only ones that can survive the degree
-rule.  Here that is one less when such an independent has those
-neighbours in distinct components: it then never closes a cycle, so it
-stays free or is peeled, and one free vertex must still stay out.  A
-split that passes is reduced once by `graph.settle`, the fixpoint of the
-round (`graph.peel`, then `graph.cycle_closers`) that the extension
-search and the approximation scheme run too, and bounded again by the
-cover side, the forced vertices and every free vertex but one: the
-connector the search must pick, or the free vertex a verified greedy
-candidate leaves out (`cover_guesses` proves it).  A split that passes
-the first bound is also bounded by the cycle rank μ(g - cover_in) =
-m - n + c: a minimal fvs S has at most μ(G) vertices, since each
-member's private cycle is the only one of those cycles through it, so
-the cycles are linearly independent in the cycle space (Diestel, *Graph
-Theory*, §1.9).  The
-private cycles of S - cover_in avoid cover_in, so |S| is at most
-|cover_in| + μ(g - cover_in).  Only a guess that survives every cut
-has its cover side checked for private cycles.
+the approximation scheme shares; each caller says with `can_win` which
+result sizes it could still use.  The splits are bitmasks over the
+cover, and a split whose cover_out side is a forest is bounded twice
+before `graph.settle` reduces it, by the independents that can survive
+the degree rule and by the cycle rank of g - cover_in, and once after,
+by `_search_bound`: the cover side, the forced vertices and every free
+vertex but one, the connector the search must pick or the free vertex a
+verified greedy candidate leaves out.  `cover_guesses` proves each
+bound.  Only a guess that survives every cut has its cover side checked
+for private cycles.
 """
 
 from __future__ import annotations
@@ -247,8 +233,9 @@ def cover_guesses(
 
     Branch and bound over (cover_in, cover_out) splits of `cover`, a vertex
     cover of g, smaller cover_in first, lexicographic within a size.
-    `can_win(size)` says whether a result of that size would beat the
-    caller's best; it must not turn False as size grows.
+    `can_win(size)` says whether the caller could use a result of that
+    size: one that beats its best, and for `approx.approx_solve` one that
+    also reaches its threshold.  It must not turn False as size grows.
 
     Both callers make of a settled guess a minimal fvs of g that holds
     cover_in, the forced vertices and some free ones, and it has at most
@@ -282,9 +269,11 @@ def cover_guesses(
     |cover_in| + |L|, or with such an x |cover_in| + |L| - 1, cannot win
     is cut unsettled; it is one the settled bound would cut too.  A split
     that passes is then cut, still unsettled, when |cover_in| + μ(g -
-    cover_in) cannot win (`cycle_rank`): every minimal fvs S has linearly
-    independent private cycles, and those of S - cover_in lie in g -
-    cover_in, so |S - cover_in| <= μ(g - cover_in).  The -1 never applies
+    cover_in) cannot win (`cycle_rank`, μ = m - n + c): the private
+    cycles of a minimal fvs S are linearly independent in the cycle
+    space, since each is the only one of them through its member
+    (Diestel, *Graph Theory*, §1.9), and those of S - cover_in lie in
+    g - cover_in, so |S - cover_in| <= μ(g - cover_in).  The -1 never applies
     to that term; it holds for |L| alone.  μ is only computed for the
     splits that pass the |L| cut.  A split that passes both is settled
     (`settle_guess`) and bounded again with `_search_bound`, and only a

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from mmfvs.graph import Graph, is_acyclic_without
+from mmfvs.graph import Graph, chain_kernel, degree_bound, is_acyclic_without, two_core
 from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
 from mmfvs.vcsolver import solve_vc
@@ -148,6 +148,25 @@ def certificate_is_valid(g: Graph, s: frozenset[int], cert) -> bool:
         if any(not g.has_edge(a, b) for a, b in zip(closed, closed[1:])):
             return False
     return True
+
+
+def opt_upper_bound(g: Graph) -> int:
+    """An upper bound on the largest minimal fvs size, from degrees alone.
+
+    Vertices off the 2-core (`two_core`) lie on no cycle, so no minimal
+    fvs holds one, and the minimal fvs of g are exactly those of its
+    2-core C.  The bound is `degree_bound(C, (), C.vertices)`: with n'
+    core vertices, n' - t for the fewest t largest core degrees summing
+    to at least 2(n' - t).
+    """
+    core = two_core(g)
+    return degree_bound(core, (), core.vertices)
+
+
+def kernel_bound(g: Graph) -> int:
+    """The degree-sum bound on `chain_kernel(g)` that gates `approx_solve`'s greedy."""
+    kernel = chain_kernel(g)
+    return degree_bound(kernel, (), kernel.vertices)
 
 
 def opt_exact_sweep_reference(g: Graph) -> tuple[int, Solution]:

@@ -7,12 +7,11 @@ from mmfvs import approx, ksolver, vcsolver
 from mmfvs.approx import _run_greedy, approx_solve
 from mmfvs.graph import Graph, cycle_closers
 from mmfvs.instances import generate
-from mmfvs.ksolver import opt_upper_bound
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess, solve_vc
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
 
-from helpers import apex_pair, gnp, neighborhood_components, path
+from helpers import apex_pair, gnp, kernel_bound, neighborhood_components, path
 
 
 def four_tree_instance():
@@ -211,7 +210,7 @@ class TestGate:
     def test_threshold_past_the_degree_bound_goes_exact_without_the_gate(self, greedy_guesses):
         for g in (path(5), gnp(8, 0.4, seed=3)):
             result = approx_solve(g, 0.5)
-            assert result.report.extras["threshold"] > opt_upper_bound(g)
+            assert result.report.extras["threshold"] > kernel_bound(g)
             assert greedy_guesses == []
             assert result.mode == "exact"
             assert result.report.nodes_explored == 0
@@ -224,11 +223,13 @@ class TestGate:
         assert len(result.solution.vertices) >= result.report.extras["threshold"]
 
     def test_opt_below_the_threshold_takes_the_exact_route(self, greedy_guesses):
-        g = gnp(5, 0.5, seed=1)
+        # two guesses can still reach the threshold 4, but no verified
+        # candidate does, since opt is 3
+        g = gnp(6, 0.5, seed=7)
         result = approx_solve(g, 0.9)
         threshold = result.report.extras["threshold"]
-        assert threshold <= opt_upper_bound(g)
-        assert greedy_guesses
+        assert threshold == kernel_bound(g) == 4
+        assert len(greedy_guesses) == 2
         assert result.mode == "exact"
         assert result.report.nodes_explored == 0
         assert result.report.extras["opt"] == opt_mmfvs_brute(g).opt_value < threshold

@@ -1,8 +1,11 @@
+import concurrent.futures
 import os
 import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mmfvs
 from mmfvs import batch
@@ -73,6 +76,30 @@ class TestRunBatch:
         serial = run_batch(corpus, "vcsolver")
         parallel = run_batch(corpus, "vcsolver", threads=2)
         assert render_report(serial) == render_report(parallel)
+
+    @pytest.mark.parametrize("count, threads, started", [(3, 8, [3]), (5, 2, [2]), (1, 4, []), (0, 4, [])])
+    def test_the_pool_starts_no_more_workers_than_instances(self, monkeypatch, count, threads, started):
+        # the stand-in executor runs the tasks inline, so no process starts
+        asked = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        corpus = [(f"r{s}", gnp(6, 0.45, seed=s)) for s in range(count)]
+        records = run_batch(corpus, "vcsolver", threads=threads)
+        assert asked == started
+        assert render_report(records) == render_report(run_batch(corpus, "vcsolver"))
 
     def test_importing_the_package_loads_no_process_pool(self):
         # the pool's modules are imported only by a run with threads > 1

@@ -48,6 +48,20 @@ class TestSolve:
         assert refused.value.code == 2
         assert "positive number of seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "1e12", "1000000001"])
+    def test_a_timeout_past_the_timer_range_is_refused(self, tmp_path, capsys, seconds):
+        # setitimer overflows time_t from about 1e10 s, so 1e9 s is the most allowed
+        instance = write_apex(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            main(["solve", str(instance), "--algo", "vcsolver", "--timeout", seconds])
+        assert refused.value.code == 2
+        assert "positive number of seconds up to 1e+09" in capsys.readouterr().err
+
+    def test_the_largest_timeout_solves(self, tmp_path, capsys):
+        instance = write_apex(tmp_path)
+        assert main(["solve", str(instance), "--algo", "vcsolver", "--timeout", "1e9"]) == 0
+        assert "yes size=4" in capsys.readouterr().out
+
     def test_malformed_instance(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmfvs"
         bad.write_text("p mmfvs 2 1\ne 1 1\n")

@@ -32,7 +32,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings
 
-from mmfvs import vcsolver
+from mmfvs import approx, vcsolver
 from mmfvs.approx import _run_greedy, approx_solve
 from mmfvs.graph import Forest, Graph, chain_kernel
 from mmfvs.instances import generate
@@ -317,19 +317,24 @@ def replay_vc(g):
     return best, cut, wrong, settles, swept, idle_cuts, rank_cuts
 
 
-def replay_greedy(g):
+def replay_greedy(g, threshold):
     """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs.
 
     The greedy runs on the chain kernel, and its candidates are checked on
-    g.  Every cut guess is run anyway, and must not have beaten the best.
-    Also the number of splits left unsettled only because a live vertex
-    closes no cycle.  The cycle-rank cut is replayed too, but with the
-    |L| - 1 cut before it, it fires on none of the corpus's greedy-mode
-    graphs; `replay_vc` shows it cutting what the settled bound would not.
+    g.  A result wins only when it reaches `threshold` and beats the best,
+    so the cuts compare each bound with `beat`, threshold - 1 until a
+    verified candidate reaches the threshold and that best after it; the
+    best stays None when none does.  Every cut guess is run anyway, and
+    must not have beaten `beat`.  Also the number of splits left
+    unsettled only because a live vertex closes no cycle.  The cycle-rank
+    cut is replayed too, but with the |L| - 1 cut before it, it fires on
+    none of the corpus's greedy-mode graphs; `replay_vc` shows it cutting
+    what the settled bound would not.
     """
     reduced, cover = vc_setting(g)
     best, cut, wrong, settles, idle_cuts = None, 0, 0, [], 0
     for cover_in, cover_out in forest_splits(reduced, cover):
+        beat = threshold - 1 if best is None else best
         # with a live vertex that closes no cycle the search bound loses one
         slack = 1 if idle_live(reduced, cover, cover_out) else 0
         bound = live_bound(reduced, cover, cover_in)
@@ -341,22 +346,22 @@ def replay_greedy(g):
             candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
             return len(candidate) if is_minimal(g, candidate) else None
 
-        if best is None or bound - slack > best:
-            if cut_by_rank(reduced, cover_in, best, largest):
+        if bound - slack > beat:
+            if cut_by_rank(reduced, cover_in, beat, largest):
                 cut += 1
                 continue
             settles.append(cover_in)
-        elif bound > best:
+        elif bound > beat:
             idle_cuts += 1
-        if best is not None and _search_bound(guess) <= best:
-            assert (largest() or 0) <= best, (g, cover_in)
+        if _search_bound(guess) <= beat:
+            assert (largest() or 0) <= beat, (g, cover_in)
             cut += 1
             continue
         if cover_in and not partial_minimality_ok(reduced, cover_in):
             wrong += 1
             continue
         candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
-        if (best is None or len(candidate) > best) and is_minimal(g, candidate):
+        if len(candidate) > beat and is_minimal(g, candidate):
             best = len(candidate)
     return best, cut, wrong, settles, idle_cuts
 
@@ -404,15 +409,18 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
 
 
 def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = greedy = unsettled = idle = 0
+    cuts = greedy = exact = unsettled = idle = 0
     for g in corpus():
         settled.clear()
         result = approx_solve(g, 0.9)
+        extras = result.report.extras
         if result.mode != "greedy":
+            # no verified candidate reached the threshold
+            assert replay_greedy(g, extras["threshold"])[0] is None, g
+            exact += 1
             continue
         greedy += 1
-        extras = result.report.extras
-        best, cut, wrong, settles, idle_cuts = replay_greedy(g)
+        best, cut, wrong, settles, idle_cuts = replay_greedy(g, extras["threshold"])
         assert (
             len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"]
         ) == (best, cut, wrong), g
@@ -420,7 +428,28 @@ def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
         cuts += extras["guesses_cut_by_bound"]
         unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(settles)
         idle += idle_cuts
-    assert greedy >= 50 and cuts > 0 and unsettled > 0 and idle > 0
+    assert greedy >= 50 and exact > 0 and cuts > 0 and unsettled > 0 and idle > 0
+
+
+def test_approx_runs_the_greedy_only_on_guesses_that_can_reach_the_threshold(monkeypatch):
+    # a guess whose bound is below the threshold cannot give a candidate
+    # that approx_solve returns, so it never gets a greedy run
+    bounds = []
+    real = approx._run_greedy
+
+    def recorded(g, guess, counters, conflict_sizes):
+        bounds.append(_search_bound(guess))
+        return real(g, guess, counters, conflict_sizes)
+
+    monkeypatch.setattr(approx, "_run_greedy", recorded)
+    runs = 0
+    for g in corpus():
+        for epsilon in (0.25, 0.5, 0.9):
+            bounds.clear()
+            threshold = approx_solve(g, epsilon).report.extras["threshold"]
+            assert all(bound >= threshold for bound in bounds), (g, epsilon, bounds)
+            runs += len(bounds)
+    assert runs > 0
 
 
 @settings(max_examples=150, deadline=None)

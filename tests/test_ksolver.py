@@ -9,7 +9,7 @@ from mmfvs import ksolver, vcsolver
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, degree_bound, two_core
 from mmfvs.instances import generate
-from mmfvs.ksolver import opt_exact, opt_exact_solution, opt_upper_bound, solve_k
+from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs, min_vertex_cover
@@ -20,8 +20,10 @@ from helpers import (
     cycle,
     disjoint_triangles,
     gnp,
+    kernel_bound,
     opt_exact_sweep_reference,
     opt_exact_witness_reference,
+    opt_upper_bound,
     path,
     random_graphs,
     subdivided,
@@ -48,13 +50,15 @@ class TestOptUpperBound:
     def test_never_below_brute_force_on_the_corpus(self):
         from corpus import connected_graphs_up_to_8
 
-        below = tight = 0
+        below = kernel_below = tight = 0
         for g in connected_graphs_up_to_8():
             opt = opt_mmfvs_brute(g).opt_value
             bound = opt_upper_bound(g)
             below += bound < opt
             tight += bound == opt
-        assert below == 0
+            # approx_solve's gate: the kernel's minimal fvs reach g's optimum
+            kernel_below += kernel_bound(g) < opt
+        assert below == 0 and kernel_below == 0
         # the bound is exact on 2,765 of the 12,113 graphs; a tighter one may do better
         assert tight >= 2765
 
