@@ -37,17 +37,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from mmfvs.graph import Graph, chain_kernel, cycle_closers, degree_bound, settle
+from mmfvs.graph import Graph, chain_kernel, cycle_closers, degree_bound, peel
 from mmfvs.ksolver import opt_exact_solution
-from mmfvs.report import Solution, SolveReport
+from mmfvs.report import Solution, SolveReport, certify
 from mmfvs.vcsolver import CoverGuess, cover_guesses
-from mmfvs.verify import (
-    VerificationError,
-    is_minimal,
-    is_minimal_fvs,
-    members_have_private_cycles,
-    min_vertex_cover,
-)
+from mmfvs.verify import VerificationError, is_minimal, members_have_private_cycles, min_vertex_cover
 
 
 def _run_greedy(
@@ -60,8 +54,10 @@ def _run_greedy(
     outside forest.  When the committed-in side keeps its private cycles
     with the conflict set pulled inside, u moves to the outside forest and
     the conflict set joins the solution; otherwise u itself joins the
-    solution.  `settle` reduces the guess again after each step, and
-    `conflict_sizes` counts the conflict sets by size.
+    solution.  Each step moves every closer of the new out side inside,
+    so after it `peel` alone settles the guess again (see `graph.settle`),
+    counted in "reduction_degree"; `conflict_sizes` counts the conflict
+    sets by size.
     """
     cover_in = guess.cover_in
     out, free, inside = set(guess.out), set(guess.free), set(guess.inside)
@@ -82,7 +78,10 @@ def _run_greedy(
         else:
             inside.add(u)
         free.discard(u)
-        settle(g, out, free, inside, counters)
+        gone = peel(g, out | free)
+        out -= gone
+        free -= gone
+        counters["reduction_degree"] += len(gone)
     return cover_in | inside, tuple(moved)
 
 
@@ -171,10 +170,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
                 extras={"vc": vc, "threshold": threshold, "opt": opt},
             ),
         )
-    certificate = is_minimal_fvs(g, best)
-    if certificate is None:
-        raise VerificationError("the greedy best got no certificate")
-    solution = Solution(best, certificate)
+    solution = certify(g, best, "the greedy best")
     report = SolveReport(
         outcome="yes",
         solution=solution,

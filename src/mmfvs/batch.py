@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import signal
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping
@@ -125,13 +126,17 @@ def run_one(
     The alarm is armed inside the guarded region, and the timer is off
     before either handler runs; an alarm that lands anywhere up to the
     disarm, the disarm included, makes the record read "timeout", and the
-    previous SIGALRM handler is restored in every case.
+    previous SIGALRM handler is restored in every case.  Only the main
+    thread can take the alarm: from any other, a timeout is an error record.
     """
     params = dict(params or {})
     record = RunRecord(
         instance=name, algorithm=algorithm, params=_json_safe(params),
         outcome="error", size=None, verified=None,
     )
+    if timeout and threading.current_thread() is not threading.main_thread():
+        record.error = "the timeout needs the main thread"
+        return record
     started = time.perf_counter()
     old_handler = signal.getsignal(signal.SIGALRM) if timeout else None
     try:

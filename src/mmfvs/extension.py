@@ -6,12 +6,12 @@ required <= S, S disjoint from forbidden, and at least k vertices beyond
 `required`; a yes always carries a concrete, re-verified witness.
 
 Each search node holds its committed and free vertices as plain sets and
-reduces them in place: the round every solver shares (`graph.settle_round`:
-strip degree <= 1 vertices, then force forbidden-side cycle closers
-inside), then degree-two contraction, until nothing fires.  The round's
-rules are counted as "strip_acyclic_fringe" and "force_cycle_closers",
-contraction as "contract_degree_two_pairs".  A node builds a graph of its
-own only when a contraction fires.  A reduced node is cut when it needs
+reduces them in place: the pass every solver shares (`graph.settle`:
+strip degree <= 1 vertices, force forbidden-side cycle closers inside,
+strip again), then degree-two contraction, again while one fires.  They
+count as "strip_acyclic_fringe", "force_cycle_closers" and
+"contract_degree_two_pairs".  A node builds a graph of its own only when
+a contraction fires.  A reduced node is cut when it needs
 more vertices than `graph.degree_bound` lets a minimal fvs take from its
 free ids: each free id adds at most one vertex to a witness, and each one
 added needs a private cycle through two neighbors among the committed-out
@@ -24,9 +24,10 @@ suite measures this; exhausted-budget states that fail completion may
 legitimately cost a little more, since refuting them is itself hard).
 
 Correctness never rests on search-state bookkeeping alone: a branch is
-accepted only after a completed witness passes full minimality
-verification against the original input graph, and committed vertices are
-only pruned away when no completion could restore their private cycles.
+accepted only after a completed witness passes `verify.is_minimal` on the
+original input graph, where `solve_extension` certifies it once, and
+committed vertices are only pruned away when no completion could restore
+their private cycles.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Forest, Graph, degree_bound, is_acyclic_without, peel, prune_to_minimal, settle_round
-from mmfvs.report import Solution, SolveReport
+from mmfvs.graph import Forest, Graph, degree_bound, is_acyclic_without, peel, prune_to_minimal, settle
+from mmfvs.report import SolveReport, certify
 from mmfvs.verify import (
     VerificationError,
     has_private_cycle,
     is_fvs,
-    is_minimal_fvs,
+    is_minimal,
     members_have_private_cycles,
     private_cycle,
     spanning_forest,
@@ -140,15 +141,16 @@ def _contract(node: _Node) -> int:
 
 
 def _reduce(node: _Node, fired: dict[str, int]) -> None:
-    """The shared round (`graph.settle_round`), then contraction, until nothing fires.
+    """The shared pass (`graph.settle`), then contraction, while a contraction fires.
 
-    The round strips degree <= 1 vertices outside `required` and forces
+    The pass strips degree <= 1 vertices outside `required` and forces
     free vertices that close a forbidden-side cycle inside: no solution
     may leave such a cycle standing, so k drops accordingly (and may go
-    below zero, treated like zero).
+    below zero, treated like zero).  A merged vertex keeps its neighbors'
+    degrees but may close a cycle, so only a contraction calls for another pass.
     """
     while True:
-        gone, forced = settle_round(node.search, node.forbidden, node.free, node.required)
+        gone, forced = settle(node.search, node.forbidden, node.free, node.required)
         if gone:
             node.removed = node.removed.union(*map(node.originals_of, gone))
         node.k -= len(forced)
@@ -156,9 +158,7 @@ def _reduce(node: _Node, fired: dict[str, int]) -> None:
         for name, count in ((RULE_STRIP, len(gone)), (RULE_FORCE, len(forced)), (RULE_CONTRACT, contracted)):
             if count:
                 fired[name] = fired.get(name, 0) + count
-        # with nothing forced or merged, the round's strip left a fixpoint; a
-        # merged vertex keeps its neighbors' degrees but may close a cycle
-        if not (forced or contracted):
+        if not contracted:
             return
 
 
@@ -215,13 +215,13 @@ def _prune_orders(ctx: _Context, base: frozenset[int], pool: frozenset[int]) -> 
     return orders
 
 
-def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
+def _complete_witness(ctx: _Context, node: _Node) -> frozenset[int] | None:
     """Try to turn the current commitments into a verified witness.
 
     Starts from the committed-in set plus every still-free vertex lying on
     a cycle once the committed-in set is removed, prunes to minimality in
     a few deterministic orders with the committed-in set held fixed, and
-    accepts only if the pruned set passes full verification on the
+    accepts only if the pruned set passes `verify.is_minimal` on the
     original graph.  Contracted committed ids are resolved by trying their
     original ids in order and keeping the first combination that verifies.
 
@@ -248,9 +248,8 @@ def _complete_witness(ctx: _Context, node: _Node) -> Solution | None:
             continue
         for order in _prune_orders(ctx, base, start - base):
             candidate = prune_to_minimal(ctx.pristine, start, order)
-            certificate = is_minimal_fvs(ctx.pristine, candidate)
-            if certificate is not None:
-                return Solution(candidate, certificate)
+            if is_minimal(ctx.pristine, candidate):
+                return candidate
     return None
 
 
@@ -345,7 +344,7 @@ def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int]) -> 
     ]
 
 
-def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
+def _solve(ctx: _Context, node: _Node, depth: int) -> frozenset[int] | None:
     """Search below `node` for a witness; None when there is none.
 
     After reduction, a node is cut when `k` is above
@@ -366,7 +365,7 @@ def _solve(ctx: _Context, node: _Node, depth: int) -> Solution | None:
     vertices.  Otherwise let y be the first-deleted id whose originals C
     meets.  C enters and leaves y's originals along two edges of the
     working graph, to ids still live then (one deleted earlier would come
-    first).  `settle_round` peels only committed-out and free ids, and y
+    first).  `settle` peels only committed-out and free ids, and y
     had at most one neighbor among those, so one of the two is a
     committed-in id, formed before y went.  C runs along that id's whole
     path, through its member of S, which is not s1: impossible.  So C
@@ -432,15 +431,14 @@ def solve_extension(
     trees.extend(forbidden)
     gamma_root = trees.roots()
     root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k)
-    witness = _solve(ctx, root, depth=0)
-
-    if witness is not None:
+    found = _solve(ctx, root, depth=0)
+    witness = None
+    if found is not None:
         # Re-verify the emitted witness independently of search state.
-        if is_minimal_fvs(g, witness.vertices) is None:
-            raise VerificationError("extension witness is not a minimal fvs")
-        if not required <= witness.vertices or witness.vertices & forbidden:
+        witness = certify(g, found, "extension witness")
+        if not required <= found or found & forbidden:
             raise VerificationError("extension witness breaks the commitments")
-        if len(witness.vertices - required) < k:
+        if len(found - required) < k:
             raise VerificationError("extension witness is too small")
     return SolveReport(
         outcome="yes" if witness is not None else "no",

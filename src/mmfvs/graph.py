@@ -13,18 +13,18 @@ solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
 no cycle; `two_core` deletes them from a whole graph, and `chain_kernel`
 also shortens its chains of degree-2 vertices) and `cycle_closers`
 (a vertex with two neighbors in one tree of a committed-out forest must be
-in the solution).  `settle_round` applies both once to plain mutable
-vertex sets, and is the one reduction round of all three solvers;
-`settle` runs it to fixpoint for the cover-guess solver and the
-approximation scheme, and the extension search adds degree-two
-contraction to each round.  `degree_bound` caps, from neighbor counts
-alone, how many undecided vertices a minimal fvs can take: the 10^k
-solver's optimum bound, guess cut and search-node cut.
+in the solution).  `settle` is the one reduction pass of all three
+solvers: peel, force, and peel again when something was forced, on plain
+mutable vertex sets, which ends at a fixpoint of both rules.  The
+extension search follows it with degree-two contraction, and the
+approximation scheme's greedy steps need only `peel`.  `degree_bound`
+caps, from neighbor counts alone, how many undecided vertices a minimal
+fvs can take: the 10^k solver's optimum bound, guess cut and search-node
+cut.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 # the one neighbourhood every vertex without neighbours shares: sparse
@@ -411,39 +411,33 @@ def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> li
     return [v for v in sorted(candidates) if forest.closes_cycle(v)]
 
 
-def settle_round(
+def settle(
     g: Graph, out: set[int], free: set[int], inside: set[int]
 ) -> tuple[set[int], list[int]]:
-    """One round of `peel`, then `cycle_closers`, on plain sets in place.
+    """`peel`, then `cycle_closers`, then `peel` again, on plain sets in place.
 
     The live vertices split into `inside` (committed to the solution),
     `out` (committed outside) and `free` (undecided).  Vertices of degree
     <= 1 in g[out | free] lie on no cycle and leave both sets; then every
-    free vertex with two neighbors in one tree of g[out] moves to `inside`.
-    Returns the deleted vertices and the moved ones.  A round that moves
-    nothing ends at a fixpoint of both rules, because its `peel` already
-    ran to fixpoint on the sets it leaves.
+    free vertex with two neighbors in one tree of g[out] moves to
+    `inside`, and only when one moved does `peel` run once more.  Returns
+    the deleted vertices and the moved ones.
+
+    The sets it leaves are a fixpoint of both rules.  Each `peel` runs to
+    its own fixpoint.  Peeling only shrinks `out`, which splits trees of
+    g[out] and joins none, so a free vertex whose neighbors in `out` lay
+    in distinct trees still has them there: once the closers have moved,
+    no new closer can appear.
     """
     gone = peel(g, out | free)
     out -= gone
     free -= gone
     closers = cycle_closers(g, out, free)
-    inside.update(closers)
-    free.difference_update(closers)
+    if closers:
+        inside.update(closers)
+        free.difference_update(closers)
+        later = peel(g, out | free)
+        out -= later
+        free -= later
+        gone |= later
     return gone, closers
-
-
-def settle(
-    g: Graph, out: set[int], free: set[int], inside: set[int], tally: Counter[str]
-) -> None:
-    """`settle_round` to fixpoint.
-
-    `tally` counts the deletions in "reduction_degree" and the moves in
-    "reduction_force".
-    """
-    while True:
-        gone, closers = settle_round(g, out, free, inside)
-        tally["reduction_degree"] += len(gone)
-        tally["reduction_force"] += len(closers)
-        if not closers:
-            return

@@ -3,7 +3,8 @@
 Every cycle of g lies in its 2-core C (`graph.two_core`): a vertex off C
 lies on no cycle, so no minimal fvs holds one, and g and C have the same
 minimal fvs.  Both solvers here take C once, at the top of the call, and
-work on it alone; every witness is certified again on g.
+work on it alone; every witness is checked again on g, and gets one
+certificate per call.
 
 To decide whether some minimal fvs has at least k vertices, greedily build
 a minimal fvs W of C: if it is already large enough we are done.  W is
@@ -33,16 +34,9 @@ from itertools import combinations
 
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, degree_bound, two_core
-from mmfvs.report import Solution, SolveReport
+from mmfvs.report import Solution, SolveReport, certify
 from mmfvs.vcsolver import solve_vc
-from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal, is_minimal_fvs
-
-
-def _certified(g: Graph, s: frozenset[int], source: str) -> Solution:
-    certificate = is_minimal_fvs(g, s)
-    if certificate is None:
-        raise VerificationError(f"{source} is not a minimal fvs")
-    return Solution(s, certificate)
+from mmfvs.verify import VerificationError, greedy_minimal_fvs, is_minimal
 
 
 def solve_k(g: Graph, k: int) -> SolveReport:
@@ -51,8 +45,10 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     The call takes the 2-core C of g once and builds the greedy minimal fvs
     W on it, which is g's own greedy W (see the module docstring).  W
     answers every k <= |W|; any other k searches the guesses on C, and the
-    witness found there is certified again on g.  A guess the degree-sum
-    bound skips still counts in `guesses_tried`, with 0 in
+    witness found there, with the certificate `solve_extension` built on
+    C, is returned once the boolean `is_minimal` accepts it on g.  That
+    certificate is g's, by the argument in `opt_exact_solution`.  A guess
+    the degree-sum bound skips still counts in `guesses_tried`, with 0 in
     `nodes_per_guess`, and also in `guesses_cut_by_bound`.
     """
     if k < 0:
@@ -66,7 +62,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     if len(w) >= k:
         return SolveReport(
             outcome="yes",
-            solution=_certified(g, w, "greedy fvs"),
+            solution=certify(g, w, "greedy fvs"),
             nodes_explored=0,
             reductions_fired={},
             max_depth=0,
@@ -103,7 +99,9 @@ def solve_k(g: Graph, k: int) -> SolveReport:
             for name, count in report.reductions_fired.items():
                 fired_total[name] = fired_total.get(name, 0) + count
             if report.is_yes:
-                witness = _certified(g, report.solution.vertices, "extension witness")
+                if not is_minimal(g, report.solution.vertices):
+                    raise VerificationError("extension witness is not a minimal fvs")
+                witness = report.solution
                 break
         if witness is not None:
             break
@@ -153,7 +151,7 @@ def opt_exact_solution(g: Graph) -> tuple[int, Solution]:
             if not is_minimal(g, found.vertices):
                 raise VerificationError("solve_vc's solution is not a minimal fvs")
             return opt, found
-    return len(w), _certified(g, w, "greedy fvs")
+    return len(w), certify(g, w, "greedy fvs")
 
 
 def opt_exact(g: Graph) -> int:

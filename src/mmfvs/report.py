@@ -1,10 +1,11 @@
-"""Result containers shared by the solvers."""
+"""Result containers shared by the solvers, and `certify`, which builds every certificate."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from mmfvs.verify import Certificate
+from mmfvs.graph import Graph
+from mmfvs.verify import Certificate, VerificationError, is_minimal_fvs
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,14 @@ class Solution:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def certify(g: Graph, s: frozenset[int], what: str) -> Solution:
+    """s with its certificate on g; raises `VerificationError` if s is not a minimal fvs of g."""
+    certificate = is_minimal_fvs(g, s)
+    if certificate is None:
+        raise VerificationError(f"{what} is not a minimal fvs")
+    return Solution(s, certificate)
 
 
 @dataclass

@@ -41,13 +41,8 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from mmfvs.graph import Forest, Graph, chain_kernel, settle
-from mmfvs.report import Solution, SolveReport
-from mmfvs.verify import (
-    VerificationError,
-    is_minimal_fvs,
-    min_vertex_cover,
-    partial_minimality_ok,
-)
+from mmfvs.report import Solution, SolveReport, certify
+from mmfvs.verify import VerificationError, min_vertex_cover, partial_minimality_ok
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,14 @@ class CoverGuess:
 def settle_guess(
     g: Graph, cover_in: frozenset[int], cover_out: frozenset[int], tally: Counter[str]
 ) -> CoverGuess:
-    """The guess (cover_in, cover_out) with `graph.settle` run to fixpoint."""
+    """The guess (cover_in, cover_out) reduced by `graph.settle`.
+
+    `tally` counts the deletions in "reduction_degree" and the moves in "reduction_force".
+    """
     out, free, inside = set(cover_out), set(g.vertices - cover_in - cover_out), set()
-    settle(g, out, free, inside, tally)
+    gone, closers = settle(g, out, free, inside)
+    tally["reduction_degree"] += len(gone)
+    tally["reduction_force"] += len(closers)
     return CoverGuess(cover_in, frozenset(out), frozenset(free), frozenset(inside))
 
 
@@ -242,7 +242,7 @@ def cover_guesses(
     `_search_bound(guess)` vertices: all of them, less one while free
     vertices remain.  The connector search picks at least one connector.
     The greedy run (`approx._run_greedy`) keeps all of them only if it
-    moves no free vertex out and its settling peels none.  Its out side
+    moves no free vertex out and its peeling deletes none.  Its out side
     then only shrinks, so no free x is ever forced inside and each joins
     the candidate S with its cover_out neighbours in distinct trees of
     g[out], as settling left them.  The vertices peeled on the way hang
@@ -391,10 +391,7 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
             best, best_trees = found
     if best is None:
         raise VerificationError("no cover guess extended, yet the empty one always does")
-    certificate = is_minimal_fvs(g, best)
-    if certificate is None:
-        raise VerificationError("the best connector solution got no certificate")
-    solution = Solution(best, certificate)
+    solution = certify(g, best, "the best connector solution")
     report = SolveReport(
         outcome="yes",
         solution=solution,

@@ -1,12 +1,15 @@
 import random
+import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from mmfvs import approx, ksolver, vcsolver
+from mmfvs import approx, report
 from mmfvs.approx import _run_greedy, approx_solve
-from mmfvs.graph import Graph, cycle_closers
+from mmfvs.graph import Graph, chain_kernel, cycle_closers, peel
 from mmfvs.instances import generate
+from mmfvs.ksolver import solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess, solve_vc
 from mmfvs.verify import is_minimal_fvs, min_vertex_cover
@@ -249,21 +252,21 @@ class TestGate:
 
 
 def test_each_call_builds_one_certificate(monkeypatch):
-    # solve_vc certifies its final best and a greedy-mode approx_solve its
-    # final greedy best; every other candidate gets the boolean check only
+    # solve_vc certifies its final best, a greedy-mode approx_solve its
+    # final greedy best and solve_k its witness, all through
+    # `report.certify`; every other candidate gets the boolean check only
     built = []
 
     def counted(g, s):
         built.append(frozenset(s))
         return is_minimal_fvs(g, s)
 
-    for module in (approx, ksolver, vcsolver):
-        monkeypatch.setattr(module, "is_minimal_fvs", counted)
+    monkeypatch.setattr(report, "is_minimal_fvs", counted)
     rng = random.Random(26)
     graphs = [gnp(rng.randint(6, 10), rng.uniform(0.25, 0.55), seed=seed) for seed in range(40)]
     graphs += [apex_pair(n) for n in range(6, 12)]
     graphs += [generate("reduction-output", {"n": 5, "p": 0.4, "k": 0}, seed) for seed in range(10)]
-    greedy = 0
+    greedy = searched = 0
     for g in graphs:
         built.clear()
         solution, _ = solve_vc(g)
@@ -274,4 +277,40 @@ def test_each_call_builds_one_certificate(monkeypatch):
             if result.mode == "greedy":
                 assert built == [result.solution.vertices], (g, epsilon)
                 greedy += 1
+        for k in range(len(solution.vertices) + 2):
+            built.clear()
+            decided = solve_k(g, k)
+            assert built == ([decided.solution.vertices] if decided.is_yes else []), (g, k)
+            searched += decided.is_yes and k > decided.extras["greedy_size"]
     assert greedy >= 10, greedy
+    # witnesses the extension search found, beyond the greedy W
+    assert searched >= 20, searched
+
+
+def test_no_greedy_step_leaves_a_cycle_closer(monkeypatch):
+    # `_run_greedy` only peels after a step: the step has moved every closer
+    # of the new out side inside, and peeling makes no new one.  The sets
+    # are read from the greedy's frame at each peel, as the peel leaves them.
+    steps = 0
+
+    def checked_peel(g, live):
+        nonlocal steps
+        gone = peel(g, live)
+        state = sys._getframe(1).f_locals
+        assert cycle_closers(g, state["out"] - gone, state["free"] - gone) == []
+        steps += 1
+        return gone
+
+    monkeypatch.setattr(approx, "peel", checked_peel)
+    rng = random.Random(29)
+    graphs = []
+    for n in range(8, 41, 4):
+        noise = {tuple(sorted(rng.sample(range(2, n), 2))) for _ in range(rng.randint(0, 8))}
+        graphs.append(Graph(range(n), list(apex_pair(n).edges()) + sorted(noise)))
+    for n, p, seed in product(range(5, 9), (0.3, 0.5), range(5)):
+        graphs.append(generate("reduction-output", {"n": n, "p": p, "k": 0}, seed))
+    for g in graphs:
+        kernel = chain_kernel(g)
+        for guess in cover_guesses(kernel, min_vertex_cover(kernel), Counter(), lambda size: True):
+            _run_greedy(kernel, guess, Counter(), Counter())
+    assert steps > 600, steps

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,30 @@ class TestRunBatch:
         before = signal.getsignal(signal.SIGALRM)
         record = run_one("c5", generate("cycle", {"n": 5}), "vcsolver", timeout=60)
         assert record.outcome == "error" and record.error == "timeout"
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_a_timeout_off_the_main_thread_is_recorded(self):
+        # only the main thread can install a SIGALRM handler: from any other
+        # thread a timeout is an error record and the handler stays as it was
+        c5 = generate("cycle", {"n": 5})
+        before = signal.getsignal(signal.SIGALRM)
+        records, raised = {}, []
+
+        def call(timeout):
+            try:
+                records[timeout] = run_one("c5", c5, "vcsolver", timeout=timeout)
+            except Exception as exc:  # reported below, not lost in the thread
+                raised.append(exc)
+
+        for timeout in (5, None):
+            worker = threading.Thread(target=call, args=(timeout,))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert not raised, raised
+        assert records[5].outcome == "error"
+        assert records[5].error == "the timeout needs the main thread"
+        assert records[None].outcome == "yes" and records[None].size == 1
         assert signal.getsignal(signal.SIGALRM) is before
 
     def test_thread_pool_matches_serial(self):

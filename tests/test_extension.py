@@ -6,7 +6,7 @@ import pytest
 
 from mmfvs import extension
 from mmfvs.extension import _contract, _Node, _reduce, solve_extension
-from mmfvs.graph import Graph, cycle_closers, degree_bound, peel, settle_round
+from mmfvs.graph import Graph, cycle_closers, degree_bound, peel, settle
 from mmfvs.oracle import extension_exists_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
@@ -23,12 +23,12 @@ def gamma(g, forbidden):
 
 
 class TestStripAcyclicFringe:
-    """The first half of the shared round: `peel` outside the committed-in side."""
+    """The strip of the shared pass: `peel` outside the committed-in side."""
 
     def test_pendant_leaf_removed(self):
         g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         out, free, inside = {0}, {1, 2, 3, 4}, set()
-        gone, forced = settle_round(g, out, free, inside)
+        gone, forced = settle(g, out, free, inside)
         assert gone == {3, 4} and forced == []
         assert out | free | inside == {0, 1, 2}
 
@@ -36,19 +36,19 @@ class TestStripAcyclicFringe:
         # pendant 4 hangs off the forbidden side of a 4-cycle
         g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
         out, free = {0, 4}, {1, 2, 3}
-        gone, _ = settle_round(g, out, free, set())
+        gone, _ = settle(g, out, free, set())
         assert gone == {4}
         assert out == {0}
         assert gamma(g, out) == 1
 
     def test_already_reduced_is_identity(self):
         out, free, inside = {0}, {1, 2, 3}, set()
-        assert settle_round(cycle(4), out, free, inside) == (set(), [])
+        assert settle(cycle(4), out, free, inside) == (set(), [])
         assert (out, free, inside) == ({0}, {1, 2, 3}, set())
 
     def test_required_vertices_protected(self):
         out, free, inside = set(), {0, 2}, {1}
-        gone, _ = settle_round(path(3), out, free, inside)
+        gone, _ = settle(path(3), out, free, inside)
         assert inside == {1}
         assert gone == {0, 2}
 
@@ -61,7 +61,7 @@ class TestStripAcyclicFringe:
 
 
 class TestForceCycleClosers:
-    """The second half of the shared round: `cycle_closers` against the forbidden side."""
+    """The force of the shared pass: `cycle_closers` against the forbidden side."""
 
     def test_two_neighbors_in_one_forbidden_tree(self):
         n = node(cycle(3), forbidden={1, 2}, k=2)
@@ -72,13 +72,19 @@ class TestForceCycleClosers:
         # forcing 0 inside leaves the forbidden pair to the next strip
         assert fired == {"force_cycle_closers": 1, "strip_acyclic_fringe": 2}
 
+    def test_the_pass_strips_again_after_a_force(self):
+        # 0 closes the triangle with the forbidden edge, which then peels
+        out, free, inside = {1, 2}, {0}, set()
+        assert settle(cycle(3), out, free, inside) == ({1, 2}, [0])
+        assert (out, free, inside) == (set(), set(), {0})
+
     def test_neighbors_in_distinct_trees_untouched(self):
         g = Graph(range(3), [(0, 1), (0, 2)])
         assert cycle_closers(g, {1, 2}, {0}) == []
 
     def test_no_closer_is_identity(self):
         out, free, inside = {0}, {1, 2, 3}, set()
-        settle_round(cycle(4), out, free, inside)
+        settle(cycle(4), out, free, inside)
         assert inside == set()
 
 

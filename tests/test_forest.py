@@ -6,7 +6,6 @@ question afresh, one vertex at a time.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -18,7 +17,6 @@ from mmfvs.graph import (
     peel,
     prune_to_minimal,
     settle,
-    settle_round,
 )
 from mmfvs.verify import (
     greedy_minimal_fvs,
@@ -188,9 +186,9 @@ class TestReductionRules:
         assert peel(g, ()) == set()
 
     def test_settle_stops_at_the_joint_fixpoint(self):
-        # settle ends after the first round that moves nothing inside; the
-        # sets it leaves must then be a fixpoint of both rules, reached by
-        # rounds of the references alone
+        # settle is peel, force and, after a force, peel once more; the sets
+        # it leaves must be the fixpoint of both rules that rounds of the
+        # references alone reach
         rng = random.Random(5)
         for i, g in enumerate(random_graphs(600, seed=5, max_n=25)):
             inside = set(random_subset(g, rng, 0.2))
@@ -206,11 +204,27 @@ class TestReductionRules:
                 expected[2].update(closers)
                 if not gone and not closers:
                     break
-            tally = Counter()
             before = len(out | free)
-            settle(g, out, free, inside, tally)
+            gone, closers = settle(g, out, free, inside)
             assert [out, free, inside] == expected, i
-            assert settle_round(g, out, free, inside) == (set(), [])
+            assert settle(g, out, free, inside) == (set(), [])
             moved = len(inside) - (len(g) - before)
-            assert tally["reduction_force"] == moved
-            assert tally["reduction_degree"] == before - len(out | free) - moved
+            assert len(closers) == moved
+            assert len(gone) == before - len(out | free) - moved
+
+    def test_settle_leaves_nothing_to_peel_or_force(self):
+        # the lemma in `settle`'s docstring: after the closers move, one more
+        # peel reaches the joint fixpoint, whether or not g[out] is a forest
+        rng = random.Random(29)
+        forced = 0
+        for i, g in enumerate(random_graphs(800, seed=29, max_n=25)):
+            out = set(random_subset(g, rng, rng.random()))
+            if i % 2:
+                out -= greedy_minimal_fvs(g.induced(out))  # a forest
+            inside = set(random_subset(g, rng, 0.2)) - out
+            free = set(g.vertices) - inside - out
+            _, closers = settle(g, out, free, inside)
+            forced += bool(closers)
+            assert peel(g, out | free) == set(), i
+            assert cycle_closers(g, out, free) == [], i
+        assert forced > 100

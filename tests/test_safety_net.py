@@ -14,7 +14,7 @@ import sys
 if __debug__:
     sys.exit("this script must run under python -O")
 
-from mmfvs import approx, batch, extension, ksolver, vcsolver
+from mmfvs import approx, batch, extension, ksolver, report, vcsolver
 from mmfvs.graph import Graph
 from mmfvs.report import Solution
 from mmfvs.verify import VerificationError, is_minimal_fvs
@@ -36,11 +36,12 @@ def expect_failure(call, what):
     sys.exit(f"{what} did not raise VerificationError")
 
 
-# the greedy best that approx_solve returns must get its certificate;
-# checked first, as the patches below break the greedy and exact routes
-approx.is_minimal_fvs = no_certificate
+# the greedy best that approx_solve returns must get its certificate from
+# `report.certify`, which every solver calls; checked first, as the patches
+# below break the greedy and exact routes
+report.is_minimal_fvs = no_certificate
 expect_failure(lambda: approx.approx_solve(apex_pair, 0.5), "approx_solve certifying its best")
-approx.is_minimal_fvs = is_minimal_fvs
+report.is_minimal_fvs = is_minimal_fvs
 
 # a greedy run that moved more than vc vertices broke the additive guarantee
 approx._run_greedy = lambda g, guess, counters, conflict_sizes: (
@@ -66,14 +67,18 @@ hub = frozenset({4})
 ksolver.solve_vc = lambda g: (Solution(hub, is_minimal_fvs(g, hub)), None)
 expect_failure(lambda: ksolver.opt_exact_solution(butterfly), "opt_exact_solution below W")
 
-ksolver.is_minimal_fvs = no_certificate
+report.is_minimal_fvs = no_certificate
 expect_failure(lambda: ksolver.solve_k(triangle, 1), "solve_k")
 # the greedy W = {0} leaves k = 4 to the extension search on the 2-core,
-# and its witness is certified again on the input graph
+# which certifies its witness
 expect_failure(lambda: ksolver.solve_k(apex_pair, 4), "solve_k's extension witness")
+report.is_minimal_fvs = is_minimal_fvs
+# and solve_k checks that witness again on the input graph
+ksolver.is_minimal = lambda g, s: False
+expect_failure(lambda: ksolver.solve_k(apex_pair, 4), "solve_k checking the extension witness")
 
 # a search that claims the non-minimal fvs {0, 1}
-extension._solve = lambda ctx, inst, depth: Solution(frozenset({0, 1}), {})
+extension._solve = lambda ctx, inst, depth: frozenset({0, 1})
 expect_failure(lambda: extension.solve_extension(triangle, (0, 1), (), 0), "solve_extension")
 
 # a branching leaf without a forbidden neighbor breaks an invariant of the search
@@ -81,7 +86,7 @@ leaf = extension._Node(triangle, set(), set(), {0, 1, 2}, 1)
 expect_failure(lambda: extension._children(None, leaf, 0, {0: None}), "_children")
 
 # a best connector solution without a certificate must not be returned
-vcsolver.is_minimal_fvs = no_certificate
+report.is_minimal_fvs = no_certificate
 expect_failure(lambda: vcsolver.solve_vc(triangle), "solve_vc certifying its best")
 
 # a connector search that fails even the empty cover guess leaves no answer
