@@ -8,7 +8,9 @@ subtracts one and writing adds it back, ranking vertices by ascending id.
 
 from __future__ import annotations
 
+import math
 import random
+import struct
 from typing import Iterable, Mapping
 
 from mmfvs.graph import Graph
@@ -22,6 +24,7 @@ class InstanceFormatError(ValueError):
 
 def parse_instance(text: str) -> Graph:
     n = m = None
+    ids: list[int] = []
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -40,6 +43,9 @@ def parse_instance(text: str) -> Graph:
                 raise InstanceFormatError(f"line {lineno}: non-integer header counts") from None
             if n < 0 or m < 0:
                 raise InstanceFormatError(f"line {lineno}: negative counts in header")
+            # ids[u] is the vertex of file id u (ids[0] is unused): one int
+            # object per vertex, shared by its key and every edge end
+            ids = [-1, *range(n)]
         elif fields[0] == "e":
             if n is None:
                 raise InstanceFormatError(f"line {lineno}: edge before header")
@@ -57,14 +63,14 @@ def parse_instance(text: str) -> Graph:
             if key in seen:
                 raise InstanceFormatError(f"line {lineno}: duplicate edge {u} {v}")
             seen.add(key)
-            edges.append((u - 1, v - 1))
+            edges.append((ids[u], ids[v]))
         else:
             raise InstanceFormatError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise InstanceFormatError("line 1: missing header")
     if m != len(edges):
         raise InstanceFormatError(f"header announced {m} edges, found {len(edges)}")
-    return Graph(range(n), edges)
+    return Graph(ids[1:], edges)
 
 
 def write_instance(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -99,42 +105,111 @@ def _disjoint_cycles(sizes: Iterable[int]) -> Graph:
     return Graph(range(base), edges)
 
 
+# pairs whose coins one getrandbits call draws on the bulk path of `_gnp`
+_BLOCK = 1 << 14
+_WORDS = struct.Struct("<II")
+
+
 def _gnp(n: int, p: float, seed: int | None) -> Graph:
+    """G(n, p): each pair u < v, in u-major order, is an edge iff its coin is below p.
+
+    Each pair's coin is the value of one ``random()`` call on
+    ``random.Random(seed)``: ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` for
+    the next two 32-bit Mersenne Twister words a and b.  Graphs of at least
+    one block of pairs with p < 1/16 draw the coins in bulk instead:
+    ``getrandbits(64 * r)`` returns the same next 2r words, first word in
+    the lowest bits.  A coin whose a has top byte t is at least t / 256, so
+    only pairs with t < 256 p can be edges; ``bytes.find`` walks to them at C
+    speed and each is decided by the formula above.  Smaller or denser
+    graphs draw one ``random()`` per pair, which is faster there.  Both
+    paths give the same edges from the same part of the stream, so every
+    (n, p, seed) gives one graph.
+    """
     rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
+    pairs = n * (n - 1) // 2
+    if pairs < _BLOCK or p >= 1 / 16:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        return Graph(range(n), edges)
+    below = p * 2**53  # random() < p iff its 53-bit numerator is below this
+    marks = bytes(0 if t < p * 256 else 1 for t in range(256))  # 0: may be an edge
+    edges = []
+    u, row_start, row_end = 0, 0, n - 1  # row u holds the pair indices [row_start, row_end)
+    for start in range(0, pairs, _BLOCK):
+        count = min(_BLOCK, pairs - start)
+        words = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        tops = words[3::8].translate(marks)  # byte 3 of each pair is a's top byte
+        i = tops.find(0)
+        while i >= 0:
+            a, b = _WORDS.unpack_from(words, 8 * i)
+            if (a >> 5) * 2**26 + (b >> 6) < below:
+                index = start + i
+                while index >= row_end:
+                    u += 1
+                    row_start, row_end = row_end, row_end + n - 1 - u
+                edges.append((u, u + 1 + index - row_start))
+            i = tops.find(0, i + 1)
     return Graph(range(n), edges)
+
+
+def _param(family: str, params: Mapping[str, object], name: str, default: object = None) -> object:
+    if name in params:
+        return params[name]
+    if default is None:
+        raise ValueError(f"{family}: parameter {name} is missing")
+    return default
+
+
+def _count(family: str, params: Mapping[str, object]) -> int:
+    value = _param(family, params, "n")
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{family}: parameter n must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _probability(family: str, params: Mapping[str, object], default: object = None) -> float:
+    value = _param(family, params, "p", default)
+    try:
+        p = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        p = math.nan
+    if not 0 <= p <= 1:  # also refuses NaN
+        raise ValueError(f"{family}: parameter p must be a number in [0, 1], got {value!r}")
+    return p
 
 
 def generate(
     family: str, params: Mapping[str, object] | None = None, seed: int | None = None
 ) -> Graph:
-    """Deterministic graph generator: same (family, params, seed), same graph."""
+    """Deterministic graph generator: same (family, params, seed), same graph.
+
+    gnp and reduction-output draw their random graphs with `_gnp`, whose
+    coins come from the stream of one ``random()`` call per pair, drawn in
+    bulk for large sparse graphs and one at a time otherwise; so every
+    (n, p, seed) gives the graph it always gave.  A missing parameter, an
+    ``n`` that is not a non-negative integer and a ``p`` that is NaN or
+    outside [0, 1] raise a ValueError naming the family and the parameter.
+    """
     p = dict(params or {})
     if family == "gnp":
-        return _gnp(int(p["n"]), float(p["p"]), seed)
+        return _gnp(_count(family, p), _probability(family, p), seed)
     if family == "cycle":
-        n = int(p["n"])
+        n = _count(family, p)
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
     if family == "complete":
-        n = int(p["n"])
+        n = _count(family, p)
         return Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)])
     if family == "apexpair":
-        return _apex_pair(int(p["n"]))
+        return _apex_pair(_count(family, p))
     if family == "disjoint-cycles":
-        sizes = p["sizes"]
+        sizes = _param(family, p, "sizes")
         if isinstance(sizes, str):
             sizes = [int(s) for s in sizes.split(",") if s]
         return _disjoint_cycles([int(s) for s in sizes])  # type: ignore[union-attr]
     if family == "reduction-output":
         from mmfvs.reduction import ppt_mmvc_to_mmfvs
 
-        base = _gnp(int(p["n"]), float(p.get("p", 0.5)), seed)
+        base = _gnp(_count(family, p), _probability(family, p, 0.5), seed)
         return ppt_mmvc_to_mmfvs(base, int(p.get("k", 0))).graph
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

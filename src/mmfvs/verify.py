@@ -36,7 +36,7 @@ class VerificationError(Exception):
 
 def _members_of(g: Graph, s: Iterable[int]) -> frozenset[int]:
     s = frozenset(s)
-    unknown = s - g.vertices
+    unknown = [v for v in s if v not in g]
     if unknown:
         raise KeyError(f"unknown vertices: {sorted(unknown)}")
     return s

@@ -45,6 +45,7 @@ def disjoint_triangles(count: int) -> Graph:
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
+    """The per-pair reference for `generate("gnp")`: one random() call per pair."""
     rng = random.Random(seed)
     return Graph(
         range(n),

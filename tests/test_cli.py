@@ -112,6 +112,22 @@ class TestGen:
         g = parse_instance(capsys.readouterr().out)
         assert g == apex_pair(7)
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("gnp", ["n=10"], "error: gnp: parameter p is missing"),
+            ("gnp", ["n=2.5", "p=0.3"], "error: gnp: parameter n must be a non-negative integer, got 2.5"),
+            ("gnp", ["n=-3", "p=0.3"], "error: gnp: parameter n must be a non-negative integer, got -3"),
+            ("gnp", ["n=10", "p=nan"], "error: gnp: parameter p must be a number in [0, 1], got nan"),
+            ("reduction-output", ["n=4", "p=2"], "error: reduction-output: parameter p must be a number in [0, 1], got 2"),
+        ],
+    )
+    def test_gen_refuses_bad_parameters(self, capsys, family, params, message):
+        assert main(["gen", "--family", family, "--params", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
 
 class TestReducePpt:
     def test_emits_tagged_instance(self, tmp_path, capsys):

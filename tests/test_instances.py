@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
+from mmfvs import instances
 from mmfvs.graph import Graph
 from mmfvs.instances import InstanceFormatError, generate, parse_instance, write_instance
 
-from helpers import apex_pair, cycle, disjoint_triangles
+from helpers import apex_pair, cycle, disjoint_triangles, gnp
 
 
 class TestParse:
@@ -39,6 +43,12 @@ class TestParse:
     def test_missing_header(self):
         with pytest.raises(InstanceFormatError, match="missing header"):
             parse_instance("c nothing here\n")
+
+    def test_edge_ends_are_the_vertex_keys_own_ints(self):
+        g = parse_instance(write_instance(gnp(400, 0.01, 3)))
+        keys = {id(v) for v in g.sorted_vertices()}
+        assert g.edge_count() > 0
+        assert all(id(u) in keys for v in g.sorted_vertices() for u in g.neighbors(v))
 
 
 class TestRoundTrip:
@@ -79,3 +89,100 @@ class TestGenerate:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             generate("mystery", {"n": 3})
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("gnp", {"n": 10}, "gnp: parameter p is missing"),
+            ("gnp", {"p": 0.5}, "gnp: parameter n is missing"),
+            ("gnp", {"n": 2.5, "p": 0.5}, "gnp: parameter n must be a non-negative integer, got 2.5"),
+            ("gnp", {"n": -3, "p": 0.5}, "gnp: parameter n must be a non-negative integer, got -3"),
+            ("gnp", {"n": "ten", "p": 0.5}, "gnp: parameter n must be a non-negative integer"),
+            ("gnp", {"n": 10, "p": math.nan}, r"gnp: parameter p must be a number in \[0, 1\], got nan"),
+            ("gnp", {"n": 10, "p": -0.1}, r"gnp: parameter p must be a number in \[0, 1\]"),
+            ("gnp", {"n": 10, "p": 1.5}, r"gnp: parameter p must be a number in \[0, 1\]"),
+            ("gnp", {"n": 10, "p": "half"}, r"gnp: parameter p must be a number in \[0, 1\]"),
+            ("reduction-output", {"p": 0.5}, "reduction-output: parameter n is missing"),
+            ("reduction-output", {"n": 4.5}, "reduction-output: parameter n must be a non-negative integer"),
+            ("reduction-output", {"n": 4, "p": math.nan}, r"reduction-output: parameter p must be a number in \[0, 1\]"),
+            ("cycle", {}, "cycle: parameter n is missing"),
+            ("disjoint-cycles", {}, "disjoint-cycles: parameter sizes is missing"),
+        ],
+    )
+    def test_bad_parameters_name_the_family_and_the_parameter(self, family, params, message):
+        with pytest.raises(ValueError, match=message):
+            generate(family, params, seed=1)
+
+    def test_probability_bounds_are_allowed(self):
+        assert generate("gnp", {"n": 5, "p": 0}, seed=1).edge_count() == 0
+        assert generate("gnp", {"n": 5, "p": 1}, seed=1).edge_count() == 10
+
+
+# The smallest n whose n(n - 1)/2 pairs fill one block of the bulk draw.
+_FIRST_BULK_N = next(n for n in range(2, 1000) if n * (n - 1) // 2 >= instances._BLOCK)
+
+# p at t/256 and just off it: there a coin's top byte alone cannot decide the pair
+_AMBIGUOUS_P = [
+    q for t in (1, 2, 7, 15) for q in (t / 256, math.nextafter(t / 256, 0), math.nextafter(t / 256, 1), t / 256 + 1e-9)
+]
+
+
+class TestGnpDraw:
+    """`generate("gnp")` draws large sparse graphs' coins in bulk; every
+    graph must equal `helpers.gnp`, which makes one random() call per pair."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+    def test_tiny_graphs(self, n, p):
+        for seed in range(3):
+            assert generate("gnp", {"n": n, "p": p}, seed) == gnp(n, p, seed)
+
+    @pytest.mark.parametrize("n", [_FIRST_BULK_N - 1, _FIRST_BULK_N, 200])
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.001, *_AMBIGUOUS_P])
+    def test_on_both_sides_of_the_block_boundary(self, n, p):
+        for seed in range(2):
+            assert generate("gnp", {"n": n, "p": p}, seed) == gnp(n, p, seed)
+
+    @pytest.mark.parametrize("p", [math.nextafter(1 / 16, 0), 1 / 16, math.nextafter(1 / 16, 1)])
+    def test_on_both_sides_of_the_density_cut(self, p):
+        for seed in range(2):
+            assert generate("gnp", {"n": 200, "p": p}, seed) == gnp(200, p, seed)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_the_large_greedy_size(self, seed):
+        assert generate("gnp", {"n": 1000, "p": 0.0015}, seed) == gnp(1000, 0.0015, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_p_at_and_just_above_a_drawn_coin(self, seed):
+        # the pair whose coin is c is an edge iff c < p: only the full 53-bit
+        # coin, both words of it, separates p = c from the next float up
+        rng = random.Random(seed)
+        coins = sorted(c for c in (rng.random() for _ in range(200 * 199 // 2)) if c < 1 / 16)
+        for c in coins[:: len(coins) // 6]:
+            for p in (c, math.nextafter(c, 1)):
+                assert generate("gnp", {"n": 200, "p": p}, seed) == gnp(200, p, seed)
+
+    @pytest.mark.parametrize("n", [5, 6, 11, 16])
+    def test_graphs_of_whole_and_partial_blocks(self, monkeypatch, n):
+        # with blocks of 10 pairs, n = 5 and n = 16 fill one and twelve blocks exactly
+        monkeypatch.setattr(instances, "_BLOCK", 10)
+        for seed in range(20):
+            for p in (0.01, 0.03, *_AMBIGUOUS_P):
+                assert generate("gnp", {"n": n, "p": p}, seed) == gnp(n, p, seed)
+
+    @pytest.mark.parametrize(
+        "n, p, per_pair",
+        [(_FIRST_BULK_N - 1, 0.01, True), (_FIRST_BULK_N, 0.01, False), (1000, 0.0015, False),
+         (1000, 1 / 16, True), (11, 0.5, True)],
+    )
+    def test_the_bulk_draw_runs_on_large_sparse_graphs_only(self, monkeypatch, n, p, per_pair):
+        calls = []
+
+        class Counting(random.Random):
+            def random(self):
+                calls.append(None)
+                return super().random()
+
+        monkeypatch.setattr(instances.random, "Random", Counting)
+        generate("gnp", {"n": n, "p": p}, seed=1)
+        assert len(calls) == (n * (n - 1) // 2 if per_pair else 0)
