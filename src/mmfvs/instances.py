@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from mmfvs.graph import Graph
@@ -87,22 +88,27 @@ def _apex_pair(n: int) -> Graph:
     # minimum fvs 1, vertex cover {0, 1}, largest minimal fvs n - 2.
     if n < 3:
         raise ValueError("apexpair needs n >= 3")
-    edges = [(0, 1)]
-    for v in range(2, n):
-        edges.append((0, v))
-        edges.append((1, v))
-    return Graph(range(n), edges)
+    ids = list(range(n))
+    hub, other, *independents = ids
+    edges = [(hub, other)]
+    for v in independents:
+        edges.append((hub, v))
+        edges.append((other, v))
+    return Graph(ids, edges)
 
 
 def _disjoint_cycles(sizes: Iterable[int]) -> Graph:
+    sizes = list(sizes)
+    if any(size < 3 for size in sizes):
+        raise ValueError("cycle sizes must be >= 3")
+    ids = list(range(sum(sizes)))
     edges: list[tuple[int, int]] = []
     base = 0
     for size in sizes:
-        if size < 3:
-            raise ValueError("cycle sizes must be >= 3")
-        edges.extend((base + i, base + (i + 1) % size) for i in range(size))
+        ring = ids[base:base + size]
+        edges.extend(zip(ring, ring[1:] + ring[:1]))
         base += size
-    return Graph(range(base), edges)
+    return Graph(ids, edges)
 
 
 # pairs whose coins one getrandbits call draws on the bulk path of `_gnp`
@@ -123,13 +129,15 @@ def _gnp(n: int, p: float, seed: int | None) -> Graph:
     speed and each is decided by the formula above.  Smaller or denser
     graphs draw one ``random()`` per pair, which is faster there.  Both
     paths give the same edges from the same part of the stream, so every
-    (n, p, seed) gives one graph.
+    (n, p, seed) gives one graph, and both take every edge end from the
+    vertex keys' own ints, as `parse_instance` does.
     """
     rng = random.Random(seed)
+    ids = list(range(n))
     pairs = n * (n - 1) // 2
     if pairs < _BLOCK or p >= 1 / 16:
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        return Graph(range(n), edges)
+        edges = [(u, v) for u in ids for v in ids[u + 1:] if rng.random() < p]
+        return Graph(ids, edges)
     below = p * 2**53  # random() < p iff its 53-bit numerator is below this
     marks = bytes(0 if t < p * 256 else 1 for t in range(256))  # 0: may be an edge
     edges = []
@@ -146,9 +154,9 @@ def _gnp(n: int, p: float, seed: int | None) -> Graph:
                 while index >= row_end:
                     u += 1
                     row_start, row_end = row_end, row_end + n - 1 - u
-                edges.append((u, u + 1 + index - row_start))
+                edges.append((ids[u], ids[u + 1 + index - row_start]))
             i = tops.find(0, i + 1)
-    return Graph(range(n), edges)
+    return Graph(ids, edges)
 
 
 def _param(family: str, params: Mapping[str, object], name: str, default: object = None) -> object:
@@ -196,10 +204,11 @@ def generate(
         n = _count(family, p)
         if n < 3:
             raise ValueError("cycle needs n >= 3")
-        return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+        ids = list(range(n))
+        return Graph(ids, zip(ids, ids[1:] + ids[:1]))
     if family == "complete":
-        n = _count(family, p)
-        return Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)])
+        ids = list(range(_count(family, p)))
+        return Graph(ids, combinations(ids, 2))
     if family == "apexpair":
         return _apex_pair(_count(family, p))
     if family == "disjoint-cycles":

@@ -22,14 +22,16 @@ the input graph (`verify.is_minimal_fvs`), once per call.
 The cover-side guesses come from `cover_guesses`, a branch and bound that
 the approximation scheme shares; each caller says with `can_win` which
 result sizes it could still use.  The splits are bitmasks over the
-cover, and a split whose cover_out side is a forest is bounded twice
-before `graph.settle` reduces it, by the independents that can survive
-the degree rule and by the cycle rank of g - cover_in, and once after,
-by `_search_bound`: the cover side, the forced vertices and every free
-vertex but one, the connector the search must pick or the free vertex a
-verified greedy candidate leaves out.  `cover_guesses` proves each
-bound.  Only a guess that survives every cut has its cover side checked
-for private cycles.
+cover.  Each is bounded by the independents that can survive the degree
+rule before its cover_out side is flooded, and a split whose cover_out
+side is a forest is bounded again by the cycle rank of g - cover_in
+before `graph.settle` reduces it, and once after, by `_search_bound`:
+the cover side, the forced vertices and every free vertex but one, the
+connector the search must pick or the free vertex a verified greedy
+candidate leaves out.  Only a guess that survives every cut has its
+cover side checked for private cycles.  A side the cycle-rank cut or
+that check rules out is dead, and so is every larger side: the walk
+skips them unbounded.  `cover_guesses` proves each bound and the skip.
 """
 
 from __future__ import annotations
@@ -235,7 +237,8 @@ def cover_guesses(
     cover of g, smaller cover_in first, lexicographic within a size.
     `can_win(size)` says whether the caller could use a result of that
     size: one that beats its best, and for `approx.approx_solve` one that
-    also reaches its threshold.  It must not turn False as size grows.
+    also reaches its threshold.  It must not turn False as size grows, and
+    a size it refuses must stay refused for the rest of the walk.
 
     Both callers make of a settled guess a minimal fvs of g that holds
     cover_in, the forced vertices and some free ones, and it has at most
@@ -253,39 +256,58 @@ def cover_guesses(
     its neighbour mask within the cover, and the independents are grouped
     into (neighbour mask, count) classes, of which only those with two or
     more cover neighbours are walked; only a split that gets settled
-    becomes sets.  A split whose cover_out side is not a forest is dropped:
-    `tree_masks` floods g[cover_out] one component at a time.  The rest
-    are bounded before they are settled: every independent x has N(x)
-    inside the cover, so in g - cover_in its degree is |N(x) & cover_out|,
-    and the first `peel` of `graph.settle` deletes it when that is at most
-    one.  Settling after that only deletes free vertices or moves them
-    inside, so the settled inside and free sets lie in L = {x : |N(x) -
-    cover_in| >= 2}, and `_search_bound` stays within |cover_in| + |L|.
+    becomes sets.  Every independent x has N(x) inside the cover, so in
+    g - cover_in its degree is |N(x) & cover_out|, and the first `peel` of
+    `graph.settle` deletes it when that is at most one.  Settling after
+    that only deletes free vertices or moves them inside, so the settled
+    inside and free sets lie in L = {x : |N(x) - cover_in| >= 2}, and
+    `_search_bound` stays within |cover_in| + |L|.  A split whose
+    |cover_in| + |L| cannot win is cut first, from the masks alone; it is
+    one the settled bound would cut too.  Only a split that passes has its
+    cover_out side flooded (`tree_masks`, one component at a time), and it
+    is dropped when that side is not a forest.
 
     Settling only shrinks out, so an x of L whose cover_out neighbours lie
     in distinct components of g[cover_out] never closes a cycle there and
     never moves inside: it is either peeled or left free, and either way
-    `_search_bound` stays within |cover_in| + |L| - 1.  A split whose
-    |cover_in| + |L|, or with such an x |cover_in| + |L| - 1, cannot win
-    is cut unsettled; it is one the settled bound would cut too.  A split
+    `_search_bound` stays within |cover_in| + |L| - 1.  A split with such
+    an x whose |cover_in| + |L| - 1 cannot win is cut unsettled.  A split
     that passes is then cut, still unsettled, when |cover_in| + μ(g -
     cover_in) cannot win (`cycle_rank`, μ = m - n + c): the private
     cycles of a minimal fvs S are linearly independent in the cycle
     space, since each is the only one of them through its member
     (Diestel, *Graph Theory*, §1.9), and those of S - cover_in lie in
     g - cover_in, so |S - cover_in| <= μ(g - cover_in).  The -1 never applies
-    to that term; it holds for |L| alone.  μ is only computed for the
-    splits that pass the |L| cut.  A split that passes both is settled
-    (`settle_guess`) and bounded again with `_search_bound`, and only a
-    guess that can still win has the private cycles of its cover_in side
-    checked, one sweep each (`verify.partial_minimality_ok`).
+    to that term; it holds for |L| alone.  A split that passes both is
+    settled (`settle_guess`) and bounded again with `_search_bound`, and
+    only a guess that can still win has the private cycles of its
+    cover_in side checked, one sweep each (`verify.partial_minimality_ok`).
 
-    `tally` counts every split in "cover_guesses", all four cuts in
-    "guesses_cut_by_bound", the private-cycle rejects in
+    Some cuts rule out every larger cover_in side too.  Let f(T) = |T| +
+    μ(g - T).  If T passes the sweep, each v of T lies on a cycle of
+    g - (T - v), so deleting v there lowers μ by at least one and f(T) <=
+    f(T - v).  If T fails it, so does every T' ⊇ T, since g - (T' - v)
+    lies inside g - (T - v); so every subset of a passing side passes, and
+    f never rises along a chain of subsets up to a passing side.  Call a
+    side dead when the cycle-rank cut removes it or it fails the sweep.
+    A later side T' ⊇ T of a dead T then either fails the sweep or has
+    f(T') <= f(T), which could not win at T and cannot win now, so it is
+    never yielded.  A split with a dead side one smaller is skipped before
+    any other work and marked dead itself; the walk goes up one size at a
+    time, so every superset of a dead side is skipped, and only the dead
+    sides of the size below need keeping.  The |L| cuts, the settled bound
+    and a cyclic cover_out side mark nothing: a larger cover_in shrinks L
+    and cover_out, so a split they remove can have supersets that win.
+
+    `tally` counts every split in "cover_guesses"; the two |L| cuts, the
+    cycle-rank cut, the settled bound and the skipped splits in
+    "guesses_cut_by_bound"; the sides that fail the sweep in
     "wrong_cover_guesses" and the yielded guesses in
-    "viable_cover_guesses"; `settle_guess` adds the reductions of the
-    splits that get settled.  The split and cut counts reach `tally`
-    before each yield and at the end.
+    "viable_cover_guesses".  A split with a cyclic cover_out side that the
+    |L| cut lets through is counted in "cover_guesses" alone.
+    `settle_guess` adds the reductions of the splits that get settled.
+    The split and cut counts reach `tally` before each yield and at the
+    end.
     """
     ordered = sorted(cover)
     bit = {v: 1 << i for i, v in enumerate(ordered)}
@@ -296,13 +318,17 @@ def cover_guesses(
     live = {nb: count for nb, count in classes.items() if nb & (nb - 1)}
     everything = (1 << len(ordered)) - 1
     splits = cuts = 0
+    dead: set[int] = set()  # the dead cover_in masks of the size before
     for size in range(len(ordered) + 1):
+        below, dead = dead, set()
         for picked in combinations(vertex_of, size):
             splits += 1
-            out_mask = everything - sum(picked)
-            comps = tree_masks(adj, out_mask)
-            if comps is None:
+            in_mask = sum(picked)
+            if below and any(in_mask - b in below for b in picked):
+                dead.add(in_mask)
+                cuts += 1
                 continue
+            out_mask = everything - in_mask
             most = size
             hits = []
             for nb, count in live.items():
@@ -310,9 +336,19 @@ def cover_guesses(
                 if hit & (hit - 1):
                     most += count
                     hits.append(hit)
-            if not can_win(most) or (not can_win(most - 1) and any(
+            if not can_win(most):
+                cuts += 1
+                continue
+            comps = tree_masks(adj, out_mask)
+            if comps is None:
+                continue
+            if not can_win(most - 1) and any(
                 all((hit & comp).bit_count() <= 1 for comp in comps) for hit in hits
-            )) or not can_win(size + cycle_rank(live, out_mask, comps)):
+            ):
+                cuts += 1
+                continue
+            if not can_win(size + cycle_rank(live, out_mask, comps)):
+                dead.add(in_mask)
                 cuts += 1
                 continue
             cover_in = frozenset(vertex_of[b] for b in picked)
@@ -321,7 +357,8 @@ def cover_guesses(
                 cuts += 1
                 continue
             if cover_in and not partial_minimality_ok(g, cover_in):
-                # no minimal fvs meets the cover in exactly this set
+                # no minimal fvs meets the cover in this set or any larger one
+                dead.add(in_mask)
                 tally["wrong_cover_guesses"] += 1
                 continue
             tally["viable_cover_guesses"] += 1

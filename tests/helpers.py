@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
+from typing import Callable, Iterator
 
 from hypothesis import strategies as st
 
 from mmfvs.graph import Graph, chain_kernel, degree_bound, is_acyclic_without, two_core
 from mmfvs.ksolver import solve_k
 from mmfvs.report import Solution
-from mmfvs.vcsolver import solve_vc
-from mmfvs.verify import greedy_minimal_fvs, is_fvs, is_minimal_fvs, private_cycle
+from mmfvs.vcsolver import (
+    CoverGuess, _search_bound, cycle_rank, settle_guess, solve_vc, tree_masks,
+)
+from mmfvs.verify import (
+    greedy_minimal_fvs, is_fvs, is_minimal_fvs, partial_minimality_ok, private_cycle,
+)
 
 # re-exported for the acceptance tests: the atlas code lives in corpus.py,
 # whose source alone keys the cached corpus
@@ -301,3 +307,57 @@ def neighborhood_components(g: Graph, c_out, u: int) -> frozenset[int]:
     return frozenset(
         min(comp) for comp in g.induced(c_out).components() if g.neighbors(u) & comp
     )
+
+
+def cover_guesses_reference(
+    g: Graph, cover: frozenset[int], tally: Counter[str], can_win: Callable[[int], bool]
+) -> Iterator[CoverGuess]:
+    """`vcsolver.cover_guesses` split by split: every split is bounded on its own.
+
+    Each split's cover_out side is flooded first, and a split with a
+    cyclic cover_out side is dropped uncounted; then come the |L| cuts,
+    the cycle-rank cut, the settled bound and the private-cycle sweep, with
+    no split skipped for a subset the walk has already ruled out.
+    """
+    ordered = sorted(cover)
+    bit = {v: 1 << i for i, v in enumerate(ordered)}
+    vertex_of = {b: v for v, b in bit.items()}
+    adj = {bit[v]: sum(bit[w] for w in g.neighbors(v) if w in bit) for v in ordered}
+    classes = Counter(sum(bit[w] for w in g.neighbors(x)) for x in g.vertices - cover)
+    live = {nb: count for nb, count in classes.items() if nb & (nb - 1)}
+    everything = (1 << len(ordered)) - 1
+    splits = cuts = 0
+    for size in range(len(ordered) + 1):
+        for picked in combinations(vertex_of, size):
+            splits += 1
+            out_mask = everything - sum(picked)
+            comps = tree_masks(adj, out_mask)
+            if comps is None:
+                continue
+            most = size
+            hits = []
+            for nb, count in live.items():
+                hit = nb & out_mask
+                if hit & (hit - 1):
+                    most += count
+                    hits.append(hit)
+            if not can_win(most) or (not can_win(most - 1) and any(
+                all((hit & comp).bit_count() <= 1 for comp in comps) for hit in hits
+            )) or not can_win(size + cycle_rank(live, out_mask, comps)):
+                cuts += 1
+                continue
+            cover_in = frozenset(vertex_of[b] for b in picked)
+            guess = settle_guess(g, cover_in, cover - cover_in, tally)
+            if not can_win(_search_bound(guess)):
+                cuts += 1
+                continue
+            if cover_in and not partial_minimality_ok(g, cover_in):
+                tally["wrong_cover_guesses"] += 1
+                continue
+            tally["viable_cover_guesses"] += 1
+            tally["cover_guesses"] += splits
+            tally["guesses_cut_by_bound"] += cuts
+            splits = cuts = 0
+            yield guess
+    tally["cover_guesses"] += splits
+    tally["guesses_cut_by_bound"] += cuts

@@ -9,7 +9,14 @@ sweep per cover side.  Both solvers share that bound: the connector
 search picks a connector while free vertices remain, and a verified
 greedy candidate leaves one of them out too.  The replays check every
 split the cycle rank cuts with an unbounded search, and a hypothesis
-test checks the lemma behind it against brute force.  Checked here on seeded random,
+test checks the lemma behind it against brute force.  The walk skips
+every split with a dead side one smaller, one the cycle rank cut or the
+sweep ruled out; the replays do the same and check that each skipped
+side fails the sweep or is one the cycle rank cuts, and a hypothesis test
+checks the lemma behind the skip, |T| + μ(g - T) <= |T| - 1 + μ(g - (T - v))
+for every v of a side T that passes the sweep.  A split with a cyclic
+cover_out side is cut, unflooded, when its |L| bound cannot win, and
+dropped uncounted otherwise.  Checked here on seeded random,
 apex-pair and reduction-output graphs, on every split whose cover_out
 side is a forest: each bound is at least what the unbounded search, or
 a verified greedy run, gives,
@@ -28,6 +35,7 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import chain, combinations
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -273,119 +281,138 @@ def cut_by_rank(g, cover_in, best, largest):
     return True
 
 
-def replay_vc(g):
-    """`solve_vc`'s optimum, bound cuts, wrong sides, settled sides and swept sides.
+class Replay(NamedTuple):
+    """What a replay of `cover_guesses` under one caller finds, split by split."""
 
-    Found by unbounded searches; a side is swept when its split passes
-    every bound and it is not empty.  Also the number of splits left
-    unsettled only because a live vertex closes no cycle, and the number
-    the cycle-rank bound cuts that the settled bound would not.
+    best: int | None  # the caller's answer size
+    cut: int  # guesses_cut_by_bound
+    viable: int  # viable_cover_guesses
+    wrong: int  # wrong_cover_guesses
+    settles: list  # the cover_in sides settled, in order
+    swept: list  # the non-empty sides swept for private cycles, in order
+    idle_cuts: int  # splits left unsettled only because a live vertex closes no cycle
+    rank_cuts: int  # splits the cycle rank cuts that the settled bound would not
+    skips: int  # splits skipped for a dead one-smaller side
+
+
+def replay(g, beat_of, run):
+    """The walk `cover_guesses` makes for one caller, replayed by unbounded runs.
+
+    `beat_of(best)` is the size a result must beat, and `run(h, guess)`
+    the caller's result size for a settled guess on the chain kernel h,
+    or None; the best is the largest result beating `beat_of`.  A side is
+    dead once the cycle-rank cut or the private-cycle sweep rules it out.
+    The replay keeps the walk's two rules: a split with a dead side one
+    smaller is skipped and dead too, and a cyclic cover_out side is cut by
+    the |L| bound before the flood (counted) or dropped by it (uncounted).  Every
+    skipped split must fail the private-cycle sweep or, by the lemma
+    |T'| + μ(g - T') <= |T| + μ(g - T), be one the cycle-rank cut removes,
+    and every cut forest split must not have beaten the best.
     """
     reduced, cover = vc_setting(g)
-    best, cut, wrong, settles, swept, idle_cuts, rank_cuts = None, 0, 0, [], [], 0, 0
-    for cover_in, cover_out in forest_splits(reduced, cover):
-        # with a live vertex that closes no cycle the search bound loses one
-        slack = 1 if idle_live(reduced, cover, cover_out) else 0
-        bound = live_bound(reduced, cover, cover_in)
-        guess = settle_guess(reduced, cover_in, cover_out, Counter())
+    best = None
+    cut = viable = wrong = idle_cuts = rank_cuts = skips = 0
+    settles, swept, dead = [], [], set()
+    for cover_in, cover_out in splits(cover):
+        beat = beat_of(best)
+        guess = None
 
         def largest():
             if cover_in and not partial_minimality_ok(reduced, cover_in):
                 return None
-            found = find_connectors(reduced, guess, -1, Counter())
-            return found and len(found[0])
+            return run(reduced, guess or settle_guess(reduced, cover_in, cover_out, Counter()))
 
-        if best is None or bound - slack > best:
-            if cut_by_rank(reduced, cover_in, best, largest):
+        if any(cover_in - {v} in dead for v in cover_in):
+            # a side one smaller is dead, so this one is too
+            dead.add(cover_in)
+            assert (
+                not partial_minimality_ok(reduced, cover_in)
+                or cut_by_rank(reduced, cover_in, beat, largest)
+            ), (g, cover_in)
+            cut += 1
+            skips += 1
+            continue
+        bound = live_bound(reduced, cover, cover_in)
+        if not Forest(reduced).extend(cover_out, stop_at_cycle=True):
+            cut += beat is not None and bound <= beat
+            continue
+        # with a live vertex that closes no cycle the search bound loses one
+        slack = 1 if idle_live(reduced, cover, cover_out) else 0
+        guess = settle_guess(reduced, cover_in, cover_out, Counter())
+        if beat is None or bound - slack > beat:
+            if cut_by_rank(reduced, cover_in, beat, largest):
+                dead.add(cover_in)
                 cut += 1
-                rank_cuts += _search_bound(guess) > best
+                rank_cuts += _search_bound(guess) > beat
                 continue
             settles.append(cover_in)
-        elif bound > best:
+        elif bound > beat:
             idle_cuts += 1
-        if best is not None and _search_bound(guess) <= best:
+        if beat is not None and _search_bound(guess) <= beat:
+            assert (largest() or 0) <= beat, (g, cover_in)
             cut += 1
             continue
         if cover_in:
             swept.append(cover_in)
             if not partial_minimality_ok(reduced, cover_in):
+                dead.add(cover_in)
                 wrong += 1
                 continue
-        found = find_connectors(reduced, guess, -1, Counter())
-        if found is not None and (best is None or len(found[0]) > best):
-            best = len(found[0])
-    return best, cut, wrong, settles, swept, idle_cuts, rank_cuts
+        viable += 1
+        size = run(reduced, guess)
+        if size is not None and (beat is None or size > beat):
+            best = size
+    return Replay(best, cut, viable, wrong, settles, swept, idle_cuts, rank_cuts, skips)
+
+
+def connector_size(h, guess):
+    found = find_connectors(h, guess, -1, Counter())
+    return found and len(found[0])
+
+
+def replay_vc(g):
+    """`solve_vc`'s walk: a result wins when it beats the best, by unbounded connector searches."""
+    return replay(g, lambda best: best, connector_size)
 
 
 def replay_greedy(g, threshold):
-    """`approx_solve`'s greedy best, bound cuts, wrong sides and settled sides, by greedy runs.
+    """`approx_solve`'s walk, by greedy runs on the chain kernel checked on g.
 
-    The greedy runs on the chain kernel, and its candidates are checked on
-    g.  A result wins only when it reaches `threshold` and beats the best,
-    so the cuts compare each bound with `beat`, threshold - 1 until a
-    verified candidate reaches the threshold and that best after it; the
-    best stays None when none does.  Every cut guess is run anyway, and
-    must not have beaten `beat`.  Also the number of splits left
-    unsettled only because a live vertex closes no cycle.  The cycle-rank
-    cut is replayed too, but with the |L| - 1 cut before it, it fires on
-    none of the corpus's greedy-mode graphs; `replay_vc` shows it cutting
-    what the settled bound would not.
+    A result wins only when it reaches `threshold` and beats the best, so
+    each bound is compared with threshold - 1 until a verified candidate
+    reaches the threshold and with that best after it; the best stays None
+    when none does.  The cycle-rank cut is replayed too, but with the
+    |L| - 1 cut before it, it fires on none of the corpus's greedy-mode
+    graphs; `replay_vc` shows it cutting what the settled bound would not.
     """
-    reduced, cover = vc_setting(g)
-    best, cut, wrong, settles, idle_cuts = None, 0, 0, [], 0
-    for cover_in, cover_out in forest_splits(reduced, cover):
-        beat = threshold - 1 if best is None else best
-        # with a live vertex that closes no cycle the search bound loses one
-        slack = 1 if idle_live(reduced, cover, cover_out) else 0
-        bound = live_bound(reduced, cover, cover_in)
-        guess = settle_guess(reduced, cover_in, cover_out, Counter())
 
-        def largest():
-            if cover_in and not partial_minimality_ok(reduced, cover_in):
-                return None
-            candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
-            return len(candidate) if is_minimal(g, candidate) else None
+    def greedy_size(h, guess):
+        candidate, _ = _run_greedy(h, guess, Counter(), Counter())
+        return len(candidate) if is_minimal(g, candidate) else None
 
-        if bound - slack > beat:
-            if cut_by_rank(reduced, cover_in, beat, largest):
-                cut += 1
-                continue
-            settles.append(cover_in)
-        elif bound > beat:
-            idle_cuts += 1
-        if _search_bound(guess) <= beat:
-            assert (largest() or 0) <= beat, (g, cover_in)
-            cut += 1
-            continue
-        if cover_in and not partial_minimality_ok(reduced, cover_in):
-            wrong += 1
-            continue
-        candidate, _ = _run_greedy(reduced, guess, Counter(), Counter())
-        if len(candidate) > beat and is_minimal(g, candidate):
-            best = len(candidate)
-    return best, cut, wrong, settles, idle_cuts
+    return replay(g, lambda best: threshold - 1 if best is None else best, greedy_size)
 
 
 def test_solve_vc_cuts_exactly_the_guesses_that_cannot_win(settled):
-    cuts = wrongs = unsettled = idle = ranked = 0
+    cuts = wrongs = unsettled = idle = ranked = skips = 0
     for g in corpus():
         # the replay's unbounded searches settle too, so record only the solve
-        best, cut, wrong, settles, _, idle_cuts, rank_cuts = replay_vc(g)
+        walk = replay_vc(g)
         settled.clear()
         solution, report = solve_vc(g)
         extras = report.extras
-        splits_in = sum(1 for _ in forest_splits(*vc_setting(g)))
-        viable = splits_in - cut - wrong
-        assert (len(solution), extras["guesses_cut_by_bound"], extras["viable_cover_guesses"]) == (
-            best, cut, viable,
-        ), g
-        assert settled == settles, g
-        cuts += cut
-        wrongs += wrong
-        unsettled += splits_in - len(settles)
-        idle += idle_cuts
-        ranked += rank_cuts
-    assert cuts > 0 and wrongs > 0 and unsettled > 0 and idle > 0 and ranked > 0
+        assert (
+            len(solution), extras["guesses_cut_by_bound"], extras["viable_cover_guesses"],
+            extras["cover_guesses"],
+        ) == (walk.best, walk.cut, walk.viable, 2 ** extras["cover_size"]), g
+        assert settled == walk.settles, g
+        cuts += walk.cut
+        wrongs += walk.wrong
+        unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(walk.settles)
+        idle += walk.idle_cuts
+        ranked += walk.rank_cuts
+        skips += walk.skips
+    assert cuts > 0 and wrongs > 0 and unsettled > 0 and idle > 0 and ranked > 0 and skips > 0
 
 
 def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
@@ -398,13 +425,13 @@ def test_cover_guesses_sweep_each_side_once_after_both_bounds(monkeypatch):
     monkeypatch.setattr(vcsolver, "partial_minimality_ok", counted)
     swept = cut = 0
     for g in corpus():
-        _, cut_here, _, _, expected, _, _ = replay_vc(g)
+        walk = replay_vc(g)
         sweeps.clear()
         solve_vc(g)
-        assert sweeps == expected, g
+        assert sweeps == walk.swept, g
         assert len(set(sweeps)) == len(sweeps), g
         swept += len(sweeps)
-        cut += cut_here
+        cut += walk.cut
     assert swept > 0 and cut > 0
 
 
@@ -416,18 +443,19 @@ def test_approx_cuts_exactly_the_guesses_that_cannot_win(settled):
         extras = result.report.extras
         if result.mode != "greedy":
             # no verified candidate reached the threshold
-            assert replay_greedy(g, extras["threshold"])[0] is None, g
+            assert replay_greedy(g, extras["threshold"]).best is None, g
             exact += 1
             continue
         greedy += 1
-        best, cut, wrong, settles, idle_cuts = replay_greedy(g, extras["threshold"])
+        walk = replay_greedy(g, extras["threshold"])
         assert (
-            len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"]
-        ) == (best, cut, wrong), g
-        assert settled == settles, g
+            len(result.solution), extras["guesses_cut_by_bound"], extras["wrong_cover_guesses"],
+            extras["cover_guesses"],
+        ) == (walk.best, walk.cut, walk.wrong, walk.viable), g
+        assert settled == walk.settles, g
         cuts += extras["guesses_cut_by_bound"]
-        unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(settles)
-        idle += idle_cuts
+        unsettled += sum(1 for _ in forest_splits(*vc_setting(g))) - len(walk.settles)
+        idle += walk.idle_cuts
     assert greedy >= 50 and exact > 0 and cuts > 0 and unsettled > 0 and idle > 0
 
 
@@ -472,3 +500,21 @@ def test_the_cycle_rank_bounds_every_cover_split(g):
         rank = vcsolver.cycle_rank(classes, out, tree_masks(adj, out))
         assert rank == cycle_rank_reference(g.delete(cover_in)), (g, cover_in)
         assert largest.get(cover_in, 0) <= len(cover_in) + rank, (g, cover_in)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=7))
+def test_a_side_that_keeps_its_private_cycles_bounds_no_higher_than_its_subsets(g):
+    # the lemma behind the walk's skip: with f(T) = |T| + μ(g - T), each v
+    # of a side T that passes the sweep lies on a cycle of g - (T - v), so
+    # deleting it lowers μ by at least one and f(T) <= f(T - v); and a side
+    # that fails the sweep makes every side one larger fail it too
+    def f(side):
+        return len(side) + cycle_rank_reference(g.delete(side))
+
+    ordered = g.sorted_vertices()
+    for side in map(frozenset, chain.from_iterable(combinations(ordered, k) for k in range(len(g) + 1))):
+        if partial_minimality_ok(g, side):
+            assert all(f(side) <= f(side - {v}) for v in side), (g, side)
+        else:
+            assert not any(partial_minimality_ok(g, side | {v}) for v in ordered), (g, side)

@@ -10,6 +10,13 @@ from mmfvs.instances import InstanceFormatError, generate, parse_instance, write
 from helpers import apex_pair, cycle, disjoint_triangles, gnp
 
 
+def assert_ends_are_the_keys_own_ints(g):
+    """Every edge end is the very int object of its vertex key: one object per id."""
+    keys = {id(v) for v in g.sorted_vertices()}
+    assert g.edge_count() > 0
+    assert all(id(u) in keys for v in g.sorted_vertices() for u in g.neighbors(v))
+
+
 class TestParse:
     def test_basic(self):
         g = parse_instance("p mmfvs 3 2\ne 1 2\ne 2 3\n")
@@ -45,10 +52,7 @@ class TestParse:
             parse_instance("c nothing here\n")
 
     def test_edge_ends_are_the_vertex_keys_own_ints(self):
-        g = parse_instance(write_instance(gnp(400, 0.01, 3)))
-        keys = {id(v) for v in g.sorted_vertices()}
-        assert g.edge_count() > 0
-        assert all(id(u) in keys for v in g.sorted_vertices() for u in g.neighbors(v))
+        assert_ends_are_the_keys_own_ints(parse_instance(write_instance(gnp(400, 0.01, 3))))
 
 
 class TestRoundTrip:
@@ -62,6 +66,21 @@ class TestRoundTrip:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("gnp", {"n": 400, "p": 0.01}),  # the bulk draw
+            ("gnp", {"n": 300, "p": 0.07}),  # one random() per pair
+            ("cycle", {"n": 300}),
+            ("complete", {"n": 300}),
+            ("apexpair", {"n": 300}),
+            ("disjoint-cycles", {"sizes": "140,160"}),
+        ],
+    )
+    def test_edge_ends_are_the_vertex_keys_own_ints(self, family, params):
+        # ids past 256 are fresh int objects unless every end comes from one list
+        assert_ends_are_the_keys_own_ints(generate(family, params, 3))
+
     def test_apex_pair_matches_reference_shape(self):
         g = generate("apexpair", {"n": 6})
         assert g == apex_pair(6)
