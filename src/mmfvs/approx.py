@@ -157,28 +157,14 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     if best is None:
         # no verified candidate proves opt >= threshold: solve outright
         opt, sol = opt_exact_solution(g)
-        return ApproxResult(
-            sol,
-            "exact",
-            SolveReport(
-                outcome="yes",
-                solution=sol,
-                nodes_explored=0,
-                reductions_fired={},
-                max_depth=0,
-                wall_time=time.perf_counter() - start,
-                extras={"vc": vc, "threshold": threshold, "opt": opt},
-            ),
-        )
+        extras = {"vc": vc, "threshold": threshold, "opt": opt}
+        return ApproxResult(sol, "exact", SolveReport(sol, time.perf_counter() - start, extras=extras))
     solution = certify(g, best, "the greedy best")
     report = SolveReport(
-        outcome="yes",
         solution=solution,
-        nodes_explored=0,
         reductions_fired={
             name: counters[name] for name in ("reduction_degree", "reduction_force")
         },
-        max_depth=0,
         wall_time=time.perf_counter() - start,
         extras={
             "vc": vc,

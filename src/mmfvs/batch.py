@@ -68,49 +68,42 @@ def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str
     one union-find sweep that builds no cycle paths, and a solution that
     fails it raises `VerificationError`.
     """
-    if algorithm == "bruteforce":
-        res = opt_mmfvs_brute(g, cap=int(params.get("cap", 20)))
-        record.outcome = "yes"
-        record.size = res.opt_value
-        record.verified = is_minimal(g, res.witness)
-        record.stats = {"enumerated": res.enumerated}
-        record.stats["solution"] = sorted(res.witness)
-    elif algorithm == "ksolver":
-        report = solve_k(g, int(params["k"]))
-        record.outcome = report.outcome
-        record.stats = {
-            "nodes_explored": report.nodes_explored,
-            "max_depth": report.max_depth,
-            "guesses_tried": report.extras.get("guesses_tried", 0),
-        }
-        if report.is_yes:
-            if report.solution is None:
-                raise VerificationError("ksolver said yes without a witness")
-            record.size = len(report.solution.vertices)
-            record.verified = is_minimal(g, report.solution.vertices)
-            record.stats["solution"] = sorted(report.solution.vertices)
-    elif algorithm == "vcsolver":
-        sol, report = solve_vc(g)
-        record.outcome = "yes"
-        record.size = len(sol.vertices)
-        record.verified = is_minimal(g, sol.vertices)
-        record.stats = _json_safe(report.extras)
-        record.stats["solution"] = sorted(sol.vertices)
-    elif algorithm == "approx":
-        result = approx_solve(g, float(params["epsilon"]))
-        record.outcome = "yes"
-        record.size = len(result.solution.vertices)
-        record.verified = is_minimal(g, result.solution.vertices)
-        record.stats = {"mode": result.mode, **_json_safe(result.report.extras)}
-        record.stats["solution"] = sorted(result.solution.vertices)
-    elif algorithm == "ppt-check":
+    if algorithm == "ppt-check":
         same = check_ppt_equivalence(g, int(params["k"]), cap=int(params.get("cap", 20)))
         record.outcome = "yes" if same else "no"
         record.verified = same
+        return
+    solution: frozenset[int] | None
+    if algorithm == "bruteforce":
+        res = opt_mmfvs_brute(g, cap=int(params.get("cap", 20)))
+        solution = res.witness
+        record.stats = {"enumerated": res.enumerated}
+    elif algorithm == "ksolver":
+        report = solve_k(g, int(params["k"]))
+        solution = None if report.solution is None else report.solution.vertices
+        record.stats = {
+            "nodes_explored": report.nodes_explored,
+            "max_depth": report.max_depth,
+            "guesses_tried": report.extras["guesses_tried"],
+        }
+    elif algorithm == "vcsolver":
+        sol, report = solve_vc(g)
+        solution = sol.vertices
+        record.stats = _json_safe(report.extras)
+    elif algorithm == "approx":
+        result = approx_solve(g, float(params["epsilon"]))
+        solution = result.solution.vertices
+        record.stats = {"mode": result.mode, **_json_safe(result.report.extras)}
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if solution is None:
+        record.outcome = "no"
+        return
+    record.outcome, record.size = "yes", len(solution)
+    record.verified = is_minimal(g, solution)
+    record.stats["solution"] = sorted(solution)
     # a yes with an unverifiable solution must never leave the runner
-    if record.verified is False and algorithm != "ppt-check":
+    if not record.verified:
         raise VerificationError(f"{algorithm} emitted a solution that fails verification")
 
 

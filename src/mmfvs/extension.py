@@ -441,7 +441,6 @@ def solve_extension(
         if len(found - required) < k:
             raise VerificationError("extension witness is too small")
     return SolveReport(
-        outcome="yes" if witness is not None else "no",
         solution=witness,
         nodes_explored=ctx.nodes,
         reductions_fired=dict(ctx.fired),

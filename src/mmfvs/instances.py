@@ -97,10 +97,7 @@ def _apex_pair(n: int) -> Graph:
     return Graph(ids, edges)
 
 
-def _disjoint_cycles(sizes: Iterable[int]) -> Graph:
-    sizes = list(sizes)
-    if any(size < 3 for size in sizes):
-        raise ValueError("cycle sizes must be >= 3")
+def _disjoint_cycles(sizes: list[int]) -> Graph:
     ids = list(range(sum(sizes)))
     edges: list[tuple[int, int]] = []
     base = 0
@@ -185,6 +182,22 @@ def _probability(family: str, params: Mapping[str, object], default: object = No
     return p
 
 
+def _sizes(family: str, params: Mapping[str, object]) -> list[int]:
+    """`sizes` given as one int >= 3, a list of them, or their comma-separated text."""
+    value = _param(family, params, "sizes")
+    if isinstance(value, str):
+        items: object = [s for s in value.split(",") if s]
+    else:
+        items = [value] if isinstance(value, int) else value
+    try:
+        sizes = [int(s) if isinstance(s, str) else s for s in items]  # type: ignore[attr-defined]
+    except (TypeError, ValueError):
+        sizes = None
+    if sizes is None or not all(isinstance(s, int) and s >= 3 for s in sizes):
+        raise ValueError(f"{family}: parameter sizes must be integers >= 3, got {value!r}")
+    return sizes
+
+
 def generate(
     family: str, params: Mapping[str, object] | None = None, seed: int | None = None
 ) -> Graph:
@@ -194,8 +207,10 @@ def generate(
     coins come from the stream of one ``random()`` call per pair, drawn in
     bulk for large sparse graphs and one at a time otherwise; so every
     (n, p, seed) gives the graph it always gave.  A missing parameter, an
-    ``n`` that is not a non-negative integer and a ``p`` that is NaN or
-    outside [0, 1] raise a ValueError naming the family and the parameter.
+    ``n`` that is not a non-negative integer, a ``p`` that is NaN or outside
+    [0, 1] and a ``sizes`` that is not one integer >= 3, a list of them or
+    their comma-separated text raise a ValueError naming the family and the
+    parameter.
     """
     p = dict(params or {})
     if family == "gnp":
@@ -212,10 +227,7 @@ def generate(
     if family == "apexpair":
         return _apex_pair(_count(family, p))
     if family == "disjoint-cycles":
-        sizes = _param(family, p, "sizes")
-        if isinstance(sizes, str):
-            sizes = [int(s) for s in sizes.split(",") if s]
-        return _disjoint_cycles([int(s) for s in sizes])  # type: ignore[union-attr]
+        return _disjoint_cycles(_sizes(family, p))
     if family == "reduction-output":
         from mmfvs.reduction import ppt_mmvc_to_mmfvs
 

@@ -30,7 +30,8 @@ exact.
 from __future__ import annotations
 
 import time
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 from mmfvs.extension import solve_extension
 from mmfvs.graph import Graph, degree_bound, two_core
@@ -59,62 +60,40 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     # two core vertices, never leaves the core.
     core = two_core(g)
     w = greedy_minimal_fvs(core)
-    if len(w) >= k:
-        return SolveReport(
-            outcome="yes",
-            solution=certify(g, w, "greedy fvs"),
-            nodes_explored=0,
-            reductions_fired={},
-            max_depth=0,
-            wall_time=time.perf_counter() - start,
-            extras={
-                "greedy_size": len(w),
-                "guesses_tried": 0,
-                "guesses_cut_by_bound": 0,
-                "nodes_per_guess": [],
-            },
-        )
-
-    free = core.vertices - w
-    ordered = sorted(w)
+    witness = certify(g, w, "greedy fvs") if len(w) >= k else None
     nodes_per_guess: list[int] = []
-    fired_total: dict[str, int] = {}
-    max_depth = 0
-    witness: Solution | None = None
-    guesses = cut = 0
+    fired: Counter[str] = Counter()
+    max_depth = cut = 0
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
     # succeed, so none is tried; a guess the bound cuts counts 0 nodes.
-    for size in range(len(w) + 1 if k <= degree_bound(core, (), core.vertices) else 0):
-        for picked in combinations(ordered, size):
-            guesses += 1
+    if witness is None and k <= degree_bound(core, (), core.vertices):
+        free = core.vertices - w
+        guesses = (combinations(sorted(w), size) for size in range(len(w) + 1))
+        for picked in chain.from_iterable(guesses):
             required = frozenset(picked)
-            if degree_bound(core, w - required, free) < k - size:
+            if degree_bound(core, w - required, free) < k - len(picked):
                 cut += 1
                 nodes_per_guess.append(0)
                 continue
-            report = solve_extension(core, required, w - required, k - size)
+            report = solve_extension(core, required, w - required, k - len(picked))
             nodes_per_guess.append(report.nodes_explored)
             max_depth = max(max_depth, report.max_depth)
-            for name, count in report.reductions_fired.items():
-                fired_total[name] = fired_total.get(name, 0) + count
+            fired.update(report.reductions_fired)
             if report.is_yes:
                 if not is_minimal(g, report.solution.vertices):
                     raise VerificationError("extension witness is not a minimal fvs")
                 witness = report.solution
                 break
-        if witness is not None:
-            break
     return SolveReport(
-        outcome="yes" if witness is not None else "no",
         solution=witness,
         nodes_explored=sum(nodes_per_guess),
-        reductions_fired=fired_total,
+        reductions_fired=fired,
         max_depth=max_depth,
         wall_time=time.perf_counter() - start,
         extras={
             "greedy_size": len(w),
-            "guesses_tried": guesses,
+            "guesses_tried": len(nodes_per_guess),
             "guesses_cut_by_bound": cut,
             "nodes_per_guess": nodes_per_guess,
         },

@@ -29,21 +29,26 @@ def certify(g: Graph, s: frozenset[int], what: str) -> Solution:
 
 @dataclass
 class SolveReport:
-    """Outcome plus search statistics for one solver run.
+    """Answer plus search statistics for one solver run.
 
-    `outcome` is "yes" or "no"; a "yes" always carries a re-verified
-    Solution.  `reductions_fired` counts rule applications by rule name and
-    `extras` holds solver-specific audit counters.
+    The answer is `solution`: `outcome` reads "yes" exactly when it holds a
+    re-verified Solution and "no" when it is None, so a "yes" without a
+    Solution cannot be built.  `reductions_fired` counts rule applications
+    by rule name and `extras` holds solver-specific audit counters; the
+    search counters default to zero for solvers that keep none.
     """
 
-    outcome: str
     solution: Solution | None
-    nodes_explored: int
-    reductions_fired: dict[str, int]
-    max_depth: int
     wall_time: float
+    nodes_explored: int = 0
+    reductions_fired: dict[str, int] = field(default_factory=dict)
+    max_depth: int = 0
     extras: dict[str, object] = field(default_factory=dict)
 
     @property
+    def outcome(self) -> str:
+        return "no" if self.solution is None else "yes"
+
+    @property
     def is_yes(self) -> bool:
-        return self.outcome == "yes"
+        return self.solution is not None

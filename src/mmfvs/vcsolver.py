@@ -430,14 +430,12 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
         raise VerificationError("no cover guess extended, yet the empty one always does")
     solution = certify(g, best, "the best connector solution")
     report = SolveReport(
-        outcome="yes",
         solution=solution,
         nodes_explored=counters["assignments_tried"],
         reductions_fired={
             name: counters[name]
             for name in ("outer_degree_prune", "reduction_degree", "reduction_force")
         },
-        max_depth=0,
         wall_time=time.perf_counter() - start,
         extras={
             "cover_size": len(cover),

@@ -5,7 +5,7 @@ import pytest
 from mmfvs.cli import main
 from mmfvs.instances import parse_instance, write_instance
 
-from helpers import apex_pair, disjoint_triangles
+from helpers import apex_pair, cycle, disjoint_triangles
 
 
 def write_apex(tmp_path, n=6):
@@ -112,6 +112,11 @@ class TestGen:
         g = parse_instance(capsys.readouterr().out)
         assert g == apex_pair(7)
 
+    def test_gen_takes_a_lone_cycle_size(self, capsys):
+        # the parser reads "sizes=5" as the int 5, one cycle of five
+        assert main(["gen", "--family", "disjoint-cycles", "--params", "sizes=5"]) == 0
+        assert parse_instance(capsys.readouterr().out) == cycle(5)
+
     @pytest.mark.parametrize(
         "family, params, message",
         [
@@ -120,6 +125,10 @@ class TestGen:
             ("gnp", ["n=-3", "p=0.3"], "error: gnp: parameter n must be a non-negative integer, got -3"),
             ("gnp", ["n=10", "p=nan"], "error: gnp: parameter p must be a number in [0, 1], got nan"),
             ("reduction-output", ["n=4", "p=2"], "error: reduction-output: parameter p must be a number in [0, 1], got 2"),
+            ("disjoint-cycles", ["sizes=3.5"], "error: disjoint-cycles: parameter sizes must be integers >= 3, got 3.5"),
+            ("disjoint-cycles", ["sizes=3=4"], "error: disjoint-cycles: parameter sizes must be integers >= 3, got '3=4'"),
+            ("disjoint-cycles", ["sizes=x"], "error: disjoint-cycles: parameter sizes must be integers >= 3, got 'x'"),
+            ("disjoint-cycles", ["sizes=3,2"], "error: disjoint-cycles: parameter sizes must be integers >= 3, got '3,2'"),
         ],
     )
     def test_gen_refuses_bad_parameters(self, capsys, family, params, message):

@@ -93,6 +93,8 @@ class TestGenerate:
 
     def test_disjoint_cycles(self):
         assert generate("disjoint-cycles", {"sizes": "3,3"}) == disjoint_triangles(2)
+        assert generate("disjoint-cycles", {"sizes": [3, 3]}) == disjoint_triangles(2)
+        assert generate("disjoint-cycles", {"sizes": 5}) == cycle(5)
 
     def test_gnp_determinism(self):
         a = generate("gnp", {"n": 10, "p": 0.3}, seed=7)
@@ -126,6 +128,12 @@ class TestGenerate:
             ("reduction-output", {"n": 4, "p": math.nan}, r"reduction-output: parameter p must be a number in \[0, 1\]"),
             ("cycle", {}, "cycle: parameter n is missing"),
             ("disjoint-cycles", {}, "disjoint-cycles: parameter sizes is missing"),
+            ("disjoint-cycles", {"sizes": 3.5}, "disjoint-cycles: parameter sizes must be integers >= 3, got 3.5"),
+            ("disjoint-cycles", {"sizes": 4.0}, "disjoint-cycles: parameter sizes must be integers >= 3, got 4.0"),
+            ("disjoint-cycles", {"sizes": "3=4"}, "disjoint-cycles: parameter sizes must be integers >= 3, got '3=4'"),
+            ("disjoint-cycles", {"sizes": "x"}, "disjoint-cycles: parameter sizes must be integers >= 3, got 'x'"),
+            ("disjoint-cycles", {"sizes": [3, 4.5]}, "disjoint-cycles: parameter sizes must be integers >= 3"),
+            ("disjoint-cycles", {"sizes": [3, 2]}, "disjoint-cycles: parameter sizes must be integers >= 3, got \\[3, 2\\]"),
         ],
     )
     def test_bad_parameters_name_the_family_and_the_parameter(self, family, params, message):
