@@ -21,8 +21,8 @@ and they reach g's optimum, so the additive loss stays at most vc and
 the threshold vc/eps keeps the (1 - eps) factor.  For the same reason
 the kernel's degree-sum bound `graph.degree_bound` is at least g's
 optimum, and a threshold above it is out of every candidate's reach, so
-the greedy is skipped there.  Every minimality check, and the one
-certificate, is made on g.
+the greedy is skipped there.  Every minimality check is made on the
+kernel, whose answers are g's, and only the one certificate on g.
 
 The cover-side guesses come settled, and bounded, from
 `vcsolver.cover_guesses`.  Its docstring proves that a verified greedy
@@ -98,13 +98,13 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     vc is the size of a minimum vertex cover of the kernel
     `graph.chain_kernel(g)`, and the greedy runs over that kernel's cover
     guesses only when threshold = ceil(vc / epsilon) is at most the
-    kernel's `degree_bound`.  Each candidate is checked on g with the
-    boolean `is_minimal`.  A verified best of at least the threshold
+    kernel's `degree_bound`.  Each candidate is checked on the kernel with
+    the boolean `is_minimal`.  A verified best of at least the threshold
     proves opt >= vc / epsilon, so its additive loss opt - best <= vc is
     at most epsilon * opt: mode "greedy", and that best alone gets a
     certificate on g.  Any other call returns `opt_exact_solution(g)` in
-    mode "exact", with `nodes_explored` 0 and the extras vc, threshold
-    and opt.
+    mode "exact", with the extras vc, threshold and opt.  Either mode
+    reports `nodes_explored` 0, since approx searches no extension nodes.
 
     Only a candidate of at least the threshold can be returned, so
     `can_win` asks for one along with beating the best so far, and the
@@ -130,7 +130,6 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
 
     best: frozenset[int] | None = None
     moved_of_best = 0
-    verified = discarded = 0
     max_moved = 0
 
     def can_win(size: int) -> bool:
@@ -145,12 +144,12 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             if len(moved) > vc:
                 raise VerificationError("a greedy move merged no outside trees")
             max_moved = max(max_moved, len(moved))
-            # every candidate gets the boolean check on g; only the final best
-            # gets a certificate
-            if not is_minimal(g, candidate):
-                discarded += 1
+            # every candidate gets the boolean check on the kernel it was built
+            # on; only the final best gets a certificate, on g
+            if not is_minimal(kernel, candidate):
+                counters["guess_rejected_at_verify"] += 1
                 continue
-            verified += 1
+            counters["verified_guesses"] += 1
             if can_win(len(candidate)):
                 best = candidate
                 moved_of_best = len(moved)
@@ -173,8 +172,8 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
             "cover_guesses": counters["viable_cover_guesses"],
             "guesses_cut_by_bound": counters["guesses_cut_by_bound"],
             "wrong_cover_guesses": counters["wrong_cover_guesses"],
-            "verified_guesses": verified,
-            "guess_rejected_at_verify": discarded,
+            "verified_guesses": counters["verified_guesses"],
+            "guess_rejected_at_verify": counters["guess_rejected_at_verify"],
             "max_moved": max_moved,
             "moved_of_best": moved_of_best,
             "conflict_histogram": dict(conflict_sizes),

@@ -410,15 +410,13 @@ def solve_extension(
 ) -> SolveReport:
     """Decide the extension problem and report a verified witness on yes.
 
-    Raises ValueError when the committed sets overlap or their union is not
+    Raises KeyError, from `is_fvs`, when a committed vertex is not in g,
+    and ValueError when the committed sets overlap or their union is not
     a feedback vertex set; a forbidden side that is not a forest is a plain
     no-instance.
     """
     required = frozenset(required)
     forbidden = frozenset(forbidden)
-    unknown = (required | forbidden) - g.vertices
-    if unknown:
-        raise KeyError(f"unknown vertices: {sorted(unknown)}")
     if required & forbidden:
         raise ValueError(f"overlapping commitments: {sorted(required & forbidden)}")
     if not is_fvs(g, required | forbidden):

@@ -210,7 +210,8 @@ def generate(
     ``n`` that is not a non-negative integer, a ``p`` that is NaN or outside
     [0, 1] and a ``sizes`` that is not one integer >= 3, a list of them or
     their comma-separated text raise a ValueError naming the family and the
-    parameter.
+    parameter.  A key the family does not read is ignored: reduction-output's
+    ``k`` sets only the reduction's target k' = k + n + 2, not its graph.
     """
     p = dict(params or {})
     if family == "gnp":
@@ -232,5 +233,5 @@ def generate(
         from mmfvs.reduction import ppt_mmvc_to_mmfvs
 
         base = _gnp(_count(family, p), _probability(family, p, 0.5), seed)
-        return ppt_mmvc_to_mmfvs(base, int(p.get("k", 0))).graph
+        return ppt_mmvc_to_mmfvs(base, 0).graph
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -407,7 +407,8 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     the kernel, not those of G - solution.  Committed-out vertices that `graph.settle` peeled once
     the forced vertices joined the solution belong to no tree.  On the
     apex pair with n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0,
-    while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.
+    while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.  `nodes_explored`
+    is 0: the extra `assignments_tried` counts the connector assignments.
     """
     start = time.perf_counter()
     kernel = chain_kernel(g)
@@ -431,7 +432,6 @@ def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     solution = certify(g, best, "the best connector solution")
     report = SolveReport(
         solution=solution,
-        nodes_explored=counters["assignments_tried"],
         reductions_fired={
             name: counters[name]
             for name in ("outer_degree_prune", "reduction_degree", "reduction_force")

@@ -10,8 +10,6 @@ import math
 import random
 import time
 
-import pytest
-
 from mmfvs.approx import approx_solve
 from mmfvs.extension import solve_extension
 from mmfvs.instances import generate
@@ -41,24 +39,16 @@ def _reverify(g, vertices):
     return True
 
 
-@pytest.fixture(scope="session")
-def connected_corpus():
-    from corpus import connected_graphs_up_to_8
-
-    return connected_graphs_up_to_8()
-
-
 def _report(name, ok, detail):
     print(f"\nACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def test_1_exact_solvers_match_bruteforce(connected_corpus):
+def test_1_exact_solvers_match_bruteforce(connected_corpus, corpus_optima):
     """All connected graphs up to 8 vertices (up to isomorphism): solve_k
     decisions for every k and solve_vc optima equal brute force."""
     started = time.time()
     mismatches = []
-    for idx, g in enumerate(connected_corpus):
-        opt = opt_mmfvs_brute(g).opt_value
+    for idx, (g, opt) in enumerate(zip(connected_corpus, corpus_optima, strict=True)):
         sol, report = solve_vc(g)
         RUNSTATS["vc_guess_rejected_at_verify"] += report.extras["guess_rejected_at_verify"]
         RUNSTATS["vc_forest_check_failures"] += report.extras["forest_check_failures"]

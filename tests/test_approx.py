@@ -12,9 +12,10 @@ from mmfvs.instances import generate
 from mmfvs.ksolver import solve_k
 from mmfvs.oracle import opt_mmfvs_brute
 from mmfvs.vcsolver import cover_guesses, settle_guess, solve_vc
-from mmfvs.verify import is_minimal_fvs, min_vertex_cover
+from mmfvs.verify import is_minimal, is_minimal_fvs, min_vertex_cover
 
 from helpers import apex_pair, gnp, kernel_bound, neighborhood_components, path
+from test_cover_pinned import corpus as pinned_corpus
 
 
 def four_tree_instance():
@@ -314,3 +315,44 @@ def test_no_greedy_step_leaves_a_cycle_closer(monkeypatch):
         for guess in cover_guesses(kernel, min_vertex_cover(kernel), Counter(), lambda size: True):
             _run_greedy(kernel, guess, Counter(), Counter())
     assert steps > 600, steps
+
+
+def test_candidates_are_filtered_on_the_kernel_as_on_g(monkeypatch, connected_corpus):
+    # approx_solve keeps a greedy candidate when `is_minimal` accepts it on
+    # the chain kernel it was built on; the kernel's minimal fvs are g's
+    # with the same ids, so that filter keeps exactly what a check on g
+    # keeps.  The reduction outputs of the pinned corpus are where the
+    # kernel drops pad vertices.
+    built, checked = [], []
+    run = approx._run_greedy
+
+    def recorded(kernel, guess, counters, conflict_sizes):
+        candidate, moved = run(kernel, guess, counters, conflict_sizes)
+        built.append((kernel, candidate))
+        return candidate, moved
+
+    def filtered(h, candidate):
+        checked.append((h, candidate))
+        return is_minimal(h, candidate)
+
+    monkeypatch.setattr(approx, "_run_greedy", recorded)
+    monkeypatch.setattr(approx, "is_minimal", filtered)
+    rejected = shrunk = 0
+    for g, epsilon in product([*pinned_corpus(), *connected_corpus[::8]], (0.5, 0.9)):
+        built.clear()
+        checked.clear()
+        result = approx_solve(g, epsilon)
+        # each candidate is checked once, on the very kernel it was built on
+        assert len(checked) == len(built)
+        assert all(h is kernel and c == candidate for (h, c), (kernel, candidate) in zip(checked, built))
+        kept = [is_minimal(kernel, candidate) for kernel, candidate in built]
+        for (kernel, candidate), ok in zip(built, kept):
+            assert ok == is_minimal(g, candidate), (g, sorted(candidate))
+            shrunk += len(kernel) < len(g)
+        rejected += kept.count(False)
+        if result.mode == "greedy":
+            extras = result.report.extras
+            assert (extras["verified_guesses"], extras["guess_rejected_at_verify"]) == (
+                kept.count(True), kept.count(False)
+            )
+    assert rejected > 0 and shrunk > 0, (rejected, shrunk)

@@ -55,7 +55,7 @@ PINNED = {
 
 # sha256 of every report field but `wall_time`: solve_k at k = 0..5,
 # solve_vc, and approx_solve at epsilon 0.5 and 0.9, on each graph
-REPORTS = "f596d833a4559d12ab8167ecd8bfee7c047d4297d81ddee45e521e22c672c21b"
+REPORTS = "45b5abbb2089aef7fe7875702b6b0e8c8492de1929bdb4d8d6d335ae519be60f"
 
 
 @pytest.mark.parametrize("algorithm, params", list(PINNED), ids=str)

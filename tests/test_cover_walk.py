@@ -28,7 +28,6 @@ from mmfvs.graph import chain_kernel
 from mmfvs.vcsolver import solve_vc
 from mmfvs.verify import min_vertex_cover
 
-from corpus import connected_graphs_up_to_8
 from helpers import cover_guesses_reference, gnp, kernel_bound
 
 
@@ -81,8 +80,8 @@ def walk_both(graphs, lockstep):
     return greedy
 
 
-def test_the_walk_yields_the_per_split_guesses_on_small_graphs(lockstep):
-    assert walk_both(connected_graphs_up_to_8()[::8], lockstep) > 0
+def test_the_walk_yields_the_per_split_guesses_on_small_graphs(lockstep, connected_corpus):
+    assert walk_both(connected_corpus[::8], lockstep) > 0
 
 
 def test_the_walk_yields_the_per_split_guesses_on_sparse_graphs(lockstep):

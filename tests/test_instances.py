@@ -107,6 +107,13 @@ class TestGenerate:
         g = generate("reduction-output", {"n": 4, "p": 0.5}, seed=3)
         assert len(g) == 2 * 4 + 5
 
+    def test_reduction_output_ignores_k(self):
+        # k sets only the reduction's target k', so any k, even one that is
+        # not a number, gives the graph of no k
+        plain = generate("reduction-output", {"n": 4, "p": 0.5}, seed=3)
+        for k in (0, 7, "x"):
+            assert generate("reduction-output", {"n": 4, "p": 0.5, "k": k}, seed=3) == plain
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             generate("mystery", {"n": 3})

@@ -47,12 +47,9 @@ def calls(monkeypatch):
 
 
 class TestOptUpperBound:
-    def test_never_below_brute_force_on_the_corpus(self):
-        from corpus import connected_graphs_up_to_8
-
+    def test_never_below_brute_force_on_the_corpus(self, connected_corpus, corpus_optima):
         below = kernel_below = tight = 0
-        for g in connected_graphs_up_to_8():
-            opt = opt_mmfvs_brute(g).opt_value
+        for g, opt in zip(connected_corpus, corpus_optima, strict=True):
             bound = opt_upper_bound(g)
             below += bound < opt
             tight += bound == opt

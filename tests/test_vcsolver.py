@@ -140,7 +140,9 @@ class TestSolveVc:
             g = gnp(7, 0.4, seed=seed)
             _, report = solve_vc(g)
             rejected = sum(report.extras[name] for name in rejects)
-            assert report.nodes_explored == report.extras["assignments_tried"] >= rejected, seed
+            assert report.extras["assignments_tried"] >= rejected, seed
+            # nodes_explored counts extension search nodes, and solve_vc searches none
+            assert report.nodes_explored == 0, seed
 
     def test_every_viable_guess_goes_through_find_connectors(self, monkeypatch):
         searched = []
