@@ -54,10 +54,10 @@ def _run_greedy(
     outside forest.  When the committed-in side keeps its private cycles
     with the conflict set pulled inside, u moves to the outside forest and
     the conflict set joins the solution; otherwise u itself joins the
-    solution.  Each step moves every closer of the new out side inside,
-    so after it `peel` alone settles the guess again (see `graph.settle`),
-    counted in "reduction_degree"; `conflict_sizes` counts the conflict
-    sets by size.
+    solution.  A step runs `graph.settle`'s order: the new out side's
+    closers (the conflict set, or none if u goes inside) move inside, then
+    one `peel` settles the guess again, counted in "reduction_degree";
+    `conflict_sizes` counts the conflict sets by size.
     """
     cover_in = guess.cover_in
     out, free, inside = set(guess.out), set(guess.free), set(guess.inside)

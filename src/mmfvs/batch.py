@@ -23,6 +23,8 @@ from mmfvs.verify import VerificationError, is_minimal
 from mmfvs.vcsolver import solve_vc
 
 ALGORITHMS = ("bruteforce", "ksolver", "vcsolver", "approx", "ppt-check")
+# `signal.setitimer` overflows the platform's time_t from about 1e10 s
+MAX_SECONDS = 1e9
 
 
 @dataclass
@@ -121,12 +123,17 @@ def run_one(
     disarm, the disarm included, makes the record read "timeout", and the
     previous SIGALRM handler is restored in every case.  Only the main
     thread can take the alarm: from any other, a timeout is an error record.
+    A timeout outside (0, `MAX_SECONDS`] is an error record too, before
+    any timer is armed or solver runs.
     """
     params = dict(params or {})
     record = RunRecord(
         instance=name, algorithm=algorithm, params=_json_safe(params),
         outcome="error", size=None, verified=None,
     )
+    if timeout is not None and not 0 < timeout <= MAX_SECONDS:
+        record.error = f"timeout {timeout!r} is not a positive number of seconds up to {MAX_SECONDS:g}"
+        return record
     if timeout and threading.current_thread() is not threading.main_thread():
         record.error = "the timeout needs the main thread"
         return record

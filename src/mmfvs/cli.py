@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from mmfvs.batch import ALGORITHMS, render_report, run_batch, run_one, summarize
+from mmfvs.batch import ALGORITHMS, MAX_SECONDS, render_report, run_batch, run_one, summarize
 from mmfvs.graph import Graph
 from mmfvs.instances import FAMILIES, InstanceFormatError, generate, parse_instance, write_instance
 from mmfvs.reduction import ppt_mmvc_to_mmfvs
@@ -54,16 +54,12 @@ def _solution_text(g: Graph, vertices: frozenset[int]) -> str:
     return "".join(f"{rank[v]}\n" for v in sorted(vertices))
 
 
-# `signal.setitimer` overflows the platform's time_t from about 1e10 s
-_MAX_SECONDS = 1e9
-
-
 def _seconds(text: str) -> float:
-    """A positive number of seconds up to `_MAX_SECONDS`, for --timeout."""
+    """A positive number of seconds up to `batch.MAX_SECONDS`, for --timeout."""
     seconds = float(text)
-    if not 0 < seconds <= _MAX_SECONDS:
+    if not 0 < seconds <= MAX_SECONDS:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a positive number of seconds up to {_MAX_SECONDS:g}"
+            f"{text!r} is not a positive number of seconds up to {MAX_SECONDS:g}"
         )
     return seconds
 

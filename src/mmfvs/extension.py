@@ -7,8 +7,8 @@ required <= S, S disjoint from forbidden, and at least k vertices beyond
 
 Each search node holds its committed and free vertices as plain sets and
 reduces them in place: the pass every solver shares (`graph.settle`:
-strip degree <= 1 vertices, force forbidden-side cycle closers inside,
-strip again), then degree-two contraction, again while one fires.  They
+force forbidden-side cycle closers inside, then strip degree <= 1
+vertices), then degree-two contraction, again while one fires.  They
 count as "strip_acyclic_fringe", "force_cycle_closers" and
 "contract_degree_two_pairs".  A node builds a graph of its own only when
 a contraction fires.  A reduced node is cut when it needs
@@ -143,10 +143,10 @@ def _contract(node: _Node) -> int:
 def _reduce(node: _Node, fired: dict[str, int]) -> None:
     """The shared pass (`graph.settle`), then contraction, while a contraction fires.
 
-    The pass strips degree <= 1 vertices outside `required` and forces
-    free vertices that close a forbidden-side cycle inside: no solution
-    may leave such a cycle standing, so k drops accordingly (and may go
-    below zero, treated like zero).  A merged vertex keeps its neighbors'
+    The pass forces free vertices that close a forbidden-side cycle
+    inside, since no solution may leave such a cycle standing, so k drops
+    accordingly (and may go below zero, treated like zero); then it
+    strips degree <= 1 vertices outside `required`.  A merged vertex keeps its neighbors'
     degrees but may close a cycle, so only a contraction calls for another pass.
     """
     while True:

@@ -14,10 +14,10 @@ no cycle; `two_core` deletes them from a whole graph, and `chain_kernel`
 also shortens its chains of degree-2 vertices) and `cycle_closers`
 (a vertex with two neighbors in one tree of a committed-out forest must be
 in the solution).  `settle` is the one reduction pass of all three
-solvers: peel, force, and peel again when something was forced, on plain
-mutable vertex sets, which ends at a fixpoint of both rules.  The
-extension search follows it with degree-two contraction, and the
-approximation scheme's greedy steps need only `peel`.  `degree_bound`
+solvers: force, then peel once, on plain mutable vertex sets, which ends
+at a fixpoint of both rules.  The extension search follows it with
+degree-two contraction, and each greedy step of the approximation scheme
+runs the same two rules in the same order.  `degree_bound`
 caps, from neighbor counts alone, how many undecided vertices a minimal
 fvs can take: the 10^k solver's optimum bound, guess cut and search-node
 cut.
@@ -414,30 +414,25 @@ def cycle_closers(g: Graph, out: Iterable[int], candidates: Iterable[int]) -> li
 def settle(
     g: Graph, out: set[int], free: set[int], inside: set[int]
 ) -> tuple[set[int], list[int]]:
-    """`peel`, then `cycle_closers`, then `peel` again, on plain sets in place.
+    """`cycle_closers`, then `peel` once, on plain sets in place.
 
     The live vertices split into `inside` (committed to the solution),
-    `out` (committed outside) and `free` (undecided).  Vertices of degree
-    <= 1 in g[out | free] lie on no cycle and leave both sets; then every
-    free vertex with two neighbors in one tree of g[out] moves to
-    `inside`, and only when one moved does `peel` run once more.  Returns
-    the deleted vertices and the moved ones.
+    `out` (committed outside) and `free` (undecided).  Every free vertex
+    with two neighbors in one tree of g[out] moves to `inside`; then the
+    vertices of degree <= 1 in g[out | free] lie on no cycle and leave
+    both sets.  Returns the deleted vertices and the moved ones.
 
-    The sets it leaves are a fixpoint of both rules.  Each `peel` runs to
-    its own fixpoint.  Peeling only shrinks `out`, which splits trees of
-    g[out] and joins none, so a free vertex whose neighbors in `out` lay
-    in distinct trees still has them there: once the closers have moved,
-    no new closer can appear.
+    The sets it leaves are a fixpoint of both rules.  A closer and the
+    path of g[out] between two of its neighbors form a cycle, which no
+    peel touches, so peeling first would find the same closers; either
+    way the sets end as the 2-core of g[(out | free) - closers].  Peeling
+    only shrinks `out`, which splits trees of g[out] and joins none, so
+    no new closer appears.
     """
+    closers = cycle_closers(g, out, free)
+    inside.update(closers)
+    free.difference_update(closers)
     gone = peel(g, out | free)
     out -= gone
     free -= gone
-    closers = cycle_closers(g, out, free)
-    if closers:
-        inside.update(closers)
-        free.difference_update(closers)
-        later = peel(g, out | free)
-        out -= later
-        free -= later
-        gone |= later
     return gone, closers

@@ -256,22 +256,22 @@ def cover_guesses(
     its neighbour mask within the cover, and the independents are grouped
     into (neighbour mask, count) classes, of which only those with two or
     more cover neighbours are walked; only a split that gets settled
-    becomes sets.  Every independent x has N(x) inside the cover, so in
-    g - cover_in its degree is |N(x) & cover_out|, and the first `peel` of
-    `graph.settle` deletes it when that is at most one.  Settling after
-    that only deletes free vertices or moves them inside, so the settled
-    inside and free sets lie in L = {x : |N(x) - cover_in| >= 2}, and
-    `_search_bound` stays within |cover_in| + |L|.  A split whose
-    |cover_in| + |L| cannot win is cut first, from the masks alone; it is
-    one the settled bound would cut too.  Only a split that passes has its
-    cover_out side flooded (`tree_masks`, one component at a time), and it
-    is dropped when that side is not a forest.
+    becomes sets.  Every independent x has N(x) inside the cover, and
+    `graph.settle` forces x inside exactly when two of its cover_out
+    neighbours share a component of g[cover_out], and peels it when it
+    has at most one, so the settled inside and free sets lie in
+    L = {x : |N(x) - cover_in| >= 2}, and `_search_bound` stays within
+    |cover_in| + |L|.  A split whose |cover_in| + |L| cannot win is cut
+    first, from the masks alone; it is one the settled bound would cut
+    too.  Only a split that passes has its cover_out side flooded
+    (`tree_masks`, one component at a time), and it is dropped when that
+    side is not a forest.
 
-    Settling only shrinks out, so an x of L whose cover_out neighbours lie
-    in distinct components of g[cover_out] never closes a cycle there and
-    never moves inside: it is either peeled or left free, and either way
-    `_search_bound` stays within |cover_in| + |L| - 1.  A split with such
-    an x whose |cover_in| + |L| - 1 cannot win is cut unsettled.  A split
+    The flood's components show which x are forced: one whose cover_out
+    neighbours lie in distinct components never moves inside.  It is
+    either peeled or left free, and either way `_search_bound` stays
+    within |cover_in| + |L| - 1.  A split with such an x whose
+    |cover_in| + |L| - 1 cannot win is cut unsettled.  A split
     that passes is then cut, still unsettled, when |cover_in| + μ(g -
     cover_in) cannot win (`cycle_rank`, μ = m - n + c): the private
     cycles of a minimal fvs S are linearly independent in the cycle

@@ -72,6 +72,19 @@ class TestRunBatch:
         assert record.outcome == "error" and record.error == "timeout"
         assert signal.getsignal(signal.SIGALRM) is before
 
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf"), 1e12])
+    def test_a_timeout_outside_the_bound_is_recorded_and_runs_nothing(self, monkeypatch, timeout):
+        def solver(*args):
+            raise AssertionError("a solver ran")
+
+        monkeypatch.setattr(batch, "_solve_into", solver)
+        monkeypatch.setattr(signal, "setitimer", solver)
+        before = signal.getsignal(signal.SIGALRM)
+        record = run_one("c5", generate("cycle", {"n": 5}), "vcsolver", timeout=timeout)
+        assert record.outcome == "error"
+        assert "positive number of seconds up to 1e+09" in record.error
+        assert signal.getsignal(signal.SIGALRM) is before
+
     def test_a_timeout_off_the_main_thread_is_recorded(self):
         # only the main thread can install a SIGALRM handler: from any other
         # thread a timeout is an error record and the handler stays as it was

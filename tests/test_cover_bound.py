@@ -243,7 +243,8 @@ def test_a_live_vertex_closing_no_cycle_costs_the_search_bound_one():
                 if not idle:
                     continue
                 guess = settle_guess(h, cover_in, cover_out, Counter())
-                # settling only shrinks out, so none of them is ever forced inside
+                # settle forces against g[cover_out] itself, where their
+                # neighbours lie in distinct components, so none is forced inside
                 assert not idle & guess.inside, (g, cover_in)
                 bound = live_bound(h, cover, cover_in) - 1
                 assert bound >= _search_bound(guess), (g, cover_in)

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from mmfvs import graph
 from mmfvs.graph import (
     Forest,
     Graph,
@@ -227,4 +228,45 @@ class TestReductionRules:
             forced += bool(closers)
             assert peel(g, out | free) == set(), i
             assert cycle_closers(g, out, free) == [], i
+        assert forced > 100
+
+    def test_settle_peels_once(self, monkeypatch):
+        # forcing first leaves one peel to reach the joint fixpoint: on the
+        # triangle, 0 closes the edge 1-2 and goes inside, then 1 and 2 peel
+        calls = []
+
+        def counted(g, live):
+            calls.append(live)
+            return peel(g, live)
+
+        monkeypatch.setattr(graph, "peel", counted)
+        out, free, inside = {1, 2}, {0}, set()
+        assert settle(cycle(3), out, free, inside) == ({1, 2}, [0])
+        assert (out, free, inside) == (set(), set(), {0})
+        assert len(calls) == 1
+        rng = random.Random(31)
+        forced = 0
+        for i, g in enumerate(random_graphs(300, seed=31, max_n=25)):
+            out = set(random_subset(g, rng, rng.random()))
+            free = set(g.vertices) - out
+            calls.clear()
+            _, closers = settle(g, out, free, set())
+            forced += bool(closers)
+            assert len(calls) == 1, i
+        assert forced > 50
+
+    def test_peeling_first_finds_the_same_closers(self):
+        # the lemma in `settle`'s docstring: a closer and the forest path
+        # between two of its neighbours form a cycle, which no peel touches
+        rng = random.Random(37)
+        forced = 0
+        for i, g in enumerate(random_graphs(800, seed=37, max_n=25)):
+            out = set(random_subset(g, rng, rng.random()))
+            if i % 2:
+                out -= greedy_minimal_fvs(g.induced(out))  # a forest
+            free = set(random_subset(g, rng, rng.random())) - out
+            gone = peel(g, out | free)
+            closers = cycle_closers(g, out, free)
+            forced += bool(closers)
+            assert closers == cycle_closers(g, out - gone, free - gone), i
         assert forced > 100
