@@ -126,6 +126,8 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     kernel = chain_kernel(g)
     cover = min_vertex_cover(kernel)
     vc = len(cover)
+    if not math.isfinite(vc / epsilon):
+        raise ValueError(f"epsilon {epsilon!r} is too small: vc / epsilon = {vc} / {epsilon!r} overflows")
     threshold = max(1, math.ceil(vc / epsilon))
 
     best: frozenset[int] | None = None

@@ -62,21 +62,25 @@ class _Node:
     working graph `search`; a child copies them once and reduces them in
     place.  `search` may still hold vertices deleted higher up the tree:
     they are in none of the three sets, and every degree here counts live
-    neighbors only.  `removed` collects the originals of deleted ids
-    (committed outside every solution) and `expansions` maps a contracted
-    id to the original ids it stands for; both lift witnesses back to the
-    input graph.  A child shares `search`, `removed` and `expansions` with
-    its parent; a node that needs another value assigns a new object and
-    never changes the shared one.
+    neighbors only.  `expansions` maps a contracted id to the original ids
+    it stands for; it lifts witnesses back to the input graph, whose
+    vertices behind no live id are deleted.  `target` is the root's k plus
+    its required ids, and each unit of k spent moves one free id inside,
+    so `k` is `target` less the required ids.  A child shares `search`,
+    `target` and `expansions` with its parent; a node that needs another
+    value assigns a new object and never changes the shared one.
     """
 
     search: Graph
     required: set[int]
     forbidden: set[int]
     free: set[int]
-    k: int
-    removed: frozenset[int] = frozenset()
+    target: int
     expansions: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+    @property
+    def k(self) -> int:
+        return self.target - len(self.required)
 
     def live(self) -> set[int]:
         return self.required | self.forbidden | self.free
@@ -90,8 +94,7 @@ class _Node:
             self.required.union(inside),
             self.forbidden.union(outside),
             self.free.difference(inside, outside),
-            self.k - len(inside),
-            self.removed,
+            self.target,
             self.expansions,
         )
 
@@ -144,16 +147,13 @@ def _reduce(node: _Node, fired: dict[str, int]) -> None:
     """The shared pass (`graph.settle`), then contraction, while a contraction fires.
 
     The pass forces free vertices that close a forbidden-side cycle
-    inside, since no solution may leave such a cycle standing, so k drops
-    accordingly (and may go below zero, treated like zero); then it
-    strips degree <= 1 vertices outside `required`.  A merged vertex keeps its neighbors'
+    inside, since no solution may leave such a cycle standing, so each
+    one spends a unit of k (which may go below zero, treated like zero);
+    then it strips degree <= 1 vertices outside `required`.  A merged vertex keeps its neighbors'
     degrees but may close a cycle, so only a contraction calls for another pass.
     """
     while True:
         gone, forced = settle(node.search, node.forbidden, node.free, node.required)
-        if gone:
-            node.removed = node.removed.union(*map(node.originals_of, gone))
-        node.k -= len(forced)
         contracted = _contract(node)
         for name, count in ((RULE_STRIP, len(gone)), (RULE_FORCE, len(forced)), (RULE_CONTRACT, contracted)):
             if count:
@@ -228,17 +228,14 @@ def _complete_witness(ctx: _Context, node: _Node) -> frozenset[int] | None:
     A pruned set always keeps the call's commitments and its k.  Only free
     ids are ever contracted, so the initially required ids are in `base`,
     and pruning drops only vertices of start - base.  An initially
-    forbidden id stays forbidden or deleted, and `addable` excludes both.
-    Each unit of k spent commits one more id inside, which adds one
-    original to `base`.  `solve_extension` checks all three again on the
-    witness it emits.
+    forbidden id stays forbidden or deleted, and `addable`, the originals
+    of the free ids, holds neither.  Each unit of k spent commits one more
+    id inside, which adds one original to `base`.  `solve_extension`
+    checks all three again on the witness it emits.
     """
     fixed =[v for v in sorted(node.required) if v not in node.expansions]
     merged = [v for v in sorted(node.required) if v in node.expansions]
-    excluded = set(node.removed)
-    for v in node.forbidden | node.required:
-        excluded.update(node.originals_of(v))
-    addable = ctx.pristine.vertices - excluded
+    addable = set().union(*map(node.originals_of, node.free))
     for combo in product(*(node.expansions[v] for v in merged)):
         base = frozenset(fixed) | frozenset(combo)
         live = ctx.pristine.vertices - base
@@ -277,11 +274,10 @@ def _detached_free(ctx: _Context, node: _Node, x: int) -> bool:
     committed-in set, but certificates of committed vertices run through
     themselves and may re-enter deleted territory next to x.  Degree-based
     exchange arguments are therefore only trusted for vertices whose
-    original neighborhoods stay clear of everything deleted.
+    original neighbors are all originals of live ids.
     """
-    if not node.removed:
-        return True
-    return all(not (ctx.pristine.neighbors(rep) & node.removed) for rep in node.originals_of(x))
+    kept = set().union(*map(node.originals_of, node.live()))
+    return all(ctx.pristine.neighbors(rep) <= kept for rep in node.originals_of(x))
 
 
 def _children(ctx: _Context, node: _Node, v: int, parent: Mapping[int, int]) -> list[_Node]:
@@ -350,15 +346,15 @@ def _solve(ctx: _Context, node: _Node, depth: int) -> frozenset[int] | None:
     After reduction, a node is cut when `k` is above
     `degree_bound(search, forbidden, free)`, which is at most the number of
     free ids.  Take a witness S found below it: a minimal fvs of the input
-    graph with exactly one original of each committed-in id (completion
-    adds no other original of a contracted one), none of a committed-out
-    or deleted id, and `k0 - k` committed-in originals beyond the initial
-    required set.  So S needs `k` originals of free ids.  Contraction
-    keeps the working graph's edges one-to-one with the input edges
-    between originals of distinct live ids.  The originals of a live id
-    form a path, and the path of a contracted id is joined to the rest by
-    one edge at each end and otherwise only to vertices deleted before the
-    path formed.
+    graph with at least `target` vertices, exactly one original of each
+    committed-in id (completion adds no other original of a contracted
+    one), and none of a committed-out or deleted id.  S holds one original
+    per required id, so it needs target - |required| = k originals of free
+    ids.  Contraction keeps the working graph's edges one-to-one with the
+    input edges between originals of distinct live ids.  The originals of
+    a live id form a path, and the path of a contracted id is joined to
+    the rest by one edge at each end and otherwise only to vertices
+    deleted before the path formed.
 
     Let X be the free ids with an original in S, s1 in S an original of
     x in X, and C a private cycle of s1.  First, C avoids deleted
@@ -428,7 +424,7 @@ def solve_extension(
     trees = Forest(g)
     trees.extend(forbidden)
     gamma_root = trees.roots()
-    root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k)
+    root = _Node(g, set(required), set(forbidden), set(g.vertices - required - forbidden), k + len(required))
     found = _solve(ctx, root, depth=0)
     witness = None
     if found is not None:

@@ -75,9 +75,9 @@ def parse_instance(text: str) -> Graph:
 
 
 def write_instance(g: Graph, comments: Iterable[str] = ()) -> str:
-    """Serialize a graph; vertices are ranked by ascending id onto 1..n."""
+    """Serialize a graph, one `c` line per comment line; vertices are ranked by ascending id onto 1..n."""
     rank = {v: i + 1 for i, v in enumerate(g.sorted_vertices())}
-    lines = [f"c {comment}" for comment in comments]
+    lines = [f"c {line}" for comment in comments for line in comment.splitlines() or [""]]
     lines.append(f"p mmfvs {len(g)} {g.edge_count()}")
     lines.extend(f"e {rank[u]} {rank[v]}" for u, v in sorted(g.edges()))
     return "\n".join(lines) + "\n"

@@ -50,7 +50,8 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     C, is returned once the boolean `is_minimal` accepts it on g.  That
     certificate is g's, by the argument in `opt_exact_solution`.  A guess
     the degree-sum bound skips still counts in `guesses_tried`, with 0 in
-    `nodes_per_guess`, and also in `guesses_cut_by_bound`.
+    `nodes_per_guess`; every other guess's search counts at least its
+    root node, so `guesses_cut_by_bound` is the number of 0 entries.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -63,7 +64,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     witness = certify(g, w, "greedy fvs") if len(w) >= k else None
     nodes_per_guess: list[int] = []
     fired: Counter[str] = Counter()
-    max_depth = cut = 0
+    max_depth = 0
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
     # succeed, so none is tried; a guess the bound cuts counts 0 nodes.
@@ -73,7 +74,6 @@ def solve_k(g: Graph, k: int) -> SolveReport:
         for picked in chain.from_iterable(guesses):
             required = frozenset(picked)
             if degree_bound(core, w - required, free) < k - len(picked):
-                cut += 1
                 nodes_per_guess.append(0)
                 continue
             report = solve_extension(core, required, w - required, k - len(picked))
@@ -94,7 +94,7 @@ def solve_k(g: Graph, k: int) -> SolveReport:
         extras={
             "greedy_size": len(w),
             "guesses_tried": len(nodes_per_guess),
-            "guesses_cut_by_bound": cut,
+            "guesses_cut_by_bound": nodes_per_guess.count(0),
             "nodes_per_guess": nodes_per_guess,
         },
     )

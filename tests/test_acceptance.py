@@ -1,8 +1,10 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with -s or check captured output).
 
-The exhaustive connected corpus takes about a minute to build and the
-whole module a few minutes single-threaded; everything is deterministic
+Building the exhaustive connected corpus takes over a minute, once:
+`tests/corpus.py` caches it under `.pytest_cache/`.  From the cache, the
+corpus and brute-force optima fixtures take about 15 s to set up and the
+whole module about 45 s on a 2-core box.  Everything is deterministic
 (fixed seeds, fixed corpora).
 """
 

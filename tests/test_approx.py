@@ -156,6 +156,18 @@ class TestApproxSolve:
         with pytest.raises(ValueError):
             approx_solve(path(3), 1.0)
 
+    def test_an_epsilon_whose_threshold_overflows_is_refused(self):
+        # vc / epsilon is infinite here, so no threshold can be computed
+        for epsilon in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="epsilon"):
+                approx_solve(generate("apexpair", {"n": 6}), epsilon)
+
+    def test_a_forest_answers_at_the_smallest_epsilon(self):
+        # vc is 0 on a forest's empty kernel, and 0 / epsilon is finite
+        result = approx_solve(path(5), 5e-324)
+        assert result.mode == "exact"
+        assert result.solution.vertices == frozenset()
+
     def test_forest_is_exact(self):
         result = approx_solve(path(5), 0.5)
         assert result.mode == "exact"

@@ -11,11 +11,17 @@ from mmfvs.oracle import extension_exists_brute
 from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
 
 from helpers import apex_pair, cycle, disjoint_triangles, gnp, path, subdivided
+from test_extension_pinned import corpus as pinned_corpus
 
 
 def node(g, required=(), forbidden=(), k=0):
     required, forbidden = set(required), set(forbidden)
-    return _Node(g, required, forbidden, set(g.vertices) - required - forbidden, k)
+    return _Node(g, required, forbidden, set(g.vertices) - required - forbidden, k + len(required))
+
+
+def deleted(g, node):
+    """The vertices of the input graph g that no live id of `node` stands for."""
+    return g.vertices - set().union(*map(node.originals_of, node.live()))
 
 
 def gamma(g, forbidden):
@@ -53,10 +59,11 @@ class TestStripAcyclicFringe:
         assert gone == {0, 2}
 
     def test_search_strips_into_originals(self):
-        n = node(Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]), forbidden={0})
+        g = Graph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        n = node(g, forbidden={0})
         fired = {}
         _reduce(n, fired)
-        assert n.removed == {3, 4}
+        assert deleted(g, n) == {3, 4}
         assert fired == {"strip_acyclic_fringe": 2}
 
 
@@ -113,7 +120,7 @@ class TestContractDegreeTwoPairs:
         n = node(g, forbidden={0})
         fired = {}
         _reduce(n, fired)
-        assert n.removed == {5, 6}
+        assert deleted(g, n) == {5, 6}
         assert n.search.vertices == {0, 1, 4}
         assert n.expansions == {1: (1, 2, 3)}
         assert fired == {"strip_acyclic_fringe": 2, "contract_degree_two_pairs": 2}
@@ -288,7 +295,7 @@ class TestReductionsPreserveTheAnswer:
         """
         from itertools import product
 
-        excluded = set(state.removed)
+        excluded = set(deleted(pristine, state))
         for x in state.forbidden:
             excluded.update(state.originals_of(x))
         fixed = [v for v in sorted(state.required) if v not in state.expansions]
@@ -307,14 +314,12 @@ class TestReductionsPreserveTheAnswer:
         gone = peel(n.search, n.forbidden | n.free)
         n.forbidden -= gone
         n.free -= gone
-        n.removed = frozenset(gone)
 
     @staticmethod
     def force(n):
         forced = cycle_closers(n.search, n.forbidden, n.free)
         n.required.update(forced)
         n.free.difference_update(forced)
-        n.k -= len(forced)
 
     def test_each_rule_alone_keeps_the_decision(self):
         rng = random.Random(31)
@@ -343,7 +348,7 @@ class TestDegreeSumCut:
                 cut.append(node)
 
         monkeypatch.setattr(extension, "_reduce", recording_reduce)
-        checked = contracted = deleted = 0
+        checked = contracted = with_deleted = 0
         for g, required, forbidden, k in chain(TestFreeVertexCut.instances(8), TestFreeVertexCut.instances(9)):
             cut.clear()
             solve_extension(g, required, forbidden, k)
@@ -351,9 +356,67 @@ class TestDegreeSumCut:
                 assert not TestReductionsPreserveTheAnswer.decision(g, n), (g, sorted(required), k)
             checked += len(cut)
             contracted += sum(bool(n.expansions.keys() & n.live()) for n in cut)
-            deleted += sum(bool(n.removed) for n in cut)
+            with_deleted += sum(bool(deleted(g, n)) for n in cut)
         # 997 cut nodes, 177 of them with contracted ids and 942 with deleted vertices
-        assert checked >= 950 and contracted >= 150 and deleted >= 900
+        assert checked >= 950 and contracted >= 150 and with_deleted >= 900
+
+
+class TestDerivedState:
+    def test_k_and_deleted_match_carried_upkeep(self, monkeypatch):
+        # Replay, along every search path, a k and a set of deleted originals
+        # kept by hand: a child spends one unit of k per vertex it puts
+        # inside, and each settle spends one per forced closer and adds the
+        # originals of the ids it peels.  Both must equal what the node
+        # derives from its own vertex sets.
+        carried = {}  # id(node) -> (node, k, deleted originals); the node stays alive
+        current = []
+        real_child, real_reduce, real_settle = _Node.child, extension._reduce, extension.settle
+
+        def check(n):
+            _, k, gone = carried[id(n)]
+            assert n.k == k and deleted(g, n) == gone
+
+        def child(self, inside=(), outside=()):
+            c = real_child(self, inside, outside)
+            _, k, gone = carried[id(self)]
+            carried[id(c)] = c, k - len(inside), gone
+            check(c)
+            return c
+
+        def settle(search, out, free, inside):
+            gone, forced = real_settle(search, out, free, inside)
+            n = current[-1]
+            _, k, before = carried[id(n)]
+            carried[id(n)] = n, k - len(forced), before.union(*map(n.originals_of, gone))
+            return gone, forced
+
+        def reduce(n, fired):
+            carried.setdefault(id(n), (n, root_k, frozenset()))
+            check(n)
+            current.append(n)
+            real_reduce(n, fired)
+            current.pop()
+            check(n)
+            nonlocal reduced, with_deleted, contracted
+            reduced += 1
+            with_deleted += bool(deleted(g, n))
+            contracted += bool(n.expansions.keys() & n.live())
+
+        monkeypatch.setattr(_Node, "child", child)
+        monkeypatch.setattr(extension, "_reduce", reduce)
+        monkeypatch.setattr(extension, "settle", settle)
+        pinned = (
+            (g, required, forbidden, k)
+            for g in pinned_corpus()
+            for required, forbidden in all_bipartitions(greedy_minimal_fvs(g))
+            for k in range(5)
+        )
+        reduced = with_deleted = contracted = 0
+        for g, required, forbidden, root_k in chain(pinned, TestFreeVertexCut.instances(8)):
+            carried.clear()
+            solve_extension(g, required, forbidden, root_k)
+        # 3,466 reduced nodes, 3,003 of them with deleted vertices and 750 with contracted ids
+        assert reduced >= 3300 and with_deleted >= 2800 and contracted >= 700
 
 
 class TestSearchAccounting:

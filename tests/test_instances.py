@@ -64,6 +64,18 @@ class TestRoundTrip:
         g = Graph(range(5), [(0, 1)])
         assert parse_instance(write_instance(g)).vertices == g.vertices
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_multi_line_comments_round_trip(self, newline):
+        # a comment line reading like an edge stays a comment
+        g = apex_pair(6)
+        text = write_instance(g, comments=[f"two{newline}lines", f"e 1 2{newline}p mmfvs 1 0"])
+        assert text.startswith("c two\nc lines\nc e 1 2\nc p mmfvs 1 0\np mmfvs 6 9\n")
+        assert parse_instance(text) == g
+
+    def test_single_line_comments_are_written_as_given(self):
+        text = write_instance(cycle(3), comments=["one", ""])
+        assert text == "c one\nc \np mmfvs 3 3\ne 1 2\ne 1 3\ne 2 3\n"
+
 
 class TestGenerate:
     @pytest.mark.parametrize(

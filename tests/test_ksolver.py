@@ -160,6 +160,32 @@ class TestGuessCut:
         # 1,601 skipped guesses
         assert skipped >= 1500
 
+    def test_only_a_guess_with_no_extension_call_counts_0_nodes(self, monkeypatch):
+        # every extension call counts its root node, so the 0 entries of
+        # nodes_per_guess are exactly the guesses the bound skipped
+        searched = []
+
+        def recording(*args):
+            report = solve_extension(*args)
+            searched.append(report.nodes_explored)
+            return report
+
+        monkeypatch.setattr(ksolver, "solve_extension", recording)
+        cut = called = 0
+        for i, base in enumerate(random_graphs(40, seed=23, max_n=12)):
+            g = subdivided(base, i) if i % 3 == 0 else base
+            for k in range(len(greedy_minimal_fvs(g)) + 1, opt_upper_bound(g) + 1):
+                searched.clear()
+                extras = solve_k(g, k).extras
+                per_guess = extras["nodes_per_guess"]
+                assert [n for n in per_guess if n] == searched
+                assert min(searched, default=1) >= 1
+                assert extras["guesses_cut_by_bound"] == per_guess.count(0) == len(per_guess) - len(searched)
+                cut += per_guess.count(0)
+                called += len(searched)
+        # 1,444 skipped guesses and 2,876 searched ones
+        assert cut >= 1300 and called >= 2500
+
 
 class TestTwoCore:
     """solve_k searches its guesses on the 2-core and certifies the witness on g."""
