@@ -13,12 +13,14 @@ answer, comes from `ksolver.opt_exact_solution`, which costs at most
 `vcsolver.solve_vc`'s worst case on the chain kernel, whose vertex cover
 is at most vc.
 
-The greedy runs on `graph.chain_kernel(g)`, the 2-core with each chain
-of degree-2 vertices shortened to its lowest ids, and vc is the size of
-a minimum vertex cover of that kernel, at most vc(g).  The kernel's
-minimal fvs are g's that avoid the dropped vertices, with the same ids,
-and they reach g's optimum, so the additive loss stays at most vc and
-the threshold vc/eps keeps the (1 - eps) factor.  For the same reason
+A call reads its reductions of g from one `verify.Prepared` value, and its
+exact exit hands that value on, so the kernel, its cover and its bound are
+taken once per call.  The greedy runs on the chain kernel of g, the 2-core
+with each chain of degree-2 vertices shortened to its lowest ids, and vc is
+the size of the kernel's minimum vertex cover, at most vc(g).  The kernel's
+minimal fvs are g's that avoid the dropped vertices, with the same ids, and
+they reach g's optimum, so the additive loss stays at most vc and the
+threshold vc/eps keeps the (1 - eps) factor.  For the same reason
 the kernel's degree-sum bound `graph.degree_bound` is at least g's
 optimum, and a threshold above it is out of every candidate's reach, so
 the greedy is skipped there.  Every minimality check is made on the
@@ -37,11 +39,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from mmfvs.graph import Graph, chain_kernel, cycle_closers, degree_bound, peel
-from mmfvs.ksolver import opt_exact_solution
+from mmfvs.graph import Graph, cycle_closers, peel
+from mmfvs.ksolver import _opt_exact
 from mmfvs.report import Solution, SolveReport, certify
 from mmfvs.vcsolver import CoverGuess, cover_guesses
-from mmfvs.verify import VerificationError, is_minimal, members_have_private_cycles, min_vertex_cover
+from mmfvs.verify import Prepared, VerificationError, is_minimal, members_have_private_cycles
 
 
 def _run_greedy(
@@ -95,16 +97,17 @@ class ApproxResult:
 def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     """A verified minimal fvs of size at least (1 - epsilon) * opt.
 
-    vc is the size of a minimum vertex cover of the kernel
-    `graph.chain_kernel(g)`, and the greedy runs over that kernel's cover
-    guesses only when threshold = ceil(vc / epsilon) is at most the
-    kernel's `degree_bound`.  Each candidate is checked on the kernel with
-    the boolean `is_minimal`.  A verified best of at least the threshold
-    proves opt >= vc / epsilon, so its additive loss opt - best <= vc is
-    at most epsilon * opt: mode "greedy", and that best alone gets a
-    certificate on g.  Any other call returns `opt_exact_solution(g)` in
-    mode "exact", with the extras vc, threshold and opt.  Either mode
-    reports `nodes_explored` 0, since approx searches no extension nodes.
+    vc is the size of the minimum vertex cover of g's chain kernel, both
+    read from the call's `verify.Prepared` value, and the greedy runs over
+    that kernel's cover guesses only when threshold = ceil(vc / epsilon)
+    is at most the kernel's `degree_bound`.  Each candidate is checked on
+    the kernel with the boolean `is_minimal`.  A verified best of at least
+    the threshold proves opt >= vc / epsilon, so its additive loss
+    opt - best <= vc is at most epsilon * opt: mode "greedy", and that
+    best alone gets a certificate on g.  Any other call returns
+    `opt_exact_solution(g)`, run on the same value, in mode "exact", with
+    the extras vc, threshold and opt.  Either mode reports
+    `nodes_explored` 0, since approx searches no extension nodes.
 
     Only a candidate of at least the threshold can be returned, so
     `can_win` asks for one along with beating the best so far, and the
@@ -123,8 +126,8 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
     start = time.perf_counter()
     counters: Counter[str] = Counter()
     conflict_sizes: Counter[int] = Counter()
-    kernel = chain_kernel(g)
-    cover = min_vertex_cover(kernel)
+    p = Prepared(g)
+    kernel, cover = p.kernel, p.cover
     vc = len(cover)
     if not math.isfinite(vc / epsilon):
         raise ValueError(f"epsilon {epsilon!r} is too small: vc / epsilon = {vc} / {epsilon!r} overflows")
@@ -140,7 +143,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
         return size >= threshold and (best is None or size > len(best))
 
     # past the kernel's degree-sum bound no candidate can reach the threshold
-    if threshold <= degree_bound(kernel, (), kernel.vertices):
+    if threshold <= p.bound:
         for guess in cover_guesses(kernel, cover, counters, can_win):
             candidate, moved = _run_greedy(kernel, guess, counters, conflict_sizes)
             if len(moved) > vc:
@@ -157,7 +160,7 @@ def approx_solve(g: Graph, epsilon: float) -> ApproxResult:
                 moved_of_best = len(moved)
     if best is None:
         # no verified candidate proves opt >= threshold: solve outright
-        opt, sol = opt_exact_solution(g)
+        opt, sol = _opt_exact(p)
         extras = {"vc": vc, "threshold": threshold, "opt": opt}
         return ApproxResult(sol, "exact", SolveReport(sol, time.perf_counter() - start, extras=extras))
     solution = certify(g, best, "the greedy best")

@@ -63,6 +63,14 @@ def _json_safe(mapping: Mapping[str, object]) -> dict[str, object]:
     return out
 
 
+def _k(params: Mapping[str, object]) -> int:
+    """The k in `params`; int() would run 2.5 as k = 2 and True as k = 1, so only an int passes."""
+    k = params["k"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an int, got {k!r}")
+    return k
+
+
 def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str, object]) -> None:
     """Run one algorithm on g and fill in `record`'s answer fields.
 
@@ -71,7 +79,7 @@ def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str
     fails it raises `VerificationError`.
     """
     if algorithm == "ppt-check":
-        same = check_ppt_equivalence(g, int(params["k"]), cap=int(params.get("cap", 20)))
+        same = check_ppt_equivalence(g, _k(params), cap=int(params.get("cap", 20)))
         record.outcome = "yes" if same else "no"
         record.verified = same
         return
@@ -81,7 +89,7 @@ def _solve_into(record: RunRecord, g: Graph, algorithm: str, params: Mapping[str
         solution = res.witness
         record.stats = {"enumerated": res.enumerated}
     elif algorithm == "ksolver":
-        report = solve_k(g, int(params["k"]))
+        report = solve_k(g, _k(params))
         solution = None if report.solution is None else report.solution.vertices
         record.stats = {
             "nodes_explored": report.nodes_explored,

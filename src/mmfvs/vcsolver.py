@@ -13,8 +13,8 @@ closes a cycle; the walk's tree labels give each pick's forest, its
 leftover cycle closers and its tree count without a union-find.  The
 first pick that verifies is the largest solution the cover guess can
 give.  In the worst case this enumeration is 2^O(vc^2), above the paper's
-2^O(vc log vc).  The search runs on `graph.chain_kernel` of the input.
-A candidate solution is kept only after a minimality check (one
+2^O(vc log vc).  The search runs on the chain kernel of the input and its
+cover, read from the call's `verify.Prepared` value.  A candidate solution is kept only after a minimality check (one
 union-find sweep over the kernel, the same one that checks the cover
 side's private cycles), and only the final best is certified in full on
 the input graph (`verify.is_minimal_fvs`), once per call.
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from mmfvs.graph import Forest, Graph, chain_kernel, settle
+from mmfvs.graph import Forest, Graph, settle
 from mmfvs.report import Solution, SolveReport, certify
-from mmfvs.verify import VerificationError, min_vertex_cover, partial_minimality_ok
+from mmfvs.verify import Prepared, VerificationError, partial_minimality_ok
 
 
 @dataclass(frozen=True)
@@ -395,24 +395,29 @@ _REPORTED = (
 def solve_vc(g: Graph) -> tuple[Solution, SolveReport]:
     """A largest minimal fvs, by guessing its intersection with a cover.
 
-    The search runs on `graph.chain_kernel(g)`: the 2-core, whose cycles
-    are all of g's, with each chain of degree-2 vertices shortened to its
-    lowest ids.  Every cycle of g passes through the kernel in the same
-    way, so the private cycles that cover guesses check are the same
-    there, and the kernel's largest minimal fvs has g's optimum size; the
-    best, and only it, is certified on g, once per call.  The extras
-    `cover`, `cover_size` and `winning_trees` describe the kernel: a
-    minimum vertex cover of it, at most vc(g) in size, and the tree count
-    `find_connectors` gave the best, the trees of the settled forest on
-    the kernel, not those of G - solution.  Committed-out vertices that `graph.settle` peeled once
-    the forced vertices joined the solution belong to no tree.  On the
-    apex pair with n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0,
-    while G - {2, 3, 4, 5} is the edge {0, 1}, one tree.  `nodes_explored`
-    is 0: the extra `assignments_tried` counts the connector assignments.
+    The search runs on the chain kernel of g (`verify.Prepared.kernel`):
+    the 2-core, whose cycles are all of g's, with each chain of degree-2
+    vertices shortened to its lowest ids.  Every cycle of g passes through
+    the kernel in the same way, so the private cycles that cover guesses
+    check are the same there, and the kernel's largest minimal fvs has
+    g's optimum size; the best, and only it, is certified on g, once per
+    call.  The extras `cover`, `cover_size` and `winning_trees` describe
+    the kernel: a minimum vertex cover of it, at most vc(g) in size, and
+    the tree count `find_connectors` gave the best, the trees of the
+    settled forest on the kernel, not those of G - solution.
+    Committed-out vertices that `graph.settle` peeled once the forced
+    vertices joined the solution belong to no tree.  On the apex pair with
+    n = 6 (hubs 0 and 1, both adjacent to 2..5) it reads 0, while
+    G - {2, 3, 4, 5} is the edge {0, 1}, one tree.  `nodes_explored` is
+    0: the extra `assignments_tried` counts the connector assignments.
     """
+    return _solve_vc(Prepared(g))
+
+
+def _solve_vc(p: Prepared) -> tuple[Solution, SolveReport]:
+    """`solve_vc(p.g)`, on the kernel and cover p holds or takes now."""
     start = time.perf_counter()
-    kernel = chain_kernel(g)
-    cover = min_vertex_cover(kernel)
+    g, kernel, cover = p.g, p.kernel, p.cover
     counters: Counter[str] = Counter()
     counters["outer_degree_prune"] = len(g) - len(kernel)
     best: frozenset[int] | None = None

@@ -18,13 +18,18 @@ depth (`spanning_forest`, the one BFS forest walk, which the extension
 search also branches on); each member's private cycle is then the tree
 path between two of its neighbors, found by climbing to their lowest
 common ancestor, with no search.
+
+`Prepared` holds the reductions of one input that every solver call reads.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from mmfvs.graph import Forest, Graph, is_acyclic_without, prune_to_minimal
+from mmfvs.graph import (
+    Forest, Graph, chain_kernel, degree_bound, is_acyclic_without, prune_to_minimal, two_core,
+)
 
 # Per-vertex private cycles witnessing minimality of a solution.
 Certificate = dict[int, tuple[int, ...]]
@@ -260,6 +265,47 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
     branch(0, 0, 0)
     return frozenset(v for v in ordered if best & bit[v])
+
+
+class Prepared:
+    """The reductions of g the solvers start from, each taken on first use.
+
+    A public solver builds one value from its input and hands it to the
+    private entries it calls, so no part is taken twice, and none that the
+    call does not read (`solve_k` never takes the cover, an exponential
+    search).  Nothing is cached on g or across calls.  `core` is
+    `graph.two_core(g)`, and `greedy` the greedy minimal fvs of the core,
+    which is g's own: the greedy on g drops every vertex off the core,
+    which lies on no cycle, and decides each core vertex by cycles that all
+    lie in the core.  `kernel` is `graph.chain_kernel(g)`, taken from g so
+    that a call that reads it alone peels g once; its minimal fvs are g's
+    that avoid the dropped chain vertices and reach g's optimum, so `bound`,
+    its `graph.degree_bound`, is at least g's optimum, and `cover`, its
+    minimum vertex cover, has at most vc(g) vertices.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+
+    @cached_property
+    def core(self) -> Graph:
+        return two_core(self.g)
+
+    @cached_property
+    def greedy(self) -> frozenset[int]:
+        return greedy_minimal_fvs(self.core)
+
+    @cached_property
+    def kernel(self) -> Graph:
+        return chain_kernel(self.g)
+
+    @cached_property
+    def bound(self) -> int:
+        return degree_bound(self.kernel, (), self.kernel.vertices)
+
+    @cached_property
+    def cover(self) -> frozenset[int]:
+        return min_vertex_cover(self.kernel)
 
 
 def partial_minimality_ok(g: Graph, in_set: Iterable[int]) -> bool:

@@ -85,6 +85,19 @@ class TestRunBatch:
         assert "positive number of seconds up to 1e+09" in record.error
         assert signal.getsignal(signal.SIGALRM) is before
 
+    @pytest.mark.parametrize("algorithm", ["ksolver", "ppt-check"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_a_k_that_is_not_an_int_is_recorded_as_an_error(self, algorithm, k):
+        # int() truncated these: on the gnp(9), ksolver at k = 2.5 ran k = 2 and
+        # recorded a yes of size 2; ppt-check's brute force needs the smaller graph
+        g = gnp(9, 0.5, seed=3) if algorithm == "ksolver" else gnp(4, 0.5, seed=1)
+        record = run_one("g", g, algorithm, {"k": k})
+        assert (record.outcome, record.size, record.verified) == ("error", None, None)
+        assert record.error == f"ValueError: k must be an int, got {k!r}"
+        assert record.params == {"k": k}
+        # an int k still runs
+        assert run_one("g", g, algorithm, {"k": 2}).outcome == "yes"
+
     def test_a_timeout_off_the_main_thread_is_recorded(self):
         # only the main thread can install a SIGALRM handler: from any other
         # thread a timeout is an error record and the handler stays as it was

@@ -24,9 +24,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from mmfvs import vcsolver
+from mmfvs import vcsolver, verify
 from mmfvs.approx import approx_solve
-from mmfvs.graph import Graph, two_core
+from mmfvs.graph import Graph, chain_kernel, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -134,10 +134,11 @@ def test_solve_vc_matches_opt_exact_where_blocks_join_into_larger_trees(monkeypa
         n = rng.randint(18, 22)
         g = generate("gnp", {"n": n, "p": rng.uniform(2.6, 3.2) / n}, seed=rng.randrange(1 << 30))
         opt = opt_exact_sweep_reference(g)[0]
-        for searched in (vcsolver.chain_kernel, two_core):
+        for searched in (chain_kernel, two_core):
             largest_trees.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(vcsolver, "chain_kernel", searched)
+                # solve_vc searches the kernel that `verify.Prepared` takes
+                patch.setattr(verify, "chain_kernel", searched)
                 sol, _ = solve_vc(g)
             if len(sol.vertices) != opt or is_minimal_fvs(g, sol.vertices) is None:
                 mismatches.append((i, searched.__name__))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmfvs import ksolver, vcsolver
+from mmfvs import ksolver, vcsolver, verify
 from mmfvs.extension import solve_extension
-from mmfvs.graph import Graph, degree_bound, two_core
+from mmfvs.graph import Graph, chain_kernel, degree_bound, two_core
 from mmfvs.instances import generate
 from mmfvs.ksolver import opt_exact, opt_exact_solution, solve_k
 from mmfvs.oracle import opt_mmfvs_brute
@@ -33,13 +33,14 @@ from helpers import (
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts the vertex-cover search and solve_k calls that ksolver makes by name."""
+    """Counts the vertex-cover search (`vcsolver._solve_vc`, the entry
+    ksolver calls) and the solve_k calls that ksolver makes by name."""
     counts = {"solve_vc": 0, "solve_k": 0}
-    for name in counts:
+    for key, name in (("solve_vc", "_solve_vc"), ("solve_k", "solve_k")):
         real = getattr(ksolver, name)
 
-        def recorded(*args, _name=name, _real=real):
-            counts[_name] += 1
+        def recorded(*args, _key=key, _real=real):
+            counts[_key] += 1
             return _real(*args)
 
         monkeypatch.setattr(ksolver, name, recorded)
@@ -214,14 +215,15 @@ class TestTwoCore:
         assert trimmed >= 20
 
     def test_two_core_is_taken_once_per_call(self, monkeypatch):
+        # the solvers take the 2-core through `verify.Prepared`
         taken = []
-        real = ksolver.two_core
+        real = verify.two_core
 
         def counted(h):
             taken.append(h)
             return real(h)
 
-        monkeypatch.setattr(ksolver, "two_core", counted)
+        monkeypatch.setattr(verify, "two_core", counted)
         for g in random_graphs(40, seed=6, max_n=20):
             w = greedy_minimal_fvs(g)
             for k in range(len(w) + 3):
@@ -372,7 +374,7 @@ class TestRoute:
             seen.append(h)
             return min_vertex_cover(h)
 
-        monkeypatch.setattr(vcsolver, "min_vertex_cover", recorded)
+        monkeypatch.setattr(verify, "min_vertex_cover", recorded)
         pendants = [(2, 7), (7, 8), (8, 9), (3, 10), (10, 11), (11, 12), (4, 13), (13, 14), (14, 15)]
         g = Graph(range(16), list(apex_pair(7).edges()) + pendants)
         assert (len(greedy_minimal_fvs(g)), opt_upper_bound(g), len(min_vertex_cover(g))) == (1, 5, 8)
@@ -388,13 +390,13 @@ class TestRoute:
         # trees hung off the core join no two of its vertices, so solve_vc
         # gives the core the solution and certificate it gives g
         handed = []
-        real = ksolver.solve_vc
+        real, entry = vcsolver.solve_vc, ksolver._solve_vc
 
-        def recorded(h):
-            handed.append(h)
-            return real(h)
+        def recorded(p):
+            handed.append(p)
+            return entry(p)
 
-        monkeypatch.setattr(ksolver, "solve_vc", recorded)
+        monkeypatch.setattr(ksolver, "_solve_vc", recorded)
         rng = random.Random(23)
         hung = routed = 0
         for seed in range(120):
@@ -410,13 +412,14 @@ class TestRoute:
             opt, sol = opt_exact_solution(g)
             if handed:
                 routed += 1
-                assert handed == [core], seed
+                # the search is handed g's own value, and runs on the core's kernel
+                assert [p.g for p in handed] == [g] and handed[0].kernel == chain_kernel(core), seed
                 assert sol.certificate == is_minimal_fvs(g, sol.vertices), seed
         assert hung >= 80 and routed >= 60
 
     def test_greedy_at_the_bound_computes_no_cover(self, calls, monkeypatch):
         # a call to the cover would raise TypeError
-        monkeypatch.setattr(vcsolver, "min_vertex_cover", None)
+        monkeypatch.setattr(verify, "min_vertex_cover", None)
         # K_5's greedy W already has the bound's 3 vertices
         opt, sol = opt_exact_solution(complete(5))
         assert opt == len(sol.vertices) == 3

@@ -54,17 +54,18 @@ record = batch.run_one("triangle", triangle, "vcsolver")
 if record.outcome != "error" or not record.error.startswith("VerificationError"):
     sys.exit(f"run_one passed an unverified solution: {record}")
 
-# a vertex-cover optimum above the true one: C4 (|W| = 1, bound 2) asks
-# the vertex-cover solver, and its optimum is 1, not 2
-square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-ksolver.solve_vc = lambda g: (Solution(frozenset({0, 2}), {}), None)
-expect_failure(lambda: ksolver.opt_exact_solution(square), "opt_exact_solution")
+# a vertex-cover optimum above the true one: the wheel of four spokes around
+# hub 4 (|W| = 2, kernel bound 3) asks the vertex-cover solver, and its
+# optimum is 2, not 3.  C4 would ask no search: its kernel bound 1 is |W|.
+wheel = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3)] + [(v, 4) for v in range(4)])
+ksolver._solve_vc = lambda p: (Solution(frozenset({0, 1, 2}), {}), None)
+expect_failure(lambda: ksolver.opt_exact_solution(wheel), "opt_exact_solution")
 
 # a vertex-cover optimum below the greedy W: two triangles on hub 4 give
 # W = {0, 2} (bound 3), and the search returns the minimal fvs {4}
 butterfly = Graph(range(5), [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
 hub = frozenset({4})
-ksolver.solve_vc = lambda g: (Solution(hub, is_minimal_fvs(g, hub)), None)
+ksolver._solve_vc = lambda p: (Solution(hub, is_minimal_fvs(p.g, hub)), None)
 expect_failure(lambda: ksolver.opt_exact_solution(butterfly), "opt_exact_solution below W")
 
 report.is_minimal_fvs = no_certificate
