@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance")
     gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument("--params", nargs="*", metavar="key=value")
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output")
     gen.set_defaults(func=_cmd_gen)
 

@@ -11,13 +11,13 @@ solver shares: `Forest`, the incremental union-find; `prune_to_minimal`;
 and the two reduction rules of the extension search, the cover-guess
 solver and the approximation scheme: `peel` (degree <= 1 vertices lie on
 no cycle; `two_core` deletes them from a whole graph, and `chain_kernel`
-also shortens its chains of degree-2 vertices) and `cycle_closers`
-(a vertex with two neighbors in one tree of a committed-out forest must be
-in the solution).  `settle` is the one reduction pass of all three
-solvers: force, then peel once, on plain mutable vertex sets, which ends
-at a fixpoint of both rules.  The extension search follows it with
-degree-two contraction, and each greedy step of the approximation scheme
-runs the same two rules in the same order.  `degree_bound`
+also shortens its chains of degree-2 vertices, once per input, before
+any search) and `cycle_closers` (a vertex with two neighbors in one tree
+of a committed-out forest must be in the solution).  `settle` is the one
+reduction pass of all three solvers: force, then peel once, on plain
+mutable vertex sets, which ends at a fixpoint of both rules.  Each greedy
+step of the approximation scheme runs the same two rules in the same
+order.  `degree_bound`
 caps, from neighbor counts alone, how many undecided vertices a minimal
 fvs can take: the 10^k solver's optimum bound, guess cut and search-node
 cut.
@@ -30,6 +30,17 @@ from typing import Iterable, Iterator
 # the one neighbourhood every vertex without neighbours shares: sparse
 # graphs hold many, and a frozenset of their own would cost each 216 bytes
 _NO_NEIGHBORS: frozenset[int] = frozenset()
+# likewise the one neighbourhood of every vertex whose only neighbour is
+# u, for ids u below 256: about a third of a sparse gnp graph's vertices
+_ONE_NEIGHBOR = tuple(frozenset((u,)) for u in range(256))
+
+
+def _shared(nbrs: set[int]) -> frozenset[int]:
+    """nbrs as a frozenset, one of the shared ones above where it fits."""
+    if len(nbrs) != 1:
+        return frozenset(nbrs) if nbrs else _NO_NEIGHBORS
+    (u,) = nbrs
+    return _ONE_NEIGHBOR[u] if 0 <= u < len(_ONE_NEIGHBOR) else frozenset(nbrs)
 
 
 class Graph:
@@ -46,7 +57,7 @@ class Graph:
                 raise KeyError(f"edge ({u}, {v}) references an unknown vertex")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj = {v: frozenset(adj[v]) if adj[v] else _NO_NEIGHBORS for v in sorted(adj)}
+        self._adj = {v: _shared(adj[v]) for v in sorted(adj)}
 
     @classmethod
     def _from_adj(cls, adj: dict[int, frozenset[int]]) -> Graph:

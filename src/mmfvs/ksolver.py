@@ -2,25 +2,26 @@
 
 Every solver call here reads the reductions of its input g from one
 `verify.Prepared` value, built at the top of the call: the 2-core C
-(`graph.two_core`), the greedy minimal fvs W built on C, and, for the
-exact optimum, the chain kernel's degree-sum bound and minimum vertex
-cover.  A vertex off C lies on no cycle, so no minimal fvs holds one, and
-g and C have the same minimal fvs; W is g's own greedy W (see
-`verify.Prepared`).  A certificate built on C is also g's: a member's
-private cycle runs through two of its neighbours in one tree of C - S and
-the tree path between them, and the trees hung off C in g join no two of
-its vertices, so neither the neighbours nor the path change.
+(`graph.two_core`), the greedy minimal fvs W built on C, and the chain
+kernel K (`graph.chain_kernel`) with its degree-sum bound and minimum
+vertex cover.  A vertex off C lies on no cycle, so no minimal fvs holds
+one, and g and C have the same minimal fvs; W is g's own greedy W (see
+`verify.Prepared`).  K's minimal fvs are g's that avoid the chain
+vertices K drops, and they reach g's optimum.
 
 To decide whether some minimal fvs has at least k vertices (`solve_k`),
 W answers at once if it is already large enough.  Otherwise every target
-solution meets W in one of its subsets, so the extension solver is run on
-C once per bipartition guess of W.  The degree-sum bound
-`graph.degree_bound` cuts twice before any search: a k above
-`degree_bound(C, (), C.vertices)`, a bound on g's optimum, is refused
-outright, and a guess that keeps `picked` of W is skipped, with no
-extension call, when the bound with W - picked outside caps the vertices
-it can add off W below k - |picked|.  The extension search cuts each of
-its nodes by the same bound.
+solution of K meets W in one of its subsets, so the extension solver is
+run on K once per bipartition guess of W.  W is K's greedy minimal fvs
+too: the greedy drops a chain vertex while a lower one of its chain is
+still in the set, as every cycle through it runs through that one, so it
+keeps no chain vertex that K drops (the test suite checks that the two
+greedy sets are equal).  The degree-sum bound
+`graph.degree_bound` cuts twice before any search: a k above K's bound,
+a bound on g's optimum, is refused outright, and a guess that keeps
+`picked` of W is skipped, with no extension call, when the bound with
+W - picked outside caps the vertices it can add off W below k - |picked|.
+The extension search cuts each of its nodes by the same bound.
 
 The exact optimum (`opt_exact_solution`) is W when |W| reaches the
 kernel's bound, and otherwise comes from the vertex-cover solver
@@ -44,21 +45,23 @@ from mmfvs.verify import Prepared, VerificationError, is_minimal
 def solve_k(g: Graph, k: int) -> SolveReport:
     """Decide whether g has a minimal fvs of size at least k.
 
-    The call reads the 2-core C of g and the greedy minimal fvs W from its
-    `verify.Prepared` value, and takes neither the kernel nor its cover.  W
-    answers every k <= |W|; any other k searches the guesses on C, and the
-    witness found there, with the certificate `solve_extension` built on C,
-    is returned once the boolean `is_minimal` accepts it on g.  That
-    certificate is g's (see the module docstring).  A guess the degree-sum
-    bound skips still counts in `guesses_tried`, with 0 in
+    The call reads the greedy minimal fvs W from its `verify.Prepared`
+    value, and W answers every k <= |W| without the kernel.  Any other k
+    is refused above the kernel's bound, and otherwise searches the
+    guesses on the kernel; the witness found there is one of g's minimal
+    fvs, and comes back with its certificate built on g by `certify`.  The
+    certificate `solve_extension` built on the kernel is not reused: a
+    private cycle through a shortened chain is shorter there.  A guess the
+    degree-sum bound skips still counts in `guesses_tried`, with 0 in
     `nodes_per_guess`; every other guess's search counts at least its root
-    node, so `guesses_cut_by_bound` is the number of 0 entries.
+    node, so `guesses_cut_by_bound` is the number of 0 entries.  The call
+    never takes the cover.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     start = time.perf_counter()
     p = Prepared(g)
-    core, w = p.core, p.greedy
+    w = p.greedy
     witness = certify(g, w, "greedy fvs") if len(w) >= k else None
     nodes_per_guess: list[int] = []
     fired: Counter[str] = Counter()
@@ -66,22 +69,21 @@ def solve_k(g: Graph, k: int) -> SolveReport:
     # Ascending intersection size, lexicographic within a size: the guess is
     # which part of W the solution keeps.  Past the bound no guess can
     # succeed, so none is tried; a guess the bound cuts counts 0 nodes.
-    if witness is None and k <= degree_bound(core, (), core.vertices):
-        free = core.vertices - w
+    if witness is None and k <= p.bound:
+        kernel = p.kernel
+        free = kernel.vertices - w
         guesses = (combinations(sorted(w), size) for size in range(len(w) + 1))
         for picked in chain.from_iterable(guesses):
             required = frozenset(picked)
-            if degree_bound(core, w - required, free) < k - len(picked):
+            if degree_bound(kernel, w - required, free) < k - len(picked):
                 nodes_per_guess.append(0)
                 continue
-            report = solve_extension(core, required, w - required, k - len(picked))
+            report = solve_extension(kernel, required, w - required, k - len(picked))
             nodes_per_guess.append(report.nodes_explored)
             max_depth = max(max_depth, report.max_depth)
             fired.update(report.reductions_fired)
             if report.is_yes:
-                if not is_minimal(g, report.solution.vertices):
-                    raise VerificationError("extension witness is not a minimal fvs")
-                witness = report.solution
+                witness = certify(g, report.solution.vertices, "extension witness")
                 break
     return SolveReport(
         solution=witness,

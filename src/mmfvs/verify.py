@@ -24,8 +24,7 @@ common ancestor, with no search.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Generic, Iterable, Mapping, TypeVar
 
 from mmfvs.graph import (
     Forest, Graph, chain_kernel, degree_bound, is_acyclic_without, prune_to_minimal, two_core,
@@ -267,6 +266,27 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
     return frozenset(v for v in ordered if best & bit[v])
 
 
+_T = TypeVar("_T")
+
+
+class _part(Generic[_T]):
+    """A part of `Prepared`: taken by the wrapped method on first read,
+    then stored in the instance `__dict__`, which later reads find first.
+
+    `functools.cached_property` does the same, but before Python 3.12 it
+    takes a lock on every first read, which costs more than taking a cheap
+    part; a `Prepared` value belongs to one call, so it needs no lock.
+    """
+
+    def __init__(self, take: Callable[[Prepared], _T]) -> None:
+        self.take = take
+        self.name = take.__name__
+
+    def __get__(self, p: Prepared, owner: type | None = None) -> _T:
+        value = p.__dict__[self.name] = self.take(p)
+        return value
+
+
 class Prepared:
     """The reductions of g the solvers start from, each taken on first use.
 
@@ -277,33 +297,34 @@ class Prepared:
     `graph.two_core(g)`, and `greedy` the greedy minimal fvs of the core,
     which is g's own: the greedy on g drops every vertex off the core,
     which lies on no cycle, and decides each core vertex by cycles that all
-    lie in the core.  `kernel` is `graph.chain_kernel(g)`, taken from g so
-    that a call that reads it alone peels g once; its minimal fvs are g's
-    that avoid the dropped chain vertices and reach g's optimum, so `bound`,
-    its `graph.degree_bound`, is at least g's optimum, and `cover`, its
-    minimum vertex cover, has at most vc(g) vertices.
+    lie in the core.  `kernel` is `graph.chain_kernel` of the core, so a
+    call that reads both peels g once, and the kernel's own peel finds
+    nothing to delete; its minimal fvs are g's that avoid the dropped chain
+    vertices and reach g's optimum, so `bound`, its `graph.degree_bound`,
+    is at least g's optimum, and `cover`, its minimum vertex cover, has at
+    most vc(g) vertices.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
 
-    @cached_property
+    @_part
     def core(self) -> Graph:
         return two_core(self.g)
 
-    @cached_property
+    @_part
     def greedy(self) -> frozenset[int]:
         return greedy_minimal_fvs(self.core)
 
-    @cached_property
+    @_part
     def kernel(self) -> Graph:
-        return chain_kernel(self.g)
+        return chain_kernel(self.core)
 
-    @cached_property
+    @_part
     def bound(self) -> int:
         return degree_bound(self.kernel, (), self.kernel.vertices)
 
-    @cached_property
+    @_part
     def cover(self) -> frozenset[int]:
         return min_vertex_cover(self.kernel)
 

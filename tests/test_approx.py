@@ -267,7 +267,9 @@ class TestGate:
 def test_each_call_builds_one_certificate(monkeypatch):
     # solve_vc certifies its final best, a greedy-mode approx_solve its
     # final greedy best and solve_k its witness, all through
-    # `report.certify`; every other candidate gets the boolean check only
+    # `report.certify`; every other candidate gets the boolean check only.
+    # A witness of solve_k's extension search is certified twice: on the
+    # chain kernel by `solve_extension`, and on g by solve_k
     built = []
 
     def counted(g, s):
@@ -293,8 +295,9 @@ def test_each_call_builds_one_certificate(monkeypatch):
         for k in range(len(solution.vertices) + 2):
             built.clear()
             decided = solve_k(g, k)
-            assert built == ([decided.solution.vertices] if decided.is_yes else []), (g, k)
-            searched += decided.is_yes and k > decided.extras["greedy_size"]
+            extended = decided.is_yes and k > decided.extras["greedy_size"]
+            assert built == ([decided.solution.vertices] * (1 + extended) if decided.is_yes else []), (g, k)
+            searched += extended
     assert greedy >= 10, greedy
     # witnesses the extension search found, beyond the greedy W
     assert searched >= 20, searched

@@ -107,6 +107,16 @@ class TestGen:
               "--output", str(again)])
         assert out.read_text() == again.read_text()
 
+    def test_gen_without_a_seed_is_reproducible(self, capsys):
+        # the seed defaults to 0, and the header records it
+        args = ["gen", "--family", "gnp", "--params", "n=12", "p=0.3"]
+        texts = []
+        for extra in ([], [], ["--seed", "0"]):
+            assert main(args + extra) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert "seed=0" in texts[0]
+
     def test_gen_apexpair_stdout(self, capsys):
         assert main(["gen", "--family", "apexpair", "--params", "n=7"]) == 0
         g = parse_instance(capsys.readouterr().out)

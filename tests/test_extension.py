@@ -1,14 +1,13 @@
-import copy
 import random
 from itertools import chain
 
 import pytest
 
 from mmfvs import extension
-from mmfvs.extension import _contract, _Node, _reduce, solve_extension
+from mmfvs.extension import _Node, _reduce, solve_extension
 from mmfvs.graph import Graph, cycle_closers, degree_bound, peel, settle
 from mmfvs.oracle import extension_exists_brute
-from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs
+from mmfvs.verify import greedy_minimal_fvs, is_minimal_fvs, members_have_private_cycles
 
 from helpers import apex_pair, cycle, disjoint_triangles, gnp, path, subdivided
 from test_extension_pinned import corpus as pinned_corpus
@@ -20,8 +19,8 @@ def node(g, required=(), forbidden=(), k=0):
 
 
 def deleted(g, node):
-    """The vertices of the input graph g that no live id of `node` stands for."""
-    return g.vertices - set().union(*map(node.originals_of, node.live()))
+    """The vertices of the input graph g that are not live in `node`."""
+    return g.vertices - node.live()
 
 
 def gamma(g, forbidden):
@@ -93,45 +92,6 @@ class TestForceCycleClosers:
         out, free, inside = {0}, {1, 2, 3}, set()
         settle(cycle(4), out, free, inside)
         assert inside == set()
-
-
-class TestContractDegreeTwoPairs:
-    def test_long_paths_between_forbidden_attachments_collapse(self):
-        n = node(cycle(8), forbidden={0, 4})
-        assert _contract(n) == 4
-        assert n.search.vertices == {0, 1, 4, 5}
-        assert n.search.edge_count() == 4
-        assert n.expansions == {1: (1, 2, 3), 5: (5, 6, 7)}
-        assert n.free == {1, 5}
-
-    def test_common_neighbor_blocks_contraction(self):
-        n = node(cycle(3))
-        assert _contract(n) == 0
-        assert n.search == cycle(3)
-
-    def test_committed_endpoint_blocks_contraction(self):
-        n = node(cycle(8), forbidden={0, 2, 4, 6})
-        assert _contract(n) == 0
-        assert n.search == cycle(8)
-
-    def test_deleted_vertices_do_not_count(self):
-        # once 5 and 6 are stripped, 2 has degree two and the path 1-2-3 merges
-        g = Graph(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6)])
-        n = node(g, forbidden={0})
-        fired = {}
-        _reduce(n, fired)
-        assert deleted(g, n) == {5, 6}
-        assert n.search.vertices == {0, 1, 4}
-        assert n.expansions == {1: (1, 2, 3)}
-        assert fired == {"strip_acyclic_fringe": 2, "contract_degree_two_pairs": 2}
-
-    def test_contraction_leaves_the_parent_alone(self):
-        parent = node(cycle(8), forbidden={0})
-        kept = copy.deepcopy(parent)
-        child = parent.child(outside=(4,))
-        _contract(child)
-        assert child.expansions and child.search != parent.search
-        assert parent == kept
 
 
 class TestSolveExtension:
@@ -249,7 +209,7 @@ class TestFreeVertexCut:
             if trial % 2:
                 g = gnp(rng.randint(6, 10), rng.uniform(0.25, 0.5), seed=900 + trial)
             else:
-                # degree-two paths, so contracted ids and peeled vertices meet
+                # degree-two paths, so chains and peeled vertices meet
                 g = subdivided(gnp(rng.randint(4, 5), rng.uniform(0.5, 0.8), seed=900 + trial), trial)
             if len(g) > 12:
                 continue
@@ -260,26 +220,28 @@ class TestFreeVertexCut:
 
     def test_agrees_with_brute_force_where_it_fires(self, monkeypatch):
         cuts = 0
+        last = None
 
         def counting_reduce(node, fired):
-            nonlocal cuts
+            nonlocal cuts, last
             _reduce(node, fired)
             cuts += node.k > len(node.free)
+            last = node
 
-        def past_the_cut(ctx, node):
-            # the next step after reduction runs only on nodes the cut keeps
-            assert node.k <= len(node.free)
-            return partial_minimality(ctx, node)
+        def past_the_cut(g, solution, probed):
+            # the next step after reduction, the partial-minimality check,
+            # runs only on nodes the cut keeps
+            assert last.k <= len(last.free)
+            return members_have_private_cycles(g, solution, probed)
 
-        partial_minimality = extension._partial_minimality
         monkeypatch.setattr(extension, "degree_bound", lambda g, out, free: len(free))
         monkeypatch.setattr(extension, "_reduce", counting_reduce)
-        monkeypatch.setattr(extension, "_partial_minimality", past_the_cut)
+        monkeypatch.setattr(extension, "members_have_private_cycles", past_the_cut)
         for g, required, forbidden, k in self.instances():
             report = solve_extension(g, required, forbidden, k)
             expected = extension_exists_brute(g, required, forbidden, k)
             assert report.is_yes == (expected is not None), (g, sorted(required), sorted(forbidden), k)
-        # 739 instances, 255 of them yes; the cut fires 686 times
+        # 739 instances, 255 of them yes; the cut fires 964 times
         assert cuts >= 600
 
 
@@ -288,26 +250,12 @@ class TestReductionsPreserveTheAnswer:
     def decision(pristine, state):
         """Ground truth for a (possibly reduced) search node.
 
-        A node always speaks about the original graph: deleted and
-        forbidden originals are excluded from the solution but remain
-        cycle material, and a contracted committed id means one of its
-        originals, whichever works.
+        A node always speaks about the whole input graph: deleted and
+        forbidden vertices are excluded from the solution but remain
+        cycle material.
         """
-        from itertools import product
-
-        excluded = set(deleted(pristine, state))
-        for x in state.forbidden:
-            excluded.update(state.originals_of(x))
-        fixed = [v for v in sorted(state.required) if v not in state.expansions]
-        merged = [v for v in sorted(state.required) if v in state.expansions]
-        for combo in product(*(state.expansions[v] for v in merged)):
-            required = frozenset(fixed) | frozenset(combo)
-            hit = extension_exists_brute(
-                pristine, required, frozenset(excluded) - required, state.k
-            )
-            if hit is not None:
-                return True
-        return False
+        excluded = frozenset(deleted(pristine, state) | state.forbidden)
+        return extension_exists_brute(pristine, frozenset(state.required), excluded, state.k) is not None
 
     @staticmethod
     def strip(n):
@@ -323,7 +271,7 @@ class TestReductionsPreserveTheAnswer:
 
     def test_each_rule_alone_keeps_the_decision(self):
         rng = random.Random(31)
-        rules = [self.strip, self.force, _contract, lambda n: _reduce(n, {})]
+        rules = [self.strip, self.force, lambda n: _reduce(n, {})]
         for trial in range(40):
             g = gnp(8, rng.uniform(0.2, 0.5), seed=700 + trial)
             w = greedy_minimal_fvs(g)
@@ -348,27 +296,26 @@ class TestDegreeSumCut:
                 cut.append(node)
 
         monkeypatch.setattr(extension, "_reduce", recording_reduce)
-        checked = contracted = with_deleted = 0
+        checked = with_deleted = 0
         for g, required, forbidden, k in chain(TestFreeVertexCut.instances(8), TestFreeVertexCut.instances(9)):
             cut.clear()
             solve_extension(g, required, forbidden, k)
             for n in cut:
                 assert not TestReductionsPreserveTheAnswer.decision(g, n), (g, sorted(required), k)
             checked += len(cut)
-            contracted += sum(bool(n.expansions.keys() & n.live()) for n in cut)
             with_deleted += sum(bool(deleted(g, n)) for n in cut)
-        # 997 cut nodes, 177 of them with contracted ids and 942 with deleted vertices
-        assert checked >= 950 and contracted >= 150 and with_deleted >= 900
+        # 1,344 cut nodes, 1,291 of them with deleted vertices
+        assert checked >= 950 and with_deleted >= 900
 
 
 class TestDerivedState:
     def test_k_and_deleted_match_carried_upkeep(self, monkeypatch):
-        # Replay, along every search path, a k and a set of deleted originals
+        # Replay, along every search path, a k and a set of deleted vertices
         # kept by hand: a child spends one unit of k per vertex it puts
         # inside, and each settle spends one per forced closer and adds the
-        # originals of the ids it peels.  Both must equal what the node
+        # vertices it peels.  Both must equal what the node
         # derives from its own vertex sets.
-        carried = {}  # id(node) -> (node, k, deleted originals); the node stays alive
+        carried = {}  # id(node) -> (node, k, deleted vertices); the node stays alive
         current = []
         real_child, real_reduce, real_settle = _Node.child, extension._reduce, extension.settle
 
@@ -387,7 +334,7 @@ class TestDerivedState:
             gone, forced = real_settle(search, out, free, inside)
             n = current[-1]
             _, k, before = carried[id(n)]
-            carried[id(n)] = n, k - len(forced), before.union(*map(n.originals_of, gone))
+            carried[id(n)] = n, k - len(forced), before | gone
             return gone, forced
 
         def reduce(n, fired):
@@ -397,10 +344,9 @@ class TestDerivedState:
             real_reduce(n, fired)
             current.pop()
             check(n)
-            nonlocal reduced, with_deleted, contracted
+            nonlocal reduced, with_deleted
             reduced += 1
             with_deleted += bool(deleted(g, n))
-            contracted += bool(n.expansions.keys() & n.live())
 
         monkeypatch.setattr(_Node, "child", child)
         monkeypatch.setattr(extension, "_reduce", reduce)
@@ -411,12 +357,12 @@ class TestDerivedState:
             for required, forbidden in all_bipartitions(greedy_minimal_fvs(g))
             for k in range(5)
         )
-        reduced = with_deleted = contracted = 0
+        reduced = with_deleted = 0
         for g, required, forbidden, root_k in chain(pinned, TestFreeVertexCut.instances(8)):
             carried.clear()
             solve_extension(g, required, forbidden, root_k)
-        # 3,466 reduced nodes, 3,003 of them with deleted vertices and 750 with contracted ids
-        assert reduced >= 3300 and with_deleted >= 2800 and contracted >= 700
+        # 4,393 reduced nodes, 3,964 of them with deleted vertices
+        assert reduced >= 3300 and with_deleted >= 2800
 
 
 class TestSearchAccounting:

@@ -2,9 +2,11 @@
 
 The digests cover every bipartition guess of the greedy minimal fvs W at
 k = 0..4 on seeded random graphs and on graphs with subdivided edges,
-whose degree-two paths make the contraction rule fire.  The answers
-digest (outcome, solution, certificate) must never move: a pruning rule
-that is sound cuts only subtrees without a witness.  The counters digest
+whose chains of degree-2 vertices the search gets in full here (`solve_k`
+shortens them first).  The outcomes must never move: a pruning rule that
+is sound cuts only subtrees without a witness.  The answers digest
+(outcome, solution, certificate) moves only when the search reaches
+another witness first, and is re-pinned with the reason stated.  The counters digest
 (`nodes_explored`, `max_depth`, extras, reductions fired) moves whenever
 the search visits other nodes, and is re-pinned with the reason stated.
 """
@@ -20,17 +22,21 @@ from mmfvs.verify import greedy_minimal_fvs
 
 from helpers import gnp, subdivided
 
-# (calls, sha256) of outcome, solution and certificate; unchanged since
-# the search moved to mutable sets
-ANSWERS = (1085, "9ea18d98a48e4997ca2225b698d39cb703138d3d36699395129507f0d3f79e17")
+# (calls, sha256) of the outcomes alone; unchanged since the search moved
+# to mutable sets, through the deletion of its degree-two contraction
+OUTCOMES = (1085, "a5256949f2817a9dcf7ee72d92e22048db8d8ef7967bd3339d559c0f5f3d65e1")
+# (calls, sha256) of outcome, solution and certificate.  Re-pinned when the
+# search lost its degree-two contraction: with the chains in full, 37 of the
+# 1,085 calls reach another witness first, 36 of them one of equal size and
+# one a witness of 2 vertices in place of 3; no outcome moved.
+ANSWERS = (1085, "99af32677598d350985d31a3daa59d60ca35c13864fd36a89a25c6af0db61ba6")
 # (total nodes, sha256) of the search counters since the degree-sum cut,
 # which cuts nodes the free-vertex cut kept (2,659 nodes before it, and
-# 3,072 before the free-vertex cut).  Re-pinned when `graph.settle` took
-# its second peel: the strip after a force now runs before contraction, and
-# 20 contractions give way to 20 more strips (strip_acyclic_fringe
-# 5,489 -> 5,509, contract_degree_two_pairs 684 -> 664); nodes, depths,
-# extras and forces are unchanged.
-COUNTERS = (2005, "9a3d235b89ae75d9942c951abf662ad3b281346e281a598ec2cf6452e60e5b6f")
+# 3,072 before the free-vertex cut).  Re-pinned when the search lost its
+# degree-two contraction, which these direct calls on graphs with chains
+# used (2,005 nodes with it): `solve_k` now hands the search the chain
+# kernel instead.
+COUNTERS = (2677, "2db5593f584b490d35655483476764a3817fb42100fe86ab6b1aa8697ad60174")
 
 
 def corpus():
@@ -50,14 +56,15 @@ def bipartitions(w):
 
 @cache
 def digests():
-    answers, counters = hashlib.sha256(), hashlib.sha256()
-    calls = nodes = contractions = 0
+    outcomes, answers, counters = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    calls = nodes = 0
     for g in corpus():
         w = greedy_minimal_fvs(g)
         for required, forbidden in bipartitions(w):
             for k in range(5):
                 report = solve_extension(g, required, forbidden, k)
                 solution = report.solution
+                outcomes.update(report.outcome.encode())
                 answers.update(repr((
                     report.outcome,
                     sorted(solution.vertices) if solution else None,
@@ -71,18 +78,17 @@ def digests():
                 )).encode())
                 calls += 1
                 nodes += report.nodes_explored
-                contractions += report.reductions_fired.get("contract_degree_two_pairs", 0)
-    return (calls, answers.hexdigest()), (nodes, counters.hexdigest()), contractions
+    return (calls, outcomes.hexdigest()), (calls, answers.hexdigest()), (nodes, counters.hexdigest())
 
 
 def test_answers_match_the_pinned_digest():
-    answers, _, contractions = digests()
-    assert contractions > 0
+    outcomes, answers, _ = digests()
+    assert outcomes == OUTCOMES
     assert answers == ANSWERS
 
 
 def test_reports_match_the_pinned_digest():
-    _, counters, _ = digests()
+    _, _, counters = digests()
     assert counters == COUNTERS
 
 

@@ -56,6 +56,16 @@ class TestBasics:
         with pytest.raises(KeyError):
             complete(3).degree(99)
 
+    def test_one_neighbour_neighbourhoods_are_shared(self):
+        # leaves hanging off id 5 in two graphs hold one frozenset between them;
+        # ids from 256 on, and negative ones, get their own
+        g = Graph([5, 6, 7], [(5, 6), (5, 7)])
+        h = Graph([5, 9], [(5, 9)])
+        assert g.neighbors(6) is g.neighbors(7) is h.neighbors(9) == {5}
+        big = Graph([-1, 0, 256, 300], [(256, 300), (-1, 0)])
+        assert big.neighbors(300) == {256} and big.neighbors(256) == {300}
+        assert big.neighbors(0) == {-1} and big.neighbors(-1) == {0}
+
 
 class TestContract:
     def test_path_contracts_to_shorter_path(self):

@@ -133,23 +133,24 @@ class TestSolveK:
 
 class TestGuessCut:
     def test_every_skipped_guess_has_no_extension(self):
-        # replay solve_k's guess order on the 2-core: each guess the
-        # degree-sum bound skips has no extension, and solve_k counts
-        # exactly the skips before its first yes, each as a 0-node guess
+        # replay solve_k's guess order on the chain kernel, up to the
+        # kernel's bound: each guess the degree-sum bound skips has no
+        # extension, and solve_k counts exactly the skips before its first
+        # yes, each as a 0-node guess
         skipped = 0
-        for i, base in enumerate(random_graphs(60, seed=23, max_n=12)):
+        for i, base in enumerate(random_graphs(100, seed=23, max_n=12)):
             g = subdivided(base, i) if i % 3 == 0 else base
-            w, core = greedy_minimal_fvs(g), two_core(g)
-            free = core.vertices - w
-            for k in range(len(w) + 1, opt_upper_bound(g) + 1):
+            w, kernel = greedy_minimal_fvs(g), chain_kernel(g)
+            free = kernel.vertices - w
+            for k in range(len(w) + 1, kernel_bound(g) + 1):
                 cut, found = 0, False
                 for size in range(len(w) + 1):
                     for picked in combinations(sorted(w), size):
                         required = frozenset(picked)
-                        if degree_bound(core, w - required, free) < k - size:
-                            assert not solve_extension(core, required, w - required, k - size).is_yes
+                        if degree_bound(kernel, w - required, free) < k - size:
+                            assert not solve_extension(kernel, required, w - required, k - size).is_yes
                             cut += 1
-                        elif solve_extension(core, required, w - required, k - size).is_yes:
+                        elif solve_extension(kernel, required, w - required, k - size).is_yes:
                             found = True
                             break
                     if found:
@@ -158,7 +159,7 @@ class TestGuessCut:
                 assert report.is_yes == found
                 assert report.extras["guesses_cut_by_bound"] == cut == report.extras["nodes_per_guess"].count(0)
                 skipped += cut
-        # 1,601 skipped guesses
+        # 1,743 skipped guesses over these 100 graphs (886 over the first 60)
         assert skipped >= 1500
 
     def test_only_a_guess_with_no_extension_call_counts_0_nodes(self, monkeypatch):
@@ -173,9 +174,9 @@ class TestGuessCut:
 
         monkeypatch.setattr(ksolver, "solve_extension", recording)
         cut = called = 0
-        for i, base in enumerate(random_graphs(40, seed=23, max_n=12)):
+        for i, base in enumerate(random_graphs(100, seed=23, max_n=12)):
             g = subdivided(base, i) if i % 3 == 0 else base
-            for k in range(len(greedy_minimal_fvs(g)) + 1, opt_upper_bound(g) + 1):
+            for k in range(len(greedy_minimal_fvs(g)) + 1, kernel_bound(g) + 1):
                 searched.clear()
                 extras = solve_k(g, k).extras
                 per_guess = extras["nodes_per_guess"]
@@ -184,14 +185,48 @@ class TestGuessCut:
                 assert extras["guesses_cut_by_bound"] == per_guess.count(0) == len(per_guess) - len(searched)
                 cut += per_guess.count(0)
                 called += len(searched)
-        # 1,444 skipped guesses and 2,876 searched ones
+        # 1,743 skipped guesses and 2,634 searched ones over these 100
+        # graphs (770 and 1,592 over the first 40)
         assert cut >= 1300 and called >= 2500
 
 
+class TestHardGraphs:
+    """Sparse graphs whose 2-cores have long chains of degree-2 vertices."""
+
+    def test_the_chain_kernel_answers_g160_in_few_nodes(self):
+        # a 2-core of 66 vertices with long chains, which the kernel shortens
+        # to 46: completing witnesses over the product of the chain lengths
+        # made this call take 113 nodes and 29 s; the kernel answers in 14
+        report = solve_k(generate("gnp", {"n": 160, "p": 0.012}, 2), 10)
+        assert report.is_yes and report.nodes_explored <= 50
+
+    @pytest.mark.parametrize(
+        "params, seed, opt",
+        [
+            ({"n": 29, "p": 0.09661028971130431}, 386805405, 12),
+            ({"n": 35, "p": 0.08169617458042977}, 450993058, 11),
+            # sk0103, sk0108 and sk0565 of the benchmark's sparse-k corpus at seed 1
+            ({"n": 120, "p": 0.0125}, 572597653, 10),
+            ({"n": 150, "p": 0.01}, 551535377, 10),
+            ({"n": 140, "p": 0.01071429}, 689245465, 9),
+        ],
+        ids=["g29", "g35", "sk0103", "sk0108", "sk0565"],
+    )
+    def test_solve_k_agrees_with_solve_vc(self, params, seed, opt):
+        # the two exact routes: solve_vc's optimum, and solve_k's yes at it
+        # and no one above it
+        g = generate("gnp", params, seed)
+        assert len(solve_vc(g)[0].vertices) == opt
+        assert solve_k(g, opt).is_yes
+        assert not solve_k(g, opt + 1).is_yes
+
+
 class TestTwoCore:
-    """solve_k searches its guesses on the 2-core and certifies the witness on g."""
+    """solve_k searches its guesses on the chain kernel of the 2-core and
+    certifies the witness on g."""
 
     def test_extension_search_sees_only_the_two_core(self, monkeypatch):
+        # the search sees the chain kernel, a 2-core whose chains are short
         searched = []
         real = ksolver.solve_extension
 
@@ -200,19 +235,27 @@ class TestTwoCore:
             return real(h, *args)
 
         monkeypatch.setattr(ksolver, "solve_extension", recorded)
-        trimmed = 0
-        for g in random_graphs(80, seed=5, max_n=20):
+        trimmed = shortened = 0
+        for i, base in enumerate(random_graphs(80, seed=5, max_n=20)):
+            g = subdivided(base, i) if i % 3 == 0 else base
             w = len(greedy_minimal_fvs(g))
-            before = len(searched)
+            searched.clear()
             for k in (w + 1, w + 2):
                 report = solve_k(g, k)
                 if report.is_yes:
                     sol = report.solution
                     assert sol.certificate == is_minimal_fvs(g, sol.vertices) is not None
-            trimmed += len(searched) > before and len(two_core(g)) < len(g)
-        assert searched and all(min(h.degree(v) for v in h.vertices) >= 2 for h in searched)
-        # graphs with trees hung off their cycles were searched without them
-        assert trimmed >= 20
+            kernel = chain_kernel(g)
+            assert all(h == kernel for h in searched)
+            assert all(min(h.degree(v) for v in h.vertices) >= 2 for h in searched)
+            if searched:
+                trimmed += len(two_core(g)) < len(g)
+                shortened += len(kernel) < len(two_core(g))
+        # graphs with trees hung off their cycles were searched without
+        # them (29 graphs), and graphs with long chains with the chains
+        # shortened (24); on 37 of the 66 yes answers the kernel gives the
+        # witness another certificate than g does
+        assert trimmed >= 20 and shortened >= 20
 
     def test_two_core_is_taken_once_per_call(self, monkeypatch):
         # the solvers take the 2-core through `verify.Prepared`
@@ -278,6 +321,25 @@ def test_the_two_core_keeps_the_greedy_fvs_and_the_bound(g):
     core = two_core(g)
     assert greedy_minimal_fvs(core) == greedy_minimal_fvs(g), sorted(g.edges())
     assert opt_upper_bound(g) == degree_bound(core, (), core.vertices)
+
+
+def test_the_chain_kernel_keeps_the_greedy_fvs():
+    # solve_k guesses the bipartitions of the 2-core's greedy W on the chain
+    # kernel, so W must be the kernel's greedy W too.  Half of the graphs have
+    # chains, and every graph's ids are shuffled, so a chain's lowest id may
+    # lie anywhere along it.
+    rng = random.Random(38)
+    shortened = 0
+    graphs = [*(cycle(n) for n in range(3, 9)), *random_graphs(3000, seed=38, max_n=30)]
+    for i, base in enumerate(graphs):
+        g = subdivided(base, i) if i % 2 else base
+        ids = list(range(len(g)))
+        rng.shuffle(ids)
+        g = Graph(ids, [(ids[u], ids[v]) for u, v in g.edges()])
+        kernel = chain_kernel(g)
+        assert greedy_minimal_fvs(kernel) == greedy_minimal_fvs(g), sorted(g.edges())
+        shortened += len(kernel) < len(two_core(g))
+    assert shortened >= 1000
 
 
 @settings(max_examples=150, deadline=None)

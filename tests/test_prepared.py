@@ -1,7 +1,8 @@
 """Each solver call takes each reduction of its input at most once.
 
 `verify.Prepared` holds the 2-core, the greedy minimal fvs, the chain
-kernel, the kernel's degree-sum bound and the kernel's minimum vertex
+kernel (taken from the 2-core, so every call that reads it also takes the
+2-core), the kernel's degree-sum bound and the kernel's minimum vertex
 cover of one input, each taken on first use, and a public solver hands its
 one value to the private entries it calls.  The tests count the
 preparations through every `mmfvs` module that binds them, except
@@ -102,35 +103,35 @@ def test_each_preparation_is_taken_at_most_once_per_call(taken):
         w = greedy_minimal_fvs(g)
         shortcut = len(w) >= kernel_bound(g)
         routes.add(shortcut)
+        core = two_core(g)
         for k in (0, len(w), len(w) + 1, len(w) + 2):
             taken.clear()
             solve_k(g, k)
-            # the greedy W on the 2-core; no kernel, bound or cover
-            assert taken.counts() == {"core": 1, "greedy": 1, "kernel": 0, "bound": 0, "cover": 0}
-            assert taken.args["core"] == [g]
+            # the greedy W on the 2-core, and the kernel and its bound only
+            # when W does not answer; never the cover
+            searched = int(k > len(w))
+            assert taken.counts() == {"core": 1, "greedy": 1, "kernel": searched, "bound": searched, "cover": 0}
+            assert taken.args["core"] == [g] and taken.args["kernel"] == [core] * searched
 
         taken.clear()
         opt_exact_solution(g)
         # W and the kernel's bound, and the cover only when W is below the bound
         once = {"core": 1, "greedy": 1, "kernel": 1, "bound": 1}
         assert taken.counts() == {**once, "cover": int(not shortcut)}
-        assert taken.args["core"] == taken.args["kernel"] == [g]
+        assert taken.args["core"] == [g] and taken.args["kernel"] == [core]
 
         taken.clear()
         solve_vc(g)
-        assert taken.counts() == {"core": 0, "greedy": 0, "kernel": 1, "bound": 0, "cover": 1}
+        assert taken.counts() == {"core": 1, "greedy": 0, "kernel": 1, "bound": 0, "cover": 1}
 
         taken.clear()
         result = approx_solve(g, 0.5)
         modes.add(result.mode)
         # the greedy mode reads the kernel, its cover and its bound; the exact
         # exit adds W, and the cover it would need is the one already taken
-        once = {"kernel": 1, "bound": 1, "cover": 1}
-        if result.mode == "greedy":
-            assert taken.counts() == {"core": 0, "greedy": 0, **once}
-        else:
-            assert taken.counts() == {"core": 1, "greedy": 1, **once}
-        assert taken.args["kernel"] == [g]
+        once = {"core": 1, "kernel": 1, "bound": 1, "cover": 1}
+        assert taken.counts() == {**once, "greedy": int(result.mode == "exact")}
+        assert taken.args["core"] == [g] and taken.args["kernel"] == [core]
     assert modes == {"exact", "greedy"} and routes == {True, False}
 
 
